@@ -7,11 +7,15 @@
  * These bound the cost of corpus-scale experiments and document the
  * substrate's speed. On exit the measured crossval serial-vs-parallel
  * speedup is recorded as gauges in BENCH_micro.json.
+ *
+ * The simulation memo cache is switched off for the whole process, so
+ * BM_RecordTrace and its gauge time cold recordings, not cache reads.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
+#include "core/builder.hh"
 #include "core/crossval.hh"
 #include "ml/linear.hh"
 #include "ml/mlp.hh"
@@ -28,6 +33,7 @@
 #include "obs/phase.hh"
 #include "obs/stats.hh"
 #include "sim/core.hh"
+#include "trace/corpus.hh"
 #include "trace/decoded.hh"
 #include "trace/generator.hh"
 #include "uc/compilers.hh"
@@ -108,6 +114,34 @@ mixedWorkload()
     w.lengthInstr = 1u << 30;
     w.name = "micro";
     return w;
+}
+
+/** One quick-scale SPEC trace and the recording set-up it runs under. */
+Workload
+quickSpecWorkload()
+{
+    return specWorkloads(buildSpecApps().front(), 600000, 1).front();
+}
+
+BuildConfig
+recordConfig()
+{
+    BuildConfig cfg;
+    cfg.counterIds = {
+        CounterRegistry::index(Ctr::InstRetired),
+        CounterRegistry::index(Ctr::L1dMiss),
+        CounterRegistry::index(Ctr::UopsStalledOnDep),
+        CounterRegistry::index(Ctr::BranchMispred),
+    };
+    return cfg;
+}
+
+/** Micro-ops one recordTrace of w simulates per mode. */
+uint64_t
+recordedUops(const Workload &w, const BuildConfig &cfg)
+{
+    return cfg.warmupInstr +
+        w.lengthInstr / cfg.intervalInstr * cfg.intervalInstr;
 }
 
 void
@@ -240,6 +274,22 @@ BM_DecodedReplay(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_DecodedReplay);
+
+void
+BM_RecordTrace(benchmark::State &state)
+{
+    // One cold dual-mode recording (memo off): the hash pass plus two
+    // generator-driven replays. Items are trace micro-ops.
+    const Workload w = quickSpecWorkload();
+    const BuildConfig cfg = recordConfig();
+    for (auto _ : state) {
+        const TraceRecord r = recordTrace(w, cfg, 0, 0);
+        benchmark::DoNotOptimize(r.cyclesHigh.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(recordedUops(w, cfg)));
+}
+BENCHMARK(BM_RecordTrace)->Unit(benchmark::kMillisecond);
 
 void
 BM_BatchedReplay(benchmark::State &state)
@@ -550,6 +600,39 @@ recordReplayThroughput()
 }
 
 /**
+ * Wall-clock one cold recordTrace of a quick SPEC trace (best of
+ * three, on one thread so the number does not depend on the core
+ * count) and record trace Muops/s, so the perf ratchet sees the whole
+ * recording cost: the hash pass and both mode replays, each of which
+ * regenerates the trace.
+ */
+void
+recordRecordThroughput()
+{
+    using clock = std::chrono::steady_clock;
+    const Workload w = quickSpecWorkload();
+    const BuildConfig cfg = recordConfig();
+    const double uops = static_cast<double>(recordedUops(w, cfg));
+    ThreadPool::configure(1);
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto start = clock::now();
+        const TraceRecord r = recordTrace(w, cfg, 0, 0);
+        benchmark::DoNotOptimize(r.cyclesHigh.data());
+        const double s =
+            std::chrono::duration<double>(clock::now() - start).count();
+        if (s > 0.0 && uops / s / 1e6 > best)
+            best = uops / s / 1e6;
+    }
+    ThreadPool::configure(parallelThreadCount());
+    obs::StatRegistry::instance()
+        .gauge("sim.record_muops_per_s")
+        .set(best);
+    std::printf("cold recording: %.2f trace Muops/s (%s, 1 thread)\n",
+                best, w.name.c_str());
+}
+
+/**
  * Wall-clock the lockstep batched replay (best of three passes) and
  * record aggregate Muops/s next to the serial SoA gauge, so the
  * perf-smoke job ratchets the batching win. Lanes replay the same
@@ -720,6 +803,7 @@ recordPhaseOverhead()
 static int
 run(int argc, char **argv)
 {
+    setenv("PSCA_SIM_MEMO", "0", 1);
     // Destructs last: the report captures the speedup gauges below.
     bench::ReportGuard report("micro");
     benchmark::Initialize(&argc, argv);
@@ -728,6 +812,7 @@ run(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     recordReplayThroughput();
+    recordRecordThroughput();
     recordBatchedReplayThroughput();
     recordPredictBatchSpeedup();
     recordCrossvalSpeedup();

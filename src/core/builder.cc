@@ -88,60 +88,29 @@ readRecord(BinaryReader &in)
 }
 
 /**
- * One fixed-mode recording pass over a pre-decoded trace. The full
- * per-interval counter deltas come from the simulation memo cache
- * when available (a fixed-mode replay is a pure function of the
- * memo key); either way the projection to the record's float
- * columns runs below, so records are byte-identical whether the
- * deltas were replayed or memoized.
+ * One fixed-mode recording pass of a workload. The full per-interval
+ * counter deltas come from the simulation memo cache when available
+ * (a fixed-mode replay is a pure function of the memo key); on a miss
+ * a fresh generator replays the trace through the core's bounded
+ * chunked path, so memory does not grow with the trace. Either way
+ * the projection to the record's float columns runs below, so
+ * records are byte-identical whether the deltas were replayed or
+ * memoized.
  */
 void
-recordMode(const DecodedTrace &trace, uint64_t trace_hash,
-           const BuildConfig &cfg, CoreMode mode,
+recordMode(const Workload &workload, uint64_t trace_hash,
+           size_t n_intervals, const BuildConfig &cfg, CoreMode mode,
            std::vector<float> &deltas, std::vector<float> &cycles,
            std::vector<float> &energy)
 {
-    const size_t n_intervals =
-        static_cast<size_t>((trace.size() - cfg.warmupInstr) /
-                            cfg.intervalInstr);
     const size_t n_ctr = cfg.counterIds.size();
     deltas.reserve(n_intervals * n_ctr);
     cycles.reserve(n_intervals);
     energy.reserve(n_intervals);
 
-    const MemoKey key{trace_hash, coreConfigHash(cfg.core), mode};
-    auto &memo = SimMemo::instance();
-    MemoIntervals intervals;
-    if (!memo.lookup(key, intervals) ||
-        intervals.size() != n_intervals)
-    {
-        intervals.clear();
-        intervals.reserve(n_intervals);
-        ClusteredCore core(cfg.core);
-        core.reset();
-        core.setMode(mode);
-        size_t cursor = 0;
-        if (cfg.warmupInstr > 0) {
-            core.run(trace, 0, cfg.warmupInstr);
-            cursor = static_cast<size_t>(cfg.warmupInstr);
-        }
-        std::vector<uint64_t> prev(core.counters().raw());
-        for (size_t t = 0; t < n_intervals; ++t) {
-            core.run(trace, cursor, cfg.intervalInstr);
-            cursor += static_cast<size_t>(cfg.intervalInstr);
-            const auto &now = core.counters().raw();
-            std::vector<uint64_t> delta_all(now.size());
-            for (size_t i = 0; i < now.size(); ++i)
-                delta_all[i] = now[i] - prev[i];
-            prev = now;
-            intervals.push_back(std::move(delta_all));
-        }
-        memo.store(key, intervals);
-    }
-
     PowerModel power(cfg.power, cfg.core.clockGhz);
     const uint16_t cycles_idx = CounterRegistry::index(Ctr::Cycles);
-    for (const auto &delta_all : intervals) {
+    auto project = [&](const std::vector<uint64_t> &delta_all) {
         for (size_t i = 0; i < n_ctr; ++i)
             deltas.push_back(static_cast<float>(
                 delta_all[cfg.counterIds[i]]));
@@ -149,7 +118,40 @@ recordMode(const DecodedTrace &trace, uint64_t trace_hash,
         cycles.push_back(static_cast<float>(cyc));
         energy.push_back(static_cast<float>(
             power.intervalEnergyNj(delta_all, cyc, mode)));
+    };
+
+    const MemoKey key{trace_hash, coreConfigHash(cfg.core), mode};
+    auto &memo = SimMemo::instance();
+    MemoIntervals intervals;
+    if (memo.lookup(key, intervals) && intervals.size() == n_intervals) {
+        for (const auto &delta_all : intervals)
+            project(delta_all);
+        return;
     }
+
+    // Full-width deltas are kept only for the memo store.
+    intervals.clear();
+    if (memo.enabled())
+        intervals.reserve(n_intervals);
+    TraceGenerator gen(workload);
+    ClusteredCore core(cfg.core);
+    core.reset();
+    core.setMode(mode);
+    if (cfg.warmupInstr > 0)
+        core.run(gen, cfg.warmupInstr);
+    std::vector<uint64_t> prev(core.counters().raw());
+    for (size_t t = 0; t < n_intervals; ++t) {
+        core.run(gen, cfg.intervalInstr);
+        const auto &now = core.counters().raw();
+        std::vector<uint64_t> delta_all(now.size());
+        for (size_t i = 0; i < now.size(); ++i)
+            delta_all[i] = now[i] - prev[i];
+        prev = now;
+        project(delta_all);
+        if (memo.enabled())
+            intervals.push_back(std::move(delta_all));
+    }
+    memo.store(key, intervals);
 }
 
 } // namespace
@@ -177,31 +179,34 @@ recordTrace(const Workload &workload, const BuildConfig &cfg,
     record.traceId = trace_id;
     record.numCounters = static_cast<uint16_t>(cfg.counterIds.size());
 
-    // Decode the workload's uop stream once; both fixed-mode passes
-    // replay the same read-only SoA trace. The memo key mixes the
-    // content hash with the warmup/interval split because those
-    // boundaries determine how the deltas are sliced.
+    // Hash pass: stream the generator once, folding the content hash
+    // chunk by chunk (equal to DecodedTrace::contentHash() of the
+    // whole trace), so the trace is never held whole. The memo key
+    // mixes the content hash with the warmup/interval split because
+    // those boundaries determine how the deltas are sliced.
     const uint64_t n_intervals = workload.lengthInstr / cfg.intervalInstr;
-    TraceGenerator gen(workload);
-    const DecodedTrace trace = decodeTrace(
-        gen, cfg.warmupInstr + n_intervals * cfg.intervalInstr);
+    uint64_t content_hash = 0;
+    {
+        TraceGenerator gen(workload);
+        content_hash = streamContentHash(
+            gen, cfg.warmupInstr + n_intervals * cfg.intervalInstr);
+    }
     const uint64_t trace_hash = mixSeeds(
-        mixSeeds(trace.contentHash(), cfg.warmupInstr),
-        cfg.intervalInstr);
+        mixSeeds(content_hash, cfg.warmupInstr), cfg.intervalInstr);
 
-    // The two fixed-mode passes are independent simulations writing
-    // disjoint vectors; run them as a two-task region. Inside a
-    // recordCorpus fan-out this degenerates to the serial pair
-    // (nested regions run inline).
+    // The two fixed-mode passes are independent simulations, each
+    // with its own generator, writing disjoint vectors; run them as a
+    // two-task region. Inside a recordCorpus fan-out this degenerates
+    // to the serial pair (nested regions run inline).
     ThreadPool::instance().parallelFor(2, [&](size_t m) {
         if (m == 0)
-            recordMode(trace, trace_hash, cfg, CoreMode::HighPerf,
-                       record.deltaHigh, record.cyclesHigh,
-                       record.energyHighNj);
+            recordMode(workload, trace_hash, n_intervals, cfg,
+                       CoreMode::HighPerf, record.deltaHigh,
+                       record.cyclesHigh, record.energyHighNj);
         else
-            recordMode(trace, trace_hash, cfg, CoreMode::LowPower,
-                       record.deltaLow, record.cyclesLow,
-                       record.energyLowNj);
+            recordMode(workload, trace_hash, n_intervals, cfg,
+                       CoreMode::LowPower, record.deltaLow,
+                       record.cyclesLow, record.energyLowNj);
     });
     PSCA_ASSERT(record.cyclesHigh.size() == record.cyclesLow.size(),
                 "mode runs disagree on interval count");

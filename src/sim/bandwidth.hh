@@ -3,8 +3,9 @@
  * Per-cycle bandwidth accounting for the timestamp-propagation core
  * model. A BandwidthRing answers "what is the first cycle at or after
  * t with a free slot?" for bounded-capacity resources (issue ports,
- * load ports, retire slots, DRAM fill slots) using a lazily-cleared
- * circular usage array.
+ * load ports, DRAM fill slots) using a lazily-cleared circular usage
+ * array. InOrderSlots answers the same question for resources
+ * reserved in order (retire slots) with two words of state.
  */
 
 #ifndef PSCA_SIM_BANDWIDTH_HH
@@ -112,6 +113,50 @@ class BandwidthRing
     uint64_t horizon_ = 0;
     uint8_t capacity_;
     uint32_t shift_;
+};
+
+/**
+ * Per-cycle slot counter for a resource reserved in order, such as
+ * retire bandwidth. Precondition: every earliest_cycle is at least
+ * the cycle the previous reserve() returned. A BandwidthRing fed such
+ * a sequence never looks behind its horizon, and the horizon is
+ * always the last cycle it returned, so only that one cycle can hold
+ * reservations. A (cycle, used) pair therefore returns exactly what
+ * the ring would, without the ring's 2^17-entry window.
+ */
+class InOrderSlots
+{
+  public:
+    explicit InOrderSlots(uint8_t capacity) : capacity_(capacity) {}
+
+    /** Reserve one slot at the first cycle >= earliest_cycle with room. */
+    uint64_t
+    reserve(uint64_t earliest_cycle)
+    {
+        if (earliest_cycle > cycle_) {
+            cycle_ = earliest_cycle;
+            used_ = 0;
+        }
+        if (used_ >= capacity_) {
+            ++cycle_;
+            used_ = 0;
+        }
+        ++used_;
+        return cycle_;
+    }
+
+    /** Forget all reservations. */
+    void
+    reset()
+    {
+        cycle_ = 0;
+        used_ = 0;
+    }
+
+  private:
+    uint64_t cycle_ = 0;
+    uint8_t used_ = 0;
+    uint8_t capacity_;
 };
 
 } // namespace psca

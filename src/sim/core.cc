@@ -107,7 +107,7 @@ HotCtrs::flush(Counters &out)
 ClusteredCore::ClusteredCore(const CoreConfig &cfg)
     : cfg_(cfg),
       mem_(cfg),
-      retireRing_(static_cast<uint8_t>(cfg.retireWidth)),
+      retireSlots_(static_cast<uint8_t>(cfg.retireWidth)),
       issueRing_{
           BandwidthRing(static_cast<uint8_t>(cfg.issueWidthPerCluster)),
           BandwidthRing(static_cast<uint8_t>(cfg.issueWidthPerCluster))},
@@ -149,7 +149,7 @@ ClusteredCore::reset()
     seq_ = 0;
     robSlot_ = 0;
     std::fill(robRetire_.begin(), robRetire_.end(), 0);
-    retireRing_.reset();
+    retireSlots_.reset();
     lastRetireTime_ = 0;
     fetchCycle_ = 0;
     fetchedThisCycle_ = 0;
@@ -437,8 +437,10 @@ ClusteredCore::processUop(const MicroOp &op)
     }
 
     // ---- Retire ---------------------------------------------------------
+    // The max() keeps reservations monotone, which is InOrderSlots'
+    // precondition: retire never goes back in time.
     uint64_t retire = std::max(completion + 1, lastRetireTime_);
-    retire = retireRing_.reserve(retire);
+    retire = retireSlots_.reserve(retire);
     lastRetireTime_ = std::max(lastRetireTime_, retire);
     robRetire_[robSlot_] = retire + 1;
     if (++robSlot_ == robRetire_.size())

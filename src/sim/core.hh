@@ -152,7 +152,8 @@ class ClusteredCore
     /**
      * Execute micro-ops [begin, begin + n) of a pre-decoded trace.
      * Timing-equivalent to feeding the same stream through a
-     * generator; lets one decode feed several replays.
+     * generator. Production replay streams through the generator
+     * overload; this one serves tests, benches and runBatch.
      */
     IntervalStats run(const DecodedTrace &trace, size_t begin,
                       uint64_t n);
@@ -228,7 +229,9 @@ class ClusteredCore
     uint64_t seq_ = 0;
     size_t robSlot_ = 0;
     std::vector<uint64_t> robRetire_;
-    BandwidthRing retireRing_;
+    // Retire is in order: each reservation starts at or after
+    // lastRetireTime_, the previous one's cycle (see InOrderSlots).
+    InOrderSlots retireSlots_;
     uint64_t lastRetireTime_ = 0;
 
     // Frontend state.

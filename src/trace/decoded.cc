@@ -1,5 +1,7 @@
 #include "trace/decoded.hh"
 
+#include <algorithm>
+
 #include "common/rng.hh"
 #include "trace/generator.hh"
 
@@ -95,23 +97,58 @@ DecodedTrace::opAt(size_t i) const
 uint64_t
 DecodedTrace::contentHash() const
 {
-    uint64_t h = mixSeeds(0x5ca1ab1edec0deULL, size());
-    for (size_t i = 0; i < size(); ++i) {
+    ContentHasher h(size());
+    h.update(*this);
+    return h.value();
+}
+
+ContentHasher::ContentHasher(uint64_t total_ops)
+    : h_(mixSeeds(0x5ca1ab1edec0deULL, total_ops))
+{}
+
+void
+ContentHasher::update(const DecodedTrace &chunk)
+{
+    const uint64_t *pc = chunk.pc();
+    const uint64_t *addr = chunk.addr();
+    const uint8_t *cls = chunk.cls();
+    const int8_t *dst = chunk.dst();
+    const int8_t *src0 = chunk.src0();
+    const int8_t *src1 = chunk.src1();
+    const uint8_t *taken = chunk.taken();
+    uint64_t h = h_;
+    for (size_t i = 0; i < chunk.size(); ++i) {
         // Fold the narrow fields into one word so each op costs two
         // mixes; the mix is order-sensitive through h.
         const uint64_t packed =
-            (static_cast<uint64_t>(cls_[i]) << 40) ^
-            (static_cast<uint64_t>(static_cast<uint8_t>(dst_[i]))
-             << 32) ^
-            (static_cast<uint64_t>(static_cast<uint8_t>(src0_[i]))
+            (static_cast<uint64_t>(cls[i]) << 40) ^
+            (static_cast<uint64_t>(static_cast<uint8_t>(dst[i])) << 32) ^
+            (static_cast<uint64_t>(static_cast<uint8_t>(src0[i]))
              << 24) ^
-            (static_cast<uint64_t>(static_cast<uint8_t>(src1_[i]))
+            (static_cast<uint64_t>(static_cast<uint8_t>(src1[i]))
              << 16) ^
-            (static_cast<uint64_t>(taken_[i]) << 8);
-        h = mixSeeds(h, pc_[i] ^ (addr_[i] * 0x9e3779b97f4a7c15ULL));
+            (static_cast<uint64_t>(taken[i]) << 8);
+        h = mixSeeds(h, pc[i] ^ (addr[i] * 0x9e3779b97f4a7c15ULL));
         h = mixSeeds(h, packed);
     }
-    return h;
+    h_ = h;
+}
+
+uint64_t
+streamContentHash(TraceGenerator &gen, uint64_t n)
+{
+    // The chunk matches ClusteredCore::run's decode chunk.
+    constexpr uint64_t kChunk = 4096;
+    ContentHasher h(n);
+    DecodedTrace chunk;
+    chunk.reserve(kChunk);
+    for (uint64_t done = 0; done < n; done += kChunk) {
+        chunk.clear();
+        gen.fillDecoded(chunk, static_cast<size_t>(
+                                   std::min(kChunk, n - done)));
+        h.update(chunk);
+    }
+    return h.value();
 }
 
 DecodedTrace

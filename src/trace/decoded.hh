@@ -5,8 +5,9 @@
  * operands, address stream, branch metadata) so the simulator's inner
  * loop streams each field sequentially instead of striding through
  * 24-byte AoS records, and so one decode can feed several replays
- * (the dual-mode recording passes) or be content-hashed for the
- * simulation memo cache (sim/memo.hh).
+ * or be content-hashed for the simulation memo cache (sim/memo.hh).
+ * ContentHasher computes the same hash over a stream fed chunk by
+ * chunk, so a trace can be keyed without ever being held whole.
  *
  * Layout contract (DESIGN.md §9): index i of every array describes
  * dynamic micro-op i of the stream; `memSize` is dropped because the
@@ -53,6 +54,7 @@ class DecodedTrace
      * Order-sensitive 64-bit hash of every timing-relevant field of
      * the stream. Equal hashes (plus equal size) identify streams
      * that replay identically; used as the memo-cache trace key.
+     * Defined as one ContentHasher fed the whole trace.
      */
     uint64_t contentHash() const;
 
@@ -74,6 +76,33 @@ class DecodedTrace
     std::vector<int8_t> src1_;
     std::vector<uint8_t> taken_; //!< branch direction (Branch only)
 };
+
+/**
+ * Incremental DecodedTrace::contentHash(). Seeded with the stream's
+ * total op count, then fed consecutive chunks of it; after the last
+ * op, value() equals contentHash() of the whole stream decoded at
+ * once, whatever the chunking.
+ */
+class ContentHasher
+{
+  public:
+    explicit ContentHasher(uint64_t total_ops);
+
+    /** Fold every op of chunk, in order. */
+    void update(const DecodedTrace &chunk);
+
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_;
+};
+
+/**
+ * contentHash() of the next n micro-ops of the generator, decoded and
+ * hashed in bounded chunks (memory independent of n). The generator's
+ * cursor advances past them.
+ */
+uint64_t streamContentHash(TraceGenerator &gen, uint64_t n);
 
 /**
  * Decode exactly n micro-ops from the generator. The generator's

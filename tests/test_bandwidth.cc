@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "sim/bandwidth.hh"
 
 using namespace psca;
@@ -89,4 +90,31 @@ TEST(BandwidthRing, TooOldClampsToWindow)
     // clamped into the window rather than mis-read stale state.
     const uint64_t got = ring.reserve(2);
     EXPECT_GE(got, 100u - 15u);
+}
+
+TEST(InOrderSlots, MatchesRingOnMonotoneSequence)
+{
+    // The retire stage's pattern: each request is at least the cycle
+    // the previous reservation returned, often equal to it (a burst
+    // queuing behind a full cycle), sometimes jumping ahead, now and
+    // then past the ring's whole window.
+    for (uint8_t capacity : {1, 2, 4, 8}) {
+        BandwidthRing ring(capacity);
+        InOrderSlots slots(capacity);
+        Rng rng(0x5107 + capacity);
+        uint64_t last = 0;
+        for (int i = 0; i < 200000; ++i) {
+            const uint64_t r = rng.below(64);
+            const uint64_t earliest = r < 40 ? last
+                : r == 63               ? last + 300000
+                                        : last + r;
+            const uint64_t a = ring.reserve(earliest);
+            const uint64_t b = slots.reserve(earliest);
+            ASSERT_EQ(a, b) << "capacity " << int(capacity) << " op " << i;
+            last = a;
+        }
+        ring.reset();
+        slots.reset();
+        EXPECT_EQ(ring.reserve(0), slots.reserve(0));
+    }
 }

@@ -4,11 +4,14 @@
  * simulator hot path built on it: decode fidelity against the AoS
  * stream, content-hash stability, bit-identity of the SoA replay
  * against the retired AoS oracle (cycles, every telemetry counter,
- * and gating labels across the genome corpus), and the
- * steady-state allocation budget of the replay loop.
+ * and gating labels across the genome corpus), the steady-state
+ * allocation budget of the replay loop, and the bounded live memory
+ * of streamed dual-mode recording.
  */
 
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -16,42 +19,87 @@
 #include <new>
 #include <vector>
 
+#include "common/parallel.hh"
+#include "core/builder.hh"
 #include "sim/core.hh"
+#include "sim/memo.hh"
 #include "trace/decoded.hh"
 #include "trace/generator.hh"
 #include "trace/genome.hh"
 
 // ---------------------------------------------------------------------
 // Counting global allocator: every operator new in the binary bumps
-// the counter while auditing is armed. malloc-backed so behaviour is
-// otherwise unchanged.
+// the counter while auditing is armed, and live bytes (by the
+// allocator's usable size) are tracked with a high-water mark.
+// malloc-backed so behaviour is otherwise unchanged.
 namespace {
 
 std::atomic<bool> g_audit{false};
 std::atomic<uint64_t> g_allocs{0};
+std::atomic<int64_t> g_live{0};
+std::atomic<int64_t> g_peak{0};
 
 void *
 countedAlloc(std::size_t n)
 {
     if (g_audit.load(std::memory_order_relaxed))
         g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
+    void *p = std::malloc(n ? n : 1);
+    if (!p)
+        throw std::bad_alloc();
+    const auto size = static_cast<int64_t>(malloc_usable_size(p));
+    const int64_t live =
+        g_live.fetch_add(size, std::memory_order_relaxed) + size;
+    int64_t peak = g_peak.load(std::memory_order_relaxed);
+    while (live > peak &&
+           !g_peak.compare_exchange_weak(peak, live,
+                                         std::memory_order_relaxed))
+    {}
+    return p;
+}
+
+void
+countedFree(void *p) noexcept
+{
+    if (!p)
+        return;
+    g_live.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                     std::memory_order_relaxed);
+    std::free(p);
+}
+
+/** Restart the high-water mark at the current live total. */
+void
+resetPeak()
+{
+    g_peak.store(g_live.load());
 }
 
 } // namespace
 
 void *operator new(std::size_t n) { return countedAlloc(n); }
 void *operator new[](std::size_t n) { return countedAlloc(n); }
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { countedFree(p); }
+void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void *p) noexcept { countedFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
 
 using namespace psca;
 
 namespace {
+
+/**
+ * The memory test measures a cold recording, so the memo cache is off
+ * for this binary (the singleton latches the setting at first use).
+ */
+class MemoOffEnv : public ::testing::Environment
+{
+  public:
+    void SetUp() override { setenv("PSCA_SIM_MEMO", "0", 1); }
+};
+
+const auto *const g_env =
+    ::testing::AddGlobalTestEnvironment(new MemoOffEnv);
 
 Workload
 categoryWorkload(AppCategory cat, uint64_t seed, uint64_t len)
@@ -146,6 +194,35 @@ TEST(DecodedTrace, ContentHashStableAndDiscriminating)
     TraceGenerator g4(w);
     const DecodedTrace d = decodeTrace(g4, 29999);
     EXPECT_NE(a.contentHash(), d.contentHash());
+}
+
+TEST(DecodedTrace, IncrementalHashMatchesWholeTrace)
+{
+    // The streaming recorder keys the memo with ContentHasher; any
+    // chunking must reproduce the whole-trace contentHash() exactly.
+    constexpr uint64_t kOps = 20000;
+    for (AppCategory cat :
+         {AppCategory::HpcPerf, AppCategory::CloudSecurity,
+          AppCategory::Multimedia})
+    {
+        const Workload w = categoryWorkload(cat, 41, 1 << 20);
+        TraceGenerator whole_gen(w);
+        const uint64_t whole = decodeTrace(whole_gen, kOps).contentHash();
+
+        for (uint64_t chunk : {1ull, 4096ull, 4097ull}) {
+            TraceGenerator gen(w);
+            ContentHasher h(kOps);
+            DecodedTrace buf;
+            for (uint64_t done = 0; done < kOps; done += chunk) {
+                buf.clear();
+                gen.fillDecoded(buf, std::min(chunk, kOps - done));
+                h.update(buf);
+            }
+            EXPECT_EQ(h.value(), whole) << "chunk " << chunk;
+        }
+        TraceGenerator stream_gen(w);
+        EXPECT_EQ(streamContentHash(stream_gen, kOps), whole);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -295,4 +372,43 @@ TEST(DecodedTrace, SteadyStateReplayAllocationBudget)
     g_audit.store(false);
     EXPECT_EQ(g_allocs.load(), 0u)
         << "pre-decoded replay allocates in steady state";
+}
+
+TEST(DecodedTrace, StreamedRecordingMemoryIndependentOfLength)
+{
+    // Cold dual-mode recording replays each mode from a fresh
+    // generator in bounded chunks, so its peak live allocation is set
+    // by the core state, not by the trace length. Decoding a 600k-uop
+    // trace whole would alone hold ~13 MB.
+    ASSERT_FALSE(SimMemo::instance().enabled());
+    // Serial mode passes: the peak must not depend on whether the
+    // two passes happen to overlap.
+    ThreadPool::configure(1);
+    BuildConfig cfg;
+    cfg.counterIds = {
+        CounterRegistry::index(Ctr::InstRetired),
+        CounterRegistry::index(Ctr::L1dMiss),
+        CounterRegistry::index(Ctr::UopsStalledOnDep),
+        CounterRegistry::index(Ctr::BranchMispred),
+    };
+    auto peak_bytes = [&](uint64_t len) {
+        const Workload w =
+            categoryWorkload(AppCategory::HpcPerf, 53, len);
+        resetPeak();
+        const int64_t base = g_live.load();
+        const TraceRecord r = recordTrace(w, cfg, 0, 0);
+        EXPECT_EQ(r.numIntervals(), len / cfg.intervalInstr);
+        return g_peak.load() - base;
+    };
+    peak_bytes(100000); // one-time registry and phase-tree entries
+    const int64_t short_peak = peak_bytes(600000);
+    const int64_t long_peak = peak_bytes(1200000);
+    ThreadPool::configure(parallelThreadCount());
+
+    constexpr int64_t kSlack = 256 << 10;
+    constexpr int64_t kBound = 6 << 20;
+    EXPECT_LE(long_peak, short_peak + kSlack)
+        << "recording memory grows with trace length";
+    EXPECT_LE(short_peak, kBound);
+    EXPECT_LE(long_peak, kBound);
 }

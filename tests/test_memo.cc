@@ -14,6 +14,7 @@
 
 #include "common/parallel.hh"
 #include "core/builder.hh"
+#include "obs/stats.hh"
 #include "sim/memo.hh"
 #include "telemetry/counters.hh"
 #include "trace/genome.hh"
@@ -216,4 +217,36 @@ TEST(Memo, ProjectionIndependentOfCounterList)
         EXPECT_EQ(re.rowHigh(t)[cfg.counterIds.size()],
                   base.cyclesHigh[t]);
     }
+}
+
+TEST(Memo, CorpusRebuildFromMemoReplaysNothing)
+{
+    // Corpus cache deleted, memo kept: every recordTrace re-runs, but
+    // both mode passes of every trace hit the memo, so nothing is
+    // simulated and only the hash pass touches the generator.
+    const BuildConfig cfg = smallConfig();
+    const std::vector<Workload> ws = {genomeWorkload(61, 60000, "mw_a"),
+                                      genomeWorkload(62, 60000, "mw_b")};
+    const std::vector<uint32_t> apps = {0, 1};
+    const auto cold = recordCorpus(ws, apps, cfg, "memowarm");
+
+    for (const auto &e :
+         std::filesystem::directory_iterator("/tmp/psca_memo_test"))
+        if (e.path().filename().string().rfind("memowarm_", 0) == 0)
+            std::filesystem::remove(e.path());
+
+    auto &reg = obs::StatRegistry::instance();
+    const uint64_t traces0 = reg.counter("record.traces").value();
+    const uint64_t hits0 = reg.counter("memo.hits").value();
+    const uint64_t misses0 = reg.counter("memo.misses").value();
+    const uint64_t intervals0 = reg.counter("sim.intervals").value();
+    const auto warm = recordCorpus(ws, apps, cfg, "memowarm");
+
+    EXPECT_EQ(reg.counter("record.traces").value() - traces0, ws.size());
+    EXPECT_EQ(reg.counter("memo.hits").value() - hits0, 2 * ws.size());
+    EXPECT_EQ(reg.counter("memo.misses").value() - misses0, 0u);
+    EXPECT_EQ(reg.counter("sim.intervals").value() - intervals0, 0u);
+    ASSERT_EQ(cold.size(), warm.size());
+    for (size_t i = 0; i < cold.size(); ++i)
+        expectRecordsIdentical(cold[i], warm[i]);
 }
