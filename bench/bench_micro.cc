@@ -292,43 +292,6 @@ BM_RecordTrace(benchmark::State &state)
 BENCHMARK(BM_RecordTrace)->Unit(benchmark::kMillisecond);
 
 void
-BM_BatchedReplay(benchmark::State &state)
-{
-    // Lockstep batched replay (DESIGN.md §14): `lanes` independent
-    // cores advance one uop per trip, overlapping their serial
-    // timestamp chains. Items processed counts all lanes.
-    const size_t lanes = static_cast<size_t>(state.range(0));
-    constexpr uint64_t kInterval = 10000;
-    constexpr size_t kUops = 1u << 21;
-    TraceGenerator gen(mixedWorkload());
-    const DecodedTrace trace = decodeTrace(gen, kUops);
-    std::vector<std::unique_ptr<ClusteredCore>> cores;
-    for (size_t i = 0; i < lanes; ++i) {
-        cores.push_back(std::make_unique<ClusteredCore>());
-        cores[i]->reset();
-        cores[i]->setMode(CoreMode::HighPerf);
-    }
-    std::vector<ReplayLane> ls(lanes);
-    size_t base = 0;
-    for (auto _ : state) {
-        for (size_t i = 0; i < lanes; ++i) {
-            ls[i].core = cores[i].get();
-            ls[i].trace = &trace;
-            ls[i].begin = base;
-            ls[i].n = kInterval;
-        }
-        ClusteredCore::runBatch(ls.data(), lanes);
-        base += kInterval;
-        if (base + kInterval > trace.size())
-            base = 0;
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(lanes * kInterval));
-    state.SetLabel("lanes=" + std::to_string(lanes));
-}
-BENCHMARK(BM_BatchedReplay)->Arg(4)->Arg(8)->Arg(16);
-
-void
 BM_PredictBatch_forest(benchmark::State &state)
 {
     const Dataset d = randomData(4096, 12, 9);
@@ -386,23 +349,6 @@ BM_PredictQuant(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PredictQuant);
-
-void
-BM_CoreSimulationAosOracle(benchmark::State &state)
-{
-    // The retired AoS path, kept as a correctness oracle; benched so
-    // regressions in the SoA win show up as a shrinking gap.
-    ClusteredCore core;
-    core.reset();
-    core.setMode(CoreMode::HighPerf);
-    core.setReplayPath(ReplayPath::AosOracle);
-    TraceGenerator gen(mixedWorkload());
-    for (auto _ : state) {
-        core.run(gen, 10000);
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_CoreSimulationAosOracle);
 
 void
 BM_TraceDecode(benchmark::State &state)
@@ -541,11 +487,10 @@ recordCrossvalSpeedup()
 }
 
 /**
- * Wall-clock the SoA replay against the AoS oracle on the same
- * 2M-uop trace (best of three passes each, to ride out machine
- * noise) and record both as gauges, so BENCH_micro.json documents
- * the data-layout win next to the whole-run sim.replay_* gauges the
- * ReportGuard derives.
+ * Wall-clock pre-decoded replay of a 2M-uop trace (best of three
+ * passes, to ride out machine noise) and record it as a gauge, so
+ * BENCH_micro.json documents the replay kernel next to the whole-run
+ * sim.replay_* gauges the ReportGuard derives.
  */
 void
 recordReplayThroughput()
@@ -554,49 +499,26 @@ recordReplayThroughput()
     constexpr uint64_t kInterval = 10000;
     constexpr uint64_t kIntervals = (1u << 21) / kInterval;
     constexpr uint64_t kUops = kIntervals * kInterval;
-    const Workload w = mixedWorkload();
+    TraceGenerator gen(mixedWorkload());
+    const DecodedTrace trace = decodeTrace(gen, kUops);
 
-    TraceGenerator dec_gen(w);
-    const DecodedTrace trace = decodeTrace(dec_gen, kUops);
-
-    auto best_muops = [&](auto &&pass) {
-        double best = 0.0;
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto start = clock::now();
-            pass();
-            const double s =
-                std::chrono::duration<double>(clock::now() - start)
-                    .count();
-            const double muops = s > 0.0 ? kUops / s / 1e6 : 0.0;
-            if (muops > best)
-                best = muops;
-        }
-        return best;
-    };
-
-    const double soa = best_muops([&] {
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
         ClusteredCore core;
         core.reset();
         core.setMode(CoreMode::HighPerf);
+        const auto start = clock::now();
         for (uint64_t t = 0; t < kIntervals; ++t)
             core.run(trace, t * kInterval, kInterval);
-    });
-    const double aos = best_muops([&] {
-        ClusteredCore core;
-        core.reset();
-        core.setMode(CoreMode::HighPerf);
-        core.setReplayPath(ReplayPath::AosOracle);
-        TraceGenerator gen(w);
-        for (uint64_t t = 0; t < kIntervals; ++t)
-            core.run(gen, kInterval);
-    });
-
-    auto &reg = obs::StatRegistry::instance();
-    reg.gauge("sim.replay_soa_muops_per_s").set(soa);
-    reg.gauge("sim.replay_aos_muops_per_s").set(aos);
-    std::printf("replay throughput: %.1f Muops/s SoA, %.1f Muops/s "
-                "AoS oracle (%.2fx)\n",
-                soa, aos, aos > 0.0 ? soa / aos : 0.0);
+        const double s =
+            std::chrono::duration<double>(clock::now() - start).count();
+        if (s > 0.0 && kUops / s / 1e6 > best)
+            best = kUops / s / 1e6;
+    }
+    obs::StatRegistry::instance()
+        .gauge("sim.replay_soa_muops_per_s")
+        .set(best);
+    std::printf("replay throughput: %.1f Muops/s\n", best);
 }
 
 /**
@@ -630,60 +552,6 @@ recordRecordThroughput()
         .set(best);
     std::printf("cold recording: %.2f trace Muops/s (%s, 1 thread)\n",
                 best, w.name.c_str());
-}
-
-/**
- * Wall-clock the lockstep batched replay (best of three passes) and
- * record aggregate Muops/s next to the serial SoA gauge, so the
- * perf-smoke job ratchets the batching win. Lanes replay the same
- * trace from the same offset — the throughput number counts uops
- * retired across all lanes per wall-second, which is how the dataset
- * builder consumes the kernel (many chips, one trace).
- */
-void
-recordBatchedReplayThroughput()
-{
-    using clock = std::chrono::steady_clock;
-    constexpr uint64_t kInterval = 10000;
-    constexpr uint64_t kIntervals = (1u << 21) / kInterval;
-    constexpr uint64_t kUops = kIntervals * kInterval;
-    constexpr size_t kLanes = 8;
-    TraceGenerator gen(mixedWorkload());
-    const DecodedTrace trace = decodeTrace(gen, kUops);
-
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-        std::vector<std::unique_ptr<ClusteredCore>> cores;
-        for (size_t i = 0; i < kLanes; ++i) {
-            cores.push_back(std::make_unique<ClusteredCore>());
-            cores[i]->reset();
-            cores[i]->setMode(CoreMode::HighPerf);
-        }
-        std::vector<ReplayLane> lanes(kLanes);
-        const auto start = clock::now();
-        for (uint64_t t = 0; t < kIntervals; ++t) {
-            for (size_t i = 0; i < kLanes; ++i) {
-                lanes[i].core = cores[i].get();
-                lanes[i].trace = &trace;
-                lanes[i].begin = t * kInterval;
-                lanes[i].n = kInterval;
-            }
-            ClusteredCore::runBatch(lanes.data(), kLanes);
-        }
-        const double s =
-            std::chrono::duration<double>(clock::now() - start)
-                .count();
-        const double muops =
-            s > 0.0 ? kUops * kLanes / s / 1e6 : 0.0;
-        if (muops > best)
-            best = muops;
-    }
-    obs::StatRegistry::instance()
-        .gauge("sim.replay_batched_muops_per_s")
-        .set(best);
-    std::printf("batched replay: %.1f Muops/s aggregate over %zu "
-                "lanes\n",
-                best, kLanes);
 }
 
 /**
@@ -813,7 +681,6 @@ run(int argc, char **argv)
     benchmark::Shutdown();
     recordReplayThroughput();
     recordRecordThroughput();
-    recordBatchedReplayThroughput();
     recordPredictBatchSpeedup();
     recordCrossvalSpeedup();
     recordPhaseOverhead();

@@ -4,7 +4,7 @@
  * the PSCA_FAULTS framework (common/fault.hh) into src/dist with six
  * net.* sites — frame corruption, torn sends, connection resets,
  * recv stalls, dropped heartbeats, duplicated Result delivery — so
- * the chaos harness (bench/bench_chaos.cc, `psca chaos`) can soak
+ * the chaos harness (`psca chaos`) can soak
  * the rejoin/crash-resume machinery under bit-reproducible schedules.
  *
  * Every wrapper is a pass-through costing one cached bool load when

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdlib>
 
-#include "common/env.hh"
 #include "obs/phase.hh"
 #include "obs/stats.hh"
 
@@ -123,13 +121,9 @@ ClusteredCore::ClusteredCore(const CoreConfig &cfg)
                                0);
     sqFreeTime_.assign(static_cast<size_t>(cfg.sqSize), 0);
     fwdTable_.assign(64, FwdEntry{});
-    // Staging buffers are sized once here so steady-state replay
+    // The staging buffer is sized once here so steady-state replay
     // never reallocates.
-    fillBuffer_.reserve(2048);
     decodeBuf_.reserve(4096);
-
-    if (env::flagOr("PSCA_SIM_AOS", false))
-        replayPath_ = ReplayPath::AosOracle;
 }
 
 void
@@ -571,119 +565,15 @@ ClusteredCore::run(TraceGenerator &gen, uint64_t n)
     const auto t0 = std::chrono::steady_clock::now();
     const IntervalSnapshot snap = beginInterval();
 
-    uint64_t remaining = n;
-    if (replayPath_ == ReplayPath::AosOracle) {
-        while (remaining > 0) {
-            const size_t chunk = static_cast<size_t>(
-                std::min<uint64_t>(remaining, 2048));
-            fillBuffer_.clear();
-            gen.fill(fillBuffer_, chunk);
-            for (const MicroOp &op : fillBuffer_)
-                processUop(op);
-            remaining -= chunk;
-        }
-    } else {
-        while (remaining > 0) {
-            const size_t chunk = static_cast<size_t>(
-                std::min<uint64_t>(remaining, 4096));
-            decodeBuf_.clear();
-            gen.fillDecoded(decodeBuf_, chunk);
-            replayDecoded(decodeBuf_, 0, chunk);
-            remaining -= chunk;
-        }
+    for (uint64_t remaining = n; remaining > 0;) {
+        const size_t chunk =
+            static_cast<size_t>(std::min<uint64_t>(remaining, 4096));
+        decodeBuf_.clear();
+        gen.fillDecoded(decodeBuf_, chunk);
+        replayDecoded(decodeBuf_, 0, chunk);
+        remaining -= chunk;
     }
     return endInterval(snap, n, obs::elapsedNs(t0));
-}
-
-void
-ClusteredCore::runBatch(ReplayLane *lanes, size_t count)
-{
-    PSCA_ASSERT(count > 0 && count <= kMaxReplayLanes,
-                "runBatch lane count out of range");
-    const auto t0 = std::chrono::steady_clock::now();
-
-    // Per-lane replay cursors, compacted as lanes finish.
-    struct Cursor
-    {
-        ClusteredCore *core;
-        const uint64_t *pc;
-        const uint64_t *addr;
-        const uint8_t *cls;
-        const int8_t *dst;
-        const int8_t *src0;
-        const int8_t *src1;
-        const uint8_t *taken;
-        size_t pos;
-        size_t end;
-        size_t lane; //!< index into lanes[] (for stats writeback)
-    };
-    Cursor cur[kMaxReplayLanes];
-    IntervalSnapshot snaps[kMaxReplayLanes];
-
-    size_t live = 0;
-    for (size_t i = 0; i < count; ++i) {
-        ReplayLane &ln = lanes[i];
-        PSCA_ASSERT(ln.core && ln.trace, "runBatch lane unset");
-        PSCA_ASSERT(ln.begin + ln.n <= ln.trace->size(),
-                    "batched replay range out of bounds");
-        snaps[i] = ln.core->beginInterval();
-        if (ln.n == 0)
-            continue;
-        Cursor &c = cur[live++];
-        c.core = ln.core;
-        c.pc = ln.trace->pc();
-        c.addr = ln.trace->addr();
-        c.cls = ln.trace->cls();
-        c.dst = ln.trace->dst();
-        c.src0 = ln.trace->src0();
-        c.src1 = ln.trace->src1();
-        c.taken = ln.trace->taken();
-        c.pos = ln.begin;
-        c.end = ln.begin + static_cast<size_t>(ln.n);
-        c.lane = i;
-    }
-
-    while (live > 0) {
-        // Trips all live lanes can take without a bounds check.
-        size_t step = cur[0].end - cur[0].pos;
-        for (size_t j = 1; j < live; ++j)
-            step = std::min(step, cur[j].end - cur[j].pos);
-
-        for (size_t s = 0; s < step; ++s) {
-            for (size_t j = 0; j < live; ++j) {
-                Cursor &c = cur[j];
-                const size_t i = c.pos + s;
-                MicroOp op;
-                op.pc = c.pc[i];
-                op.addr = c.addr[i];
-                op.cls = static_cast<OpClass>(c.cls[i]);
-                op.dst = c.dst[i];
-                op.src0 = c.src0[i];
-                op.src1 = c.src1[i];
-                op.branchTaken = c.taken[i] != 0;
-                c.core->processUop(op);
-            }
-        }
-
-        // Advance and compact finished lanes.
-        size_t kept = 0;
-        for (size_t j = 0; j < live; ++j) {
-            cur[j].pos += step;
-            if (cur[j].pos < cur[j].end)
-                cur[kept++] = cur[j];
-        }
-        live = kept;
-    }
-
-    // Wall time is attributed evenly: only the batch total is
-    // meaningful, and sim.replay_ns is process accounting, not a
-    // result stat.
-    const uint64_t elapsed = obs::elapsedNs(t0);
-    for (size_t i = 0; i < count; ++i) {
-        ReplayLane &ln = lanes[i];
-        ln.stats = ln.core->endInterval(snaps[i], ln.n,
-                                        elapsed / count);
-    }
 }
 
 IntervalStats

@@ -22,10 +22,8 @@
  * structure-of-arrays trace (trace/decoded.hh), batches all per-uop
  * telemetry into a plain-struct accumulator flushed once per
  * interval, and addresses every circular structure with wrap
- * counters instead of modulo. The original array-of-structs fill()
- * path is kept as a correctness oracle behind ReplayPath::AosOracle
- * (env PSCA_SIM_AOS=1); both paths share one processUop(), so they
- * are bit-identical by construction.
+ * counters instead of modulo. Both run() overloads replay through
+ * the same replayDecoded() loop.
  */
 
 #ifndef PSCA_SIM_CORE_HH
@@ -58,31 +56,6 @@ struct IntervalStats
                 static_cast<double>(cycles)
                       : 0.0;
     }
-};
-
-class ClusteredCore;
-
-/**
- * One lane of a batched replay (ClusteredCore::runBatch). Each lane
- * is an independent (core, decoded-trace window) pair: the kernel
- * advances every lane one micro-op per loop trip, so the serial
- * timestamp chains of up to kMaxReplayLanes chips overlap in the
- * host's out-of-order window instead of stalling back to back.
- */
-struct ReplayLane
-{
-    ClusteredCore *core = nullptr;
-    const DecodedTrace *trace = nullptr;
-    size_t begin = 0;
-    uint64_t n = 0;
-    IntervalStats stats; //!< out: this lane's interval summary
-};
-
-/** Which trace representation run(TraceGenerator&, n) replays. */
-enum class ReplayPath : uint8_t
-{
-    Soa,       //!< pre-decoded structure-of-arrays (default)
-    AosOracle, //!< original MicroOp fill() path (correctness oracle)
 };
 
 /**
@@ -153,29 +126,10 @@ class ClusteredCore
      * Execute micro-ops [begin, begin + n) of a pre-decoded trace.
      * Timing-equivalent to feeding the same stream through a
      * generator. Production replay streams through the generator
-     * overload; this one serves tests, benches and runBatch.
+     * overload; this one serves tests and benches.
      */
     IntervalStats run(const DecodedTrace &trace, size_t begin,
                       uint64_t n);
-
-    /** Upper bound on runBatch lane count (state must stay cached). */
-    static constexpr size_t kMaxReplayLanes = 16;
-
-    /**
-     * Advance up to kMaxReplayLanes independent (core, trace window)
-     * lanes in lockstep, one micro-op per lane per loop trip. Each
-     * lane's core executes exactly the processUop() sequence that
-     * lanes[i].core->run(*lanes[i].trace, begin, n) would, so
-     * per-core counters, cycles, and gating labels are bit-identical
-     * to the serial SoA path by construction; the interleave only
-     * overlaps the independent lanes' dependency chains. Fills
-     * lanes[i].stats. Lanes must reference distinct cores.
-     */
-    static void runBatch(ReplayLane *lanes, size_t count);
-
-    /** Select the replay representation (tests/benches). */
-    void setReplayPath(ReplayPath path) { replayPath_ = path; }
-    ReplayPath replayPath() const { return replayPath_; }
 
     /** Telemetry accumulated since reset(). */
     const Counters &counters() const { return counters_; }
@@ -212,7 +166,6 @@ class ClusteredCore
 
     CoreConfig cfg_;
     CoreMode mode_ = CoreMode::HighPerf;
-    ReplayPath replayPath_ = ReplayPath::Soa;
     Counters counters_;
     HotCtrs hot_;
     MemoryHierarchy mem_;
@@ -264,8 +217,7 @@ class ClusteredCore
     // Interval bookkeeping.
     uint64_t intervalIssued_ = 0;
 
-    std::vector<MicroOp> fillBuffer_; //!< AoS-oracle staging
-    DecodedTrace decodeBuf_;          //!< SoA staging
+    DecodedTrace decodeBuf_; //!< generator-driven replay staging
 };
 
 } // namespace psca

@@ -1,16 +1,13 @@
 /**
  * @file
  * Bit-identity tests for the SIMD-batched kernels (DESIGN.md §14):
- * lockstep batched replay must reproduce the serial SoA replay's
- * counters, cycles, and interval stats exactly, and every model's
- * scoreBatch/predictBatch must match the scalar score/predict path
- * bitwise under whatever SIMD level is active (the scalar-fallback
- * CI job re-runs this binary with PSCA_SIMD=scalar).
+ * every model's scoreBatch/predictBatch must match the scalar
+ * score/predict path bitwise under whatever SIMD level is active (the
+ * scalar-fallback CI job re-runs this binary with PSCA_SIMD=scalar).
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -20,25 +17,10 @@
 #include "ml/mlp.hh"
 #include "ml/svm.hh"
 #include "ml/tree.hh"
-#include "sim/core.hh"
-#include "trace/decoded.hh"
-#include "trace/generator.hh"
 
 using namespace psca;
 
 namespace {
-
-DecodedTrace
-corpusTrace(AppCategory cat, uint64_t seed, uint64_t uops)
-{
-    Workload w;
-    w.genome = sampleGenome(cat, seed);
-    w.inputSeed = 1;
-    w.lengthInstr = 1u << 30;
-    w.name = "batched";
-    TraceGenerator gen(w);
-    return decodeTrace(gen, uops);
-}
 
 Dataset
 syntheticDataset(size_t features, size_t samples, uint64_t seed)
@@ -86,110 +68,6 @@ expectBatchMatchesScalar(const Model &model, const Dataset &data)
 }
 
 } // namespace
-
-TEST(BatchedReplay, BitIdenticalToSerialAcrossCorpus)
-{
-    constexpr uint64_t kInterval = 5000;
-    constexpr uint64_t kIntervals = 8;
-    constexpr uint64_t kUops = kInterval * kIntervals;
-    const struct
-    {
-        AppCategory cat;
-        uint64_t seed;
-    } corpus[] = {
-        {AppCategory::HpcPerf, 13},
-        {AppCategory::HpcPerf, 29},
-        {AppCategory::CloudSecurity, 7},
-        {AppCategory::AiAnalytics, 3},
-    };
-    constexpr size_t kLanes = std::size(corpus);
-
-    std::vector<DecodedTrace> traces;
-    for (const auto &c : corpus)
-        traces.push_back(corpusTrace(c.cat, c.seed, kUops));
-
-    // Serial oracle: each trace replayed alone.
-    std::vector<std::unique_ptr<ClusteredCore>> serial;
-    std::vector<IntervalStats> serial_stats(kLanes);
-    for (size_t i = 0; i < kLanes; ++i) {
-        serial.push_back(std::make_unique<ClusteredCore>());
-        serial[i]->reset();
-        serial[i]->setMode(CoreMode::HighPerf);
-        for (uint64_t t = 0; t < kIntervals; ++t)
-            serial_stats[i] = serial[i]->run(
-                traces[i], t * kInterval, kInterval);
-    }
-
-    // Batched: all four traces advance in lockstep.
-    std::vector<std::unique_ptr<ClusteredCore>> batched;
-    for (size_t i = 0; i < kLanes; ++i) {
-        batched.push_back(std::make_unique<ClusteredCore>());
-        batched[i]->reset();
-        batched[i]->setMode(CoreMode::HighPerf);
-    }
-    std::vector<ReplayLane> lanes(kLanes);
-    std::vector<IntervalStats> batch_stats(kLanes);
-    for (uint64_t t = 0; t < kIntervals; ++t) {
-        for (size_t i = 0; i < kLanes; ++i) {
-            lanes[i].core = batched[i].get();
-            lanes[i].trace = &traces[i];
-            lanes[i].begin = t * kInterval;
-            lanes[i].n = kInterval;
-        }
-        ClusteredCore::runBatch(lanes.data(), kLanes);
-        for (size_t i = 0; i < kLanes; ++i)
-            batch_stats[i] = lanes[i].stats;
-    }
-
-    for (size_t i = 0; i < kLanes; ++i) {
-        EXPECT_EQ(serial_stats[i].instructions,
-                  batch_stats[i].instructions)
-            << "lane " << i;
-        EXPECT_EQ(serial_stats[i].cycles, batch_stats[i].cycles)
-            << "lane " << i;
-        EXPECT_EQ(serial[i]->currentCycle(),
-                  batched[i]->currentCycle())
-            << "lane " << i;
-        // Full telemetry vector, counter by counter.
-        ASSERT_EQ(serial[i]->counters().raw(),
-                  batched[i]->counters().raw())
-            << "lane " << i;
-    }
-}
-
-TEST(BatchedReplay, UnevenLanesCompactCorrectly)
-{
-    constexpr uint64_t kUops = 20000;
-    const DecodedTrace trace =
-        corpusTrace(AppCategory::HpcPerf, 21, kUops);
-    const uint64_t lens[] = {1, 977, 5000, 20000};
-    constexpr size_t kLanes = std::size(lens);
-
-    std::vector<std::unique_ptr<ClusteredCore>> serial, batched;
-    std::vector<ReplayLane> lanes(kLanes);
-    for (size_t i = 0; i < kLanes; ++i) {
-        serial.push_back(std::make_unique<ClusteredCore>());
-        serial[i]->reset();
-        serial[i]->setMode(CoreMode::HighPerf);
-        batched.push_back(std::make_unique<ClusteredCore>());
-        batched[i]->reset();
-        batched[i]->setMode(CoreMode::HighPerf);
-        lanes[i].core = batched[i].get();
-        lanes[i].trace = &trace;
-        lanes[i].begin = 0;
-        lanes[i].n = lens[i];
-    }
-    ClusteredCore::runBatch(lanes.data(), kLanes);
-    for (size_t i = 0; i < kLanes; ++i) {
-        const IntervalStats want = serial[i]->run(trace, 0, lens[i]);
-        EXPECT_EQ(want.instructions, lanes[i].stats.instructions)
-            << "lane " << i;
-        EXPECT_EQ(want.cycles, lanes[i].stats.cycles) << "lane " << i;
-        ASSERT_EQ(serial[i]->counters().raw(),
-                  batched[i]->counters().raw())
-            << "lane " << i;
-    }
-}
 
 TEST(PredictBatch, ForestMatchesScalar)
 {
@@ -279,6 +157,7 @@ TEST(PredictBatch, ReportsActiveSimdLevel)
     EXPECT_TRUE(std::string(level) == "avx2" ||
                 std::string(level) == "scalar");
     const char *want = std::getenv("PSCA_SIMD");
-    if (want && std::string(want) == "scalar")
+    if (want && std::string(want) == "scalar") {
         EXPECT_STREQ(level, "scalar");
+    }
 }

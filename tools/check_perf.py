@@ -19,12 +19,14 @@ runs in this mode and gates the merge. When a blocking run fails on
 an intentional change (new kernel, retuned model), re-record with
 --update-baseline on a quiet machine and commit the result.
 
-A missing baseline file or a gauge that has disappeared from the
-report is a bookkeeping gap, not a perf regression: both warn and
-exit 0 so a renamed gauge or a fresh checkout never fails the job.
-Re-record with --update-baseline, which rewrites the baseline's
-gauge values from the measured report (preserving any per-gauge
-tolerance_pct) and exits 0.
+A baselined gauge that is missing from the report warns, and with
+--blocking also exits 1: a gauge must not drop out of the ratchet
+silently. When one is renamed or retired on purpose, remove or
+rename its baseline entry in the same change. A missing baseline
+file only warns (a fresh checkout has none); record one with
+--update-baseline, which rewrites the baseline's gauge values from
+the measured report (preserving any per-gauge tolerance_pct) and
+exits 0.
 """
 
 import argparse
@@ -56,8 +58,9 @@ def main() -> int:
                          "gauge carries no tolerance_pct (default "
                          "0.20)")
     ap.add_argument("--blocking", action="store_true",
-                    help="exit 1 when any gauge regressed (CI gate); "
-                         "without it regressions only warn")
+                    help="exit 1 when any gauge regressed or is "
+                         "missing from the report (CI gate); without "
+                         "it both only warn")
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite the baseline's gauge values from "
                          "the report instead of comparing")
@@ -116,12 +119,14 @@ def main() -> int:
         return 0
 
     regressed = 0
+    missing = 0
     for name, entry in sorted(baseline.items()):
         got = measured.get(name)
         if got is None:
             print(f"::warning::perf gauge {name} missing from "
-                  f"{args.report}; re-record the baseline if it was "
-                  f"renamed")
+                  f"{args.report}; drop or rename its baseline entry "
+                  f"if it was retired or renamed")
+            missing += 1
             continue
         recorded = entry_value(entry)
         tolerance = entry_tolerance(entry, args.threshold)
@@ -137,11 +142,12 @@ def main() -> int:
               f"{recorded:.2f} [-{tolerance:.0%} floor "
               f"{floor:.2f}] [{verdict}]")
 
-    if regressed and not args.blocking:
-        print(f"{regressed} gauge(s) regressed; warn-only mode "
-              f"(pass --blocking to gate)")
+    failed = regressed + missing
+    if failed and not args.blocking:
+        print(f"{regressed} gauge(s) regressed, {missing} missing; "
+              f"warn-only mode (pass --blocking to gate)")
         return 0
-    return 1 if regressed else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

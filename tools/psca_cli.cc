@@ -46,7 +46,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -667,18 +666,19 @@ const std::vector<std::string> kChaosDropPrefixes = {
 int
 cmdChaos(int argc, char **argv)
 {
-    int workers = static_cast<int>(
-        env::intOr("PSCA_CHAOS_WORKERS", 4, 1, 64));
-    uint64_t seed = static_cast<uint64_t>(
-        env::intOr("PSCA_CHAOS_SEED", 1234, 0,
-                   std::numeric_limits<long long>::max()));
-    for (int i = 0; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--workers"))
-            workers = std::atoi(argv[i + 1]);
-        else if (!std::strcmp(argv[i], "--seed"))
-            seed = std::strtoull(argv[i + 1], nullptr, 10);
+    // Both values must be whole decimal numbers: a malformed seed
+    // must fail loudly, not soak some other schedule.
+    long long workers = 4;
+    long long seed = 1234;
+    for (int i = 0; i < argc; ++i) {
+        const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
+        if ((!std::strcmp(argv[i], "--workers") &&
+             !env::tryParseLong(value, workers)) ||
+            (!std::strcmp(argv[i], "--seed") &&
+             !env::tryParseLong(value, seed)))
+            return usage();
     }
-    if (workers < 1 || workers > 64)
+    if (workers < 1 || workers > 64 || seed < 0)
         return usage();
 
     const std::string ref_dir = cacheDirectory() + "/chaos_ref";
@@ -715,7 +715,8 @@ cmdChaos(int argc, char **argv)
     // every soak uses a different-but-reproducible schedule; the
     // same seed goes to the children as PSCA_FAULT_SEED, making each
     // individual fire deterministic too.
-    Rng rng(mixSeeds(seed, 0x43484153u /* "CHAS" */));
+    Rng rng(mixSeeds(static_cast<uint64_t>(seed),
+                     0x43484153u /* "CHAS" */));
     std::ostringstream spec;
     spec << "net.frame_corrupt:" << rng.uniform(0.002, 0.02)
          << ",net.torn_send:" << rng.uniform(0.002, 0.02)
@@ -724,7 +725,7 @@ cmdChaos(int argc, char **argv)
          << ",net.heartbeat_drop:0.2"
          << ",net.dup_result:" << rng.uniform(0.05, 0.2);
     const uint64_t kill_at = 2 + rng.below(4);
-    std::printf("chaos: [2/3] %d-worker fleet under '%s', "
+    std::printf("chaos: [2/3] %lld-worker fleet under '%s', "
                 "coordinator SIGKILL after %llu journal entries\n",
                 workers, spec.str().c_str(),
                 static_cast<unsigned long long>(kill_at));
