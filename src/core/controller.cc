@@ -224,9 +224,9 @@ BlockReplayer::modeSwitches() const
 }
 
 ClosedLoopResult
-runClosedLoop(const Workload &workload, const TraceRecord &reference,
-              GatePredictor &predictor, const BuildConfig &cfg,
-              const SlaSpec &sla)
+simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
+                   GatePredictor &predictor, const BuildConfig &cfg,
+                   const SlaSpec &sla)
 {
     PSCA_ASSERT(predictor.granularity() % cfg.intervalInstr == 0,
                 "granularity must be a multiple of the interval");
@@ -346,13 +346,29 @@ runClosedLoop(const Workload &workload, const TraceRecord &reference,
             static_cast<double>(cfg.core.retireWidth),
         predictor.granularity());
     result.rsv = rsvForTrace(predictions, labels, window);
+    return result;
+}
 
+void
+exportClosedLoopStats(const ClosedLoopResult &result)
+{
+    auto &reg = obs::StatRegistry::instance();
     reg.counter("controller.predictions").add(result.numPredictions);
     reg.counter("controller.mode_transitions")
         .add(result.modeSwitches);
     result.confusion.exportTo(reg, "controller.confusion");
     reg.gauge("controller.last_rsv").set(result.rsv);
     reg.gauge("controller.last_pgos").set(result.pgos);
+}
+
+ClosedLoopResult
+runClosedLoop(const Workload &workload, const TraceRecord &reference,
+              GatePredictor &predictor, const BuildConfig &cfg,
+              const SlaSpec &sla)
+{
+    ClosedLoopResult result =
+        simulateClosedLoop(workload, reference, predictor, cfg, sla);
+    exportClosedLoopStats(result);
     return result;
 }
 

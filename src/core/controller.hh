@@ -55,6 +55,15 @@ class GatePredictor
     virtual uint32_t opsPerInference() const = 0;
 
     virtual std::string name() const = 0;
+
+    /**
+     * A fresh instance for one run: the same models and settings,
+     * none of this instance's per-run state, so a run on the clone
+     * starts like a run on a separate chip. Immutable models are
+     * shared, not copied, so concurrent clones can run on different
+     * threads.
+     */
+    virtual std::unique_ptr<GatePredictor> clone() const = 0;
 };
 
 /** One mode's scaler+model slot. */
@@ -85,6 +94,10 @@ class DualModelPredictor : public GatePredictor
                 CoreMode mode) override;
     uint32_t opsPerInference() const override;
     std::string name() const override { return name_; }
+    std::unique_ptr<GatePredictor> clone() const override
+    {
+        return std::make_unique<DualModelPredictor>(*this);
+    }
 
     const ScaledModel &highSlot() const { return high_; }
     const ScaledModel &lowSlot() const { return low_; }
@@ -112,6 +125,10 @@ class SrchPredictor : public GatePredictor
                 CoreMode mode) override;
     uint32_t opsPerInference() const override;
     std::string name() const override { return name_; }
+    std::unique_ptr<GatePredictor> clone() const override
+    {
+        return std::make_unique<SrchPredictor>(*this);
+    }
 
   private:
     std::shared_ptr<SrchModel> high_;
@@ -231,6 +248,27 @@ ClosedLoopResult runClosedLoop(const Workload &workload,
                                GatePredictor &predictor,
                                const BuildConfig &cfg,
                                const SlaSpec &sla);
+
+/**
+ * runClosedLoop() without exportClosedLoopStats(). During the run the
+ * registry sees only order-independent updates (counter adds and
+ * histogram samples), so concurrent runs leave the same stats as
+ * serial ones; evaluateSuite() exports each result afterwards in
+ * trace order.
+ */
+ClosedLoopResult simulateClosedLoop(const Workload &workload,
+                                    const TraceRecord &reference,
+                                    GatePredictor &predictor,
+                                    const BuildConfig &cfg,
+                                    const SlaSpec &sla);
+
+/**
+ * Publish one run's outcome to the stat registry: the prediction and
+ * transition counters, the controller.confusion family (whose gauges
+ * derive from running totals, so export order matters), and the
+ * controller.last_rsv / last_pgos gauges.
+ */
+void exportClosedLoopStats(const ClosedLoopResult &result);
 
 } // namespace psca
 

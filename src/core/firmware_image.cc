@@ -225,6 +225,14 @@ VmPredictor::VmPredictor(FirmwarePackage package)
     }
 }
 
+std::unique_ptr<GatePredictor>
+VmPredictor::clone() const
+{
+    auto copy = std::make_unique<VmPredictor>(*this);
+    copy->vm_ = UcVm{};
+    return copy;
+}
+
 uint32_t
 VmPredictor::opsPerInference() const
 {

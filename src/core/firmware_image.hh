@@ -101,6 +101,9 @@ class VmPredictor : public GatePredictor
     uint32_t opsPerInference() const override;
     std::string name() const override { return package_.name; }
 
+    /** The same package on a fresh UcVm (run index 0, no ops). */
+    std::unique_ptr<GatePredictor> clone() const override;
+
     /** Cumulative microcontroller ops actually executed. */
     uint64_t vmOpsExecuted() const { return vm_.totalOps(); }
 
@@ -108,8 +111,8 @@ class VmPredictor : public GatePredictor
     FirmwarePackage package_;
     UcVm vm_;
     /** Deserialized int8 scorers when the package is fixed-point. */
-    std::unique_ptr<Model> quantHigh_;
-    std::unique_ptr<Model> quantLow_;
+    std::shared_ptr<const Model> quantHigh_;
+    std::shared_ptr<const Model> quantLow_;
 };
 
 } // namespace psca

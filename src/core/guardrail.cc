@@ -7,26 +7,37 @@ namespace psca {
 
 GuardrailedPredictor::GuardrailedPredictor(GatePredictor &inner,
                                            const GuardrailConfig &cfg)
-    : inner_(inner), cfg_(cfg)
+    : inner_(&inner), cfg_(cfg)
 {}
+
+GuardrailedPredictor::GuardrailedPredictor(
+    std::unique_ptr<GatePredictor> inner, const GuardrailConfig &cfg)
+    : owned_(std::move(inner)), inner_(owned_.get()), cfg_(cfg)
+{}
+
+std::unique_ptr<GatePredictor>
+GuardrailedPredictor::clone() const
+{
+    return std::make_unique<GuardrailedPredictor>(inner_->clone(), cfg_);
+}
 
 uint64_t
 GuardrailedPredictor::granularity() const
 {
-    return inner_.granularity();
+    return inner_->granularity();
 }
 
 uint32_t
 GuardrailedPredictor::opsPerInference() const
 {
     // The guardrail adds a handful of compares to the firmware loop.
-    return inner_.opsPerInference() + 8;
+    return inner_->opsPerInference() + 8;
 }
 
 std::string
 GuardrailedPredictor::name() const
 {
-    return inner_.name() + "+guardrail";
+    return inner_->name() + "+guardrail";
 }
 
 bool
@@ -74,7 +85,7 @@ GuardrailedPredictor::decide(
         }
     }
 
-    const bool inner_gate = inner_.decide(sub_rows, sub_cycles, mode);
+    const bool inner_gate = inner_->decide(sub_rows, sub_cycles, mode);
     lastInner_ = inner_gate;
     if (holdoffRemaining_ > 0) {
         --holdoffRemaining_;

@@ -46,7 +46,12 @@ struct GuardrailConfig
 class GuardrailedPredictor : public GatePredictor
 {
   public:
+    /** Wrap @p inner, which must outlive the wrapper. */
     GuardrailedPredictor(GatePredictor &inner,
+                         const GuardrailConfig &cfg = GuardrailConfig{});
+
+    /** Wrap and own @p inner. */
+    GuardrailedPredictor(std::unique_ptr<GatePredictor> inner,
                          const GuardrailConfig &cfg = GuardrailConfig{});
 
     uint64_t granularity() const override;
@@ -55,6 +60,10 @@ class GuardrailedPredictor : public GatePredictor
                 CoreMode mode) override;
     uint32_t opsPerInference() const override;
     std::string name() const override;
+
+    /** A fresh guardrail (no reference, streak or hold-off) that owns
+     *  a clone of the inner predictor. */
+    std::unique_ptr<GatePredictor> clone() const override;
 
     /** Times the guardrail forced high-performance mode. */
     uint64_t trips() const { return trips_; }
@@ -68,7 +77,8 @@ class GuardrailedPredictor : public GatePredictor
     bool lastInnerDecision() const { return lastInner_; }
 
   private:
-    GatePredictor &inner_;
+    std::unique_ptr<GatePredictor> owned_; //!< set when inner_ is owned
+    GatePredictor *inner_;
     GuardrailConfig cfg_;
     double highIpcRef_ = 0.0;
     int violationStreak_ = 0;

@@ -341,7 +341,8 @@ makeSrch(const ExperimentContext &ctx, double p_sla,
 }
 
 SuiteResult
-evaluateSuite(const ExperimentContext &ctx, GatePredictor &predictor,
+evaluateSuite(const ExperimentContext &ctx,
+              const GatePredictor &predictor,
               const std::vector<size_t> &trace_indices, double p_sla)
 {
     obs::ScopedPhase phase("evaluate_suite");
@@ -349,17 +350,27 @@ evaluateSuite(const ExperimentContext &ctx, GatePredictor &predictor,
     SlaSpec sla = ctx.sla;
     sla.pSla = p_sla;
 
+    // Each trace is a separate chip: its own core and a fresh
+    // predictor clone, so the runs are independent and can fan out.
+    suite.perTrace = ThreadPool::instance().parallelMap<ClosedLoopResult>(
+        trace_indices.size(), [&](size_t i) {
+            const size_t idx = trace_indices[i];
+            const std::unique_ptr<GatePredictor> own = predictor.clone();
+            return simulateClosedLoop(ctx.specWorkloadsList[idx],
+                                      ctx.spec[idx], *own, ctx.build,
+                                      sla);
+        });
+
+    // Fold and export in trace order: bit-identical at any
+    // PSCA_THREADS.
     double ppw = 0.0, rsv = 0.0, pgos = 0.0, perf = 0.0, res = 0.0;
-    for (size_t idx : trace_indices) {
-        ClosedLoopResult r = runClosedLoop(
-            ctx.specWorkloadsList[idx], ctx.spec[idx], predictor,
-            ctx.build, sla);
+    for (const ClosedLoopResult &r : suite.perTrace) {
+        exportClosedLoopStats(r);
         ppw += r.ppwGainPct;
         rsv += r.rsv * 100.0;
         pgos += r.pgos * 100.0;
         perf += r.perfRelativePct;
         res += r.lowResidency * 100.0;
-        suite.perTrace.push_back(std::move(r));
     }
     const double n =
         std::max<double>(1.0, static_cast<double>(trace_indices.size()));

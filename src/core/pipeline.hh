@@ -146,9 +146,13 @@ struct SuiteResult
 /**
  * Evaluate one predictor closed-loop across traces; aggregates are
  * unweighted means across traces, as in the paper's suite averages.
+ * Traces run concurrently on the thread pool, each on a
+ * predictor.clone(); results, sums and registry exports follow
+ * trace_indices order, so the outcome is the same at any
+ * PSCA_THREADS. The predictor itself is never run.
  */
 SuiteResult evaluateSuite(const ExperimentContext &ctx,
-                          GatePredictor &predictor,
+                          const GatePredictor &predictor,
                           const std::vector<size_t> &trace_indices,
                           double p_sla);
 

@@ -20,9 +20,23 @@
 namespace psca {
 
 /**
- * Sliding-window per-cycle usage counter. The window must exceed the
- * maximum spread between in-flight timestamps (bounded by the ROB
- * size times the largest latency); 2^17 cycles is ample here.
+ * Bump the sim.ring_clamps counter. Out of line: a clamp means a
+ * reservation looked back past the window, which must never happen
+ * in this model (see BandwidthRing).
+ */
+void noteRingClamp();
+
+/**
+ * Sliding-window per-period usage counter. The window must exceed the
+ * maximum look-back of a reservation behind the furthest period
+ * reserved so far (the horizon). While no reservation looks back
+ * further than the window, every period read lies inside the window
+ * and has seen every increment, so the ring returns exactly what an
+ * unbounded one would. The default 2^15 periods is about twice the
+ * largest look-back measured across the genome corpus (15,593
+ * periods, issue and load-port rings in high-performance mode). A
+ * request older than the window is clamped into it and counted in
+ * sim.ring_clamps, which tests pin at zero.
  */
 class BandwidthRing
 {
@@ -34,7 +48,7 @@ class BandwidthRing
      * @param log2_size log2 of the window size in periods.
      */
     explicit BandwidthRing(uint8_t capacity, uint32_t granularity_shift = 0,
-                           uint32_t log2_size = 17)
+                           uint32_t log2_size = 15)
         : used_(1ULL << log2_size, 0),
           mask_((1ULL << log2_size) - 1),
           capacity_(capacity),
@@ -60,8 +74,10 @@ class BandwidthRing
         uint64_t period = earliest_cycle >> shift_;
         advanceTo(period);
         // Periods older than the window have been forgotten; clamp.
-        if (horizon_ > mask_ && period < horizon_ - mask_)
+        if (horizon_ > mask_ && period < horizon_ - mask_) {
             period = horizon_ - mask_;
+            noteRingClamp();
+        }
         while (used_[period & mask_] >= capacity_) {
             ++period;
             advanceTo(period);
@@ -122,7 +138,7 @@ class BandwidthRing
  * a sequence never looks behind its horizon, and the horizon is
  * always the last cycle it returned, so only that one cycle can hold
  * reservations. A (cycle, used) pair therefore returns exactly what
- * the ring would, without the ring's 2^17-entry window.
+ * the ring would, without the ring's window.
  */
 class InOrderSlots
 {

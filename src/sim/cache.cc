@@ -32,70 +32,61 @@ CacheLevel::CacheLevel(const CacheConfig &cfg)
       numSets_(cfg.sizeBytes / (cfg.lineBytes * cfg.ways)),
       lineShift_(log2Floor(cfg.lineBytes)),
       setShift_(log2Floor(numSets_ == 0 ? 1 : numSets_)),
-      tags_(static_cast<size_t>(numSets_) * cfg.ways, kInvalidTag),
-      lastUse_(static_cast<size_t>(numSets_) * cfg.ways, 0),
-      dirty_(static_cast<size_t>(numSets_) * cfg.ways, 0)
+      ways_(static_cast<size_t>(numSets_) * cfg.ways, kInvalid)
 {
     PSCA_ASSERT(numSets_ > 0 && (numSets_ & (numSets_ - 1)) == 0,
                 "cache sets must be a power of two");
 }
 
+uint32_t
+CacheLevel::split(uint64_t addr, uint32_t &set) const
+{
+    const uint64_t line_addr = addr >> lineShift_;
+    set = static_cast<uint32_t>(line_addr) & (numSets_ - 1);
+    const uint64_t tag = line_addr >> setShift_;
+    PSCA_ASSERT(tag < kTagMask, "cache tag does not fit in 31 bits");
+    return static_cast<uint32_t>(tag);
+}
+
 CacheLevel::Result
 CacheLevel::access(uint64_t addr, bool is_write)
 {
-    const uint64_t line_addr = addr >> lineShift_;
-    const uint32_t set = static_cast<uint32_t>(line_addr) &
-        (numSets_ - 1);
-    const uint64_t tag = line_addr >> setShift_;
-    const size_t base = static_cast<size_t>(set) * cfg_.ways;
-    uint64_t *tags = &tags_[base];
-    ++useClock_;
+    uint32_t set;
+    const uint32_t tag = split(addr, set);
+    uint32_t *ways = &ways_[static_cast<size_t>(set) * cfg_.ways];
+    const uint32_t dirty = is_write ? kDirty : 0;
 
     Result result;
-    // Hit scan: tags only (invalid ways carry the sentinel, which
-    // can never match), recency/dirty touched for the hit way alone.
-    for (uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (tags[w] == tag) {
-            lastUse_[base + w] = useClock_;
-            dirty_[base + w] |= is_write ? 1 : 0;
-            result.hit = true;
-            return result;
-        }
+    uint32_t w = 0;
+    while (w < cfg_.ways && (ways[w] & kTagMask) != tag)
+        ++w;
+    uint32_t entry;
+    if (w < cfg_.ways) {
+        result.hit = true;
+        entry = ways[w] | dirty;
+    } else {
+        // The last way is empty while the set has room, else LRU.
+        w = cfg_.ways - 1;
+        result.evictedValid = ways[w] != kInvalid;
+        result.evictedDirty = result.evictedValid &&
+            (ways[w] & kDirty) != 0;
+        entry = tag | dirty;
     }
-
-    // Miss path: replicate the classic combined scan's choice — the
-    // last invalid way if any exists, else the first way holding the
-    // minimum lastUse.
-    uint32_t victim = 0;
-    for (uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (tags[w] == kInvalidTag) {
-            victim = w;
-        } else if (tags[victim] != kInvalidTag &&
-                   lastUse_[base + w] < lastUse_[base + victim]) {
-            victim = w;
-        }
-    }
-
-    result.evictedValid = tags[victim] != kInvalidTag;
-    result.evictedDirty = result.evictedValid &&
-        dirty_[base + victim] != 0;
-    tags[victim] = tag;
-    dirty_[base + victim] = is_write ? 1 : 0;
-    lastUse_[base + victim] = useClock_;
+    // Move to front: ways [0, w) age by one position.
+    for (; w > 0; --w)
+        ways[w] = ways[w - 1];
+    ways[0] = entry;
     return result;
 }
 
 bool
 CacheLevel::contains(uint64_t addr) const
 {
-    const uint64_t line_addr = addr >> lineShift_;
-    const uint32_t set = static_cast<uint32_t>(line_addr) &
-        (numSets_ - 1);
-    const uint64_t tag = line_addr >> setShift_;
-    const uint64_t *tags = &tags_[static_cast<size_t>(set) *
-                                  cfg_.ways];
+    uint32_t set;
+    const uint32_t tag = split(addr, set);
+    const uint32_t *ways = &ways_[static_cast<size_t>(set) * cfg_.ways];
     for (uint32_t w = 0; w < cfg_.ways; ++w)
-        if (tags[w] == tag)
+        if ((ways[w] & kTagMask) == tag)
             return true;
     return false;
 }
@@ -103,56 +94,13 @@ CacheLevel::contains(uint64_t addr) const
 void
 CacheLevel::reset()
 {
-    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-    std::fill(lastUse_.begin(), lastUse_.end(), 0);
-    std::fill(dirty_.begin(), dirty_.end(), 0);
-    useClock_ = 0;
+    std::fill(ways_.begin(), ways_.end(), kInvalid);
 }
 
 Tlb::Tlb(uint32_t entries, uint32_t page_bytes)
-    : sets_(std::max<uint32_t>(1, entries / 4)), ways_(4),
-      pageShift_(log2Floor(page_bytes)),
-      vpns_(static_cast<size_t>(sets_) * ways_, kInvalidVpn),
-      lastUse_(static_cast<size_t>(sets_) * ways_, 0)
+    : pages_({std::max<uint32_t>(1, entries / 4) * 4 * page_bytes, 4,
+              page_bytes, 0})
 {}
-
-bool
-Tlb::access(uint64_t addr)
-{
-    const uint64_t vpn = addr >> pageShift_;
-    const uint32_t set = static_cast<uint32_t>(vpn) & (sets_ - 1);
-    const size_t base = static_cast<size_t>(set) * ways_;
-    uint64_t *vpns = &vpns_[base];
-    ++useClock_;
-
-    for (uint32_t w = 0; w < ways_; ++w) {
-        if (vpns[w] == vpn) {
-            lastUse_[base + w] = useClock_;
-            return true;
-        }
-    }
-
-    uint32_t victim = 0;
-    for (uint32_t w = 0; w < ways_; ++w) {
-        if (vpns[w] == kInvalidVpn) {
-            victim = w;
-        } else if (vpns[victim] != kInvalidVpn &&
-                   lastUse_[base + w] < lastUse_[base + victim]) {
-            victim = w;
-        }
-    }
-    vpns[victim] = vpn;
-    lastUse_[base + victim] = useClock_;
-    return false;
-}
-
-void
-Tlb::reset()
-{
-    std::fill(vpns_.begin(), vpns_.end(), kInvalidVpn);
-    std::fill(lastUse_.begin(), lastUse_.end(), 0);
-    useClock_ = 0;
-}
 
 MemoryHierarchy::MemoryHierarchy(const CoreConfig &cfg)
     : cfg_(cfg),
@@ -169,7 +117,8 @@ MemoryHierarchy::MemoryHierarchy(const CoreConfig &cfg)
       llc_(cfg.llc),
       itlb_(cfg.tlbEntries, cfg.pageBytes),
       dtlb_(cfg.tlbEntries, cfg.pageBytes),
-      dram_(1, log2Floor(std::max<uint32_t>(1, cfg.dramSlotCycles)), 15),
+      // Fill-slot look-back stays below 2,300 periods (DESIGN.md §9).
+      dram_(1, log2Floor(std::max<uint32_t>(1, cfg.dramSlotCycles)), 13),
       strideTable_(256)
 {}
 

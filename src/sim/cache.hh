@@ -21,13 +21,15 @@ namespace psca {
 /**
  * One set-associative, true-LRU, write-back cache level.
  *
- * Hot-path layout (DESIGN.md §9): tags live in a packed flat array —
- * one 64-byte line covers 8 ways — with validity encoded as a
- * sentinel tag, so the hit scan is a branch-light sweep of one array
- * and only touches recency/dirty state for the matched way. Victim
- * selection runs as a second sweep on the miss path only, and the
- * set/tag split uses shifts (the set count is asserted power-of-two),
- * never division.
+ * Layout (DESIGN.md §9): one uint32_t per way holding the tag, with
+ * the dirty flag in bit 31, and each set kept in recency order (MRU
+ * first). A hit moves its entry to the front; a miss evicts the last
+ * entry and inserts the new line at the front. While a set has room
+ * its last entry is an empty way, and once it is full the last entry
+ * is the LRU way, so the hit / evicted-valid / evicted-dirty sequence
+ * is exactly true-LRU's without any recency timestamps. The set/tag
+ * split uses shifts (the set count is asserted power-of-two), never
+ * division.
  */
 class CacheLevel
 {
@@ -57,26 +59,28 @@ class CacheLevel
     uint32_t hitLatency() const { return cfg_.hitLatency; }
 
   private:
+    static constexpr uint32_t kDirty = 1u << 31;
+    static constexpr uint32_t kTagMask = kDirty - 1;
     /**
-     * Empty-way marker. Real tags are address bits above the line
-     * and set fields (>= 7 bits shifted away), so no reachable tag
-     * can collide with it.
+     * Empty-way marker. Its tag bits are kTagMask, which access()
+     * asserts no real tag reaches (generator addresses stay below
+     * 2^41, so even the 16-set uop cache's tags stay below 2^31 - 1).
      */
-    static constexpr uint64_t kInvalidTag = ~0ULL;
+    static constexpr uint32_t kInvalid = ~0u;
+
+    /** Tag of addr's line, and (through set) the index of its set. */
+    uint32_t split(uint64_t addr, uint32_t &set) const;
 
     CacheConfig cfg_;
     uint32_t numSets_;
     uint32_t lineShift_;
-    uint32_t setShift_;           //!< log2(numSets_)
-    std::vector<uint64_t> tags_;  //!< numSets x ways, packed
-    std::vector<uint32_t> lastUse_;
-    std::vector<uint8_t> dirty_;
-    uint32_t useClock_ = 0;
+    uint32_t setShift_;          //!< log2(numSets_)
+    std::vector<uint32_t> ways_; //!< numSets x ways, each set MRU first
 };
 
 /**
- * Small set-associative TLB over page numbers; same packed-tag,
- * sentinel-validity layout as CacheLevel.
+ * Small 4-way TLB over page numbers: a CacheLevel whose "lines" are
+ * pages, so caches and TLBs share one LRU implementation.
  */
 class Tlb
 {
@@ -84,18 +88,11 @@ class Tlb
     Tlb(uint32_t entries, uint32_t page_bytes);
 
     /** Probe-and-fill; @return true on hit. */
-    bool access(uint64_t addr);
-    void reset();
+    bool access(uint64_t addr) { return pages_.access(addr, false).hit; }
+    void reset() { pages_.reset(); }
 
   private:
-    static constexpr uint64_t kInvalidVpn = ~0ULL;
-
-    uint32_t sets_;
-    uint32_t ways_;
-    uint32_t pageShift_;
-    std::vector<uint64_t> vpns_; //!< sets x ways, packed
-    std::vector<uint32_t> lastUse_;
-    uint32_t useClock_ = 0;
+    CacheLevel pages_;
 };
 
 /**

@@ -29,6 +29,7 @@ struct SimObs
     obs::Counter &bpredHits;
     obs::Counter &bpredMisses;
     obs::Counter &modeSwitches;
+    obs::Counter &ringClamps;
 
     static SimObs &
     get()
@@ -46,6 +47,7 @@ struct SimObs
             reg.counter("sim.bpred_hits"),
             reg.counter("sim.bpred_misses"),
             reg.counter("sim.mode_switches"),
+            reg.counter("sim.ring_clamps"),
         };
         return hooks;
     }
@@ -63,6 +65,12 @@ residencyBucket(uint64_t v)
 }
 
 } // namespace
+
+void
+noteRingClamp()
+{
+    SimObs::get().ringClamps.add();
+}
 
 void
 HotCtrs::flush(Counters &out)
@@ -123,7 +131,7 @@ ClusteredCore::ClusteredCore(const CoreConfig &cfg)
     fwdTable_.assign(64, FwdEntry{});
     // The staging buffer is sized once here so steady-state replay
     // never reallocates.
-    decodeBuf_.reserve(4096);
+    decodeBuf_.reserve(kStageChunk);
 }
 
 void
@@ -567,7 +575,7 @@ ClusteredCore::run(TraceGenerator &gen, uint64_t n)
 
     for (uint64_t remaining = n; remaining > 0;) {
         const size_t chunk =
-            static_cast<size_t>(std::min<uint64_t>(remaining, 4096));
+            static_cast<size_t>(std::min<uint64_t>(remaining, kStageChunk));
         decodeBuf_.clear();
         gen.fillDecoded(decodeBuf_, chunk);
         replayDecoded(decodeBuf_, 0, chunk);

@@ -217,6 +217,12 @@ class ClusteredCore
     // Interval bookkeeping.
     uint64_t intervalIssued_ = 0;
 
+    /**
+     * Uops staged per generator fill. Any size replays the same
+     * stream (the generator emits in its own chunks); a small one
+     * keeps the staging buffer's share of per-core state small.
+     */
+    static constexpr size_t kStageChunk = 512;
     DecodedTrace decodeBuf_; //!< generator-driven replay staging
 };
 

@@ -52,6 +52,10 @@ TraceGenerator::TraceGenerator(const Workload &workload)
       rng_(traceSeed(workload))
 {
     PSCA_ASSERT(!phases_.empty(), "workload has no phases");
+    // A kernel finishes its last loop iteration before trimming an
+    // emit back to size; the slack absorbs that overshoot, so the
+    // buffer keeps this capacity instead of doubling.
+    buffer_.reserve(kEmitChunk + kEmitSlack);
     reset();
 }
 
@@ -110,7 +114,7 @@ TraceGenerator::fill(std::vector<MicroOp> &out, size_t n)
             if (phase_remaining_ == 0)
                 enterNextPhase();
             const size_t chunk = static_cast<size_t>(
-                std::min<uint64_t>(phase_remaining_, 4096));
+                std::min<uint64_t>(phase_remaining_, kEmitChunk));
             kernels_[current_phase_]->emit(buffer_, chunk, rng_);
             phase_remaining_ -= chunk;
         }
@@ -137,7 +141,7 @@ TraceGenerator::fillDecoded(DecodedTrace &out, size_t n)
             if (phase_remaining_ == 0)
                 enterNextPhase();
             const size_t chunk = static_cast<size_t>(
-                std::min<uint64_t>(phase_remaining_, 4096));
+                std::min<uint64_t>(phase_remaining_, kEmitChunk));
             kernels_[current_phase_]->emit(buffer_, chunk, rng_);
             phase_remaining_ -= chunk;
         }

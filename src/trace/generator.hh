@@ -70,6 +70,9 @@ class TraceGenerator
   private:
     void enterNextPhase();
 
+    static constexpr size_t kEmitChunk = 4096; //!< uops per kernel emit
+    static constexpr size_t kEmitSlack = 256;
+
     Workload workload_;
     std::vector<PhaseSpec> phases_; //!< input-perturbed copy
     Rng rng_;

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "common/rng.hh"
+#include "obs/stats.hh"
 #include "sim/bandwidth.hh"
 
 using namespace psca;
@@ -84,12 +88,90 @@ TEST(BandwidthRing, FarFutureJumpClearsWindow)
 
 TEST(BandwidthRing, TooOldClampsToWindow)
 {
+    obs::Counter &clamps =
+        obs::StatRegistry::instance().counter("sim.ring_clamps");
+    const uint64_t before = clamps.value();
     BandwidthRing ring(1, 0, 4);
     ring.reserve(100); // horizon at 100
     // A request far older than the window cannot be tracked; it is
-    // clamped into the window rather than mis-read stale state.
+    // clamped into the window rather than mis-read stale state, and
+    // counted.
     const uint64_t got = ring.reserve(2);
     EXPECT_GE(got, 100u - 15u);
+    EXPECT_EQ(clamps.value(), before + 1);
+}
+
+namespace {
+
+/** Per-period usage with no window at all: the ring's exact answer. */
+class UnboundedSlots
+{
+  public:
+    UnboundedSlots(uint8_t capacity, uint32_t shift)
+        : capacity_(capacity), shift_(shift)
+    {}
+
+    uint64_t
+    reserve(uint64_t earliest_cycle, bool *was_first)
+    {
+        uint64_t period = earliest_cycle >> shift_;
+        while (used_[period] >= capacity_)
+            ++period;
+        *was_first = used_[period]++ == 0;
+        return period << shift_;
+    }
+
+    uint8_t usageAt(uint64_t cycle) { return used_[cycle >> shift_]; }
+
+  private:
+    std::map<uint64_t, uint8_t> used_;
+    uint8_t capacity_;
+    uint32_t shift_;
+};
+
+} // namespace
+
+TEST(BandwidthRing, MatchesUnboundedWithinLookBack)
+{
+    // While no request looks back past the window, the ring must
+    // return what an unbounded per-period table returns, for every
+    // request, and never clamp. Drives the core's default window.
+    obs::Counter &clamps =
+        obs::StatRegistry::instance().counter("sim.ring_clamps");
+    const uint64_t before = clamps.value();
+    constexpr uint64_t kWindow = uint64_t{1} << 15;
+    for (uint8_t capacity : {1, 2, 4, 15}) {
+        for (uint32_t shift : {0u, 3u}) {
+            BandwidthRing ring(capacity, shift);
+            UnboundedSlots ref(capacity, shift);
+            Rng rng(0xb4d + capacity * 8 + shift);
+            uint64_t horizon = 0; // furthest period reserved so far
+            for (int i = 0; i < 200000; ++i) {
+                // Mostly near the horizon, sometimes up to a whole
+                // window behind it, now and then far ahead of it.
+                const uint64_t r = rng.below(100);
+                uint64_t period;
+                if (r < 70)
+                    period = horizon + rng.below(8);
+                else if (r < 98)
+                    period = horizon -
+                        std::min(horizon, rng.below(kWindow));
+                else
+                    period = horizon + rng.below(4 * kWindow);
+                const uint64_t earliest =
+                    (period << shift) + rng.below(uint64_t{1} << shift);
+                bool first_a = false, first_b = false;
+                const uint64_t a = ring.reserve(earliest, &first_a);
+                const uint64_t b = ref.reserve(earliest, &first_b);
+                ASSERT_EQ(a, b) << "capacity " << int(capacity)
+                                << " shift " << shift << " op " << i;
+                ASSERT_EQ(first_a, first_b);
+                ASSERT_EQ(ring.usageAt(a), ref.usageAt(a));
+                horizon = std::max(horizon, a >> shift);
+            }
+        }
+    }
+    EXPECT_EQ(clamps.value(), before);
 }
 
 TEST(InOrderSlots, MatchesRingOnMonotoneSequence)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hh"
 #include "sim/bpred.hh"
 
@@ -73,4 +75,89 @@ TEST(Bpred, ResetForgets)
     // Post-reset counters are weakly-taken: the first "false"
     // outcome must once again mispredict.
     EXPECT_FALSE(bp.predictAndUpdate(0x1000, false));
+}
+
+namespace {
+
+/** The tournament predictor with one byte per 2-bit counter. */
+class BytePerCounterBpred
+{
+  public:
+    explicit BytePerCounterBpred(uint32_t log2_entries)
+        : bimodal_(1ULL << log2_entries, 2),
+          gshare_(1ULL << log2_entries, 2),
+          chooser_(1ULL << log2_entries, 2),
+          mask_((1ULL << log2_entries) - 1)
+    {}
+
+    bool
+    predictAndUpdate(uint64_t pc, bool taken)
+    {
+        const uint64_t pc_idx = (pc >> 2) & mask_;
+        const uint64_t gs_idx = ((pc >> 2) ^ history_) & mask_;
+        const bool bim_pred = bimodal_[pc_idx] >= 2;
+        const bool gs_pred = gshare_[gs_idx] >= 2;
+        const bool predicted =
+            chooser_[pc_idx] >= 2 ? gs_pred : bim_pred;
+        if (gs_pred != bim_pred) {
+            if (gs_pred == taken && chooser_[pc_idx] < 3)
+                ++chooser_[pc_idx];
+            else if (bim_pred == taken && chooser_[pc_idx] > 0)
+                --chooser_[pc_idx];
+        }
+        train(bimodal_[pc_idx], taken);
+        train(gshare_[gs_idx], taken);
+        history_ = ((history_ << 1) | (taken ? 1 : 0)) & 0xfff;
+        return predicted == taken;
+    }
+
+  private:
+    static void
+    train(uint8_t &ctr, bool taken)
+    {
+        if (taken && ctr < 3)
+            ++ctr;
+        else if (!taken && ctr > 0)
+            --ctr;
+    }
+
+    std::vector<uint8_t> bimodal_;
+    std::vector<uint8_t> gshare_;
+    std::vector<uint8_t> chooser_;
+    uint64_t mask_;
+    uint64_t history_ = 0;
+};
+
+} // namespace
+
+TEST(Bpred, PackedCountersMatchBytePerCounter)
+{
+    // Small tables alias heavily, so neighbouring counters in one
+    // byte are updated back to back; the default size is the core's.
+    for (uint32_t log2_entries : {4u, 14u}) {
+        TournamentBpred packed(log2_entries);
+        BytePerCounterBpred ref(log2_entries);
+        Rng rng(0x9ac4 + log2_entries);
+        for (int i = 0; i < 400000; ++i) {
+            // A few hundred static branches with per-pc bias, plus
+            // loop-like periodic ones.
+            const uint64_t pc = 0x400000 + rng.below(512) * 4;
+            const bool taken = (pc >> 2) % 5 == 0
+                ? i % 7 != 0
+                : rng.bernoulli(((pc >> 2) % 9 + 0.5) / 9.5);
+            ASSERT_EQ(packed.predictAndUpdate(pc, taken),
+                      ref.predictAndUpdate(pc, taken))
+                << "log2 " << log2_entries << " op " << i;
+        }
+        if (log2_entries == 14) {
+            packed.reset();
+            BytePerCounterBpred fresh(log2_entries);
+            for (int i = 0; i < 1000; ++i) {
+                const uint64_t pc = 0x400000 + rng.below(64) * 4;
+                const bool taken = rng.bernoulli(0.7);
+                ASSERT_EQ(packed.predictAndUpdate(pc, taken),
+                          fresh.predictAndUpdate(pc, taken));
+            }
+        }
+    }
 }

@@ -71,6 +71,106 @@ TEST(CacheLevel, WorkingSetLargerThanCacheMisses)
     EXPECT_EQ(second_pass_hits, 0); // LRU thrashes a looped overflow
 }
 
+namespace {
+
+/**
+ * Timestamp true-LRU: a last-use clock per way, the victim being the
+ * last empty way or else the least recently used one. The reference
+ * the recency-ordered CacheLevel must match access for access.
+ */
+class TimestampLru
+{
+  public:
+    explicit TimestampLru(const CacheConfig &cfg)
+        : ways_(cfg.ways),
+          sets_(cfg.sizeBytes / (cfg.lineBytes * cfg.ways)),
+          lineBytes_(cfg.lineBytes),
+          tags_(static_cast<size_t>(sets_) * ways_, kEmpty),
+          lastUse_(tags_.size(), 0), dirty_(tags_.size(), false)
+    {}
+
+    CacheLevel::Result
+    access(uint64_t addr, bool is_write)
+    {
+        const uint64_t line = addr / lineBytes_;
+        const size_t base = static_cast<size_t>(line % sets_) * ways_;
+        const uint64_t tag = line / sets_;
+        ++clock_;
+        CacheLevel::Result r;
+        for (uint32_t w = 0; w < ways_; ++w) {
+            if (tags_[base + w] == tag) {
+                lastUse_[base + w] = clock_;
+                dirty_[base + w] = dirty_[base + w] || is_write;
+                r.hit = true;
+                return r;
+            }
+        }
+        uint32_t victim = 0;
+        for (uint32_t w = 0; w < ways_; ++w) {
+            if (tags_[base + w] == kEmpty)
+                victim = w;
+            else if (tags_[base + victim] != kEmpty &&
+                     lastUse_[base + w] < lastUse_[base + victim])
+                victim = w;
+        }
+        r.evictedValid = tags_[base + victim] != kEmpty;
+        r.evictedDirty = r.evictedValid && dirty_[base + victim];
+        tags_[base + victim] = tag;
+        lastUse_[base + victim] = clock_;
+        dirty_[base + victim] = is_write;
+        return r;
+    }
+
+  private:
+    static constexpr uint64_t kEmpty = ~0ULL;
+    uint32_t ways_;
+    uint32_t sets_;
+    uint32_t lineBytes_;
+    std::vector<uint64_t> tags_;
+    std::vector<uint64_t> lastUse_;
+    std::vector<bool> dirty_;
+    uint64_t clock_ = 0;
+};
+
+} // namespace
+
+TEST(CacheLevel, MatchesTimestampLruOnRandomStreams)
+{
+    for (const CacheConfig cfg : {CacheConfig{8 * 64 * 16, 8, 64, 1},
+                                  CacheConfig{16 * 64 * 32, 16, 64, 1},
+                                  CacheConfig{4 * 4096 * 16, 4, 4096, 1}}) {
+        CacheLevel cache(cfg);
+        TimestampLru ref(cfg);
+        const uint64_t lines = cfg.sizeBytes / cfg.lineBytes;
+        Rng rng(cfg.ways * 7919 + cfg.lineBytes);
+        std::vector<uint64_t> recent(64, 0);
+        for (int i = 0; i < 300000; ++i) {
+            // Mostly re-touch a recent line (hits, recency shuffles),
+            // else a fresh line from a footprint of 3x the capacity
+            // in one of two far-apart regions (tags near 2^41).
+            uint64_t addr;
+            const uint64_t r = rng.below(8);
+            if (r < 5) {
+                addr = recent[rng.below(recent.size())];
+            } else {
+                const uint64_t region = r == 7 ? (1ULL << 41) - (1ULL << 30)
+                                               : 0;
+                addr = region + rng.below(3 * lines) * cfg.lineBytes +
+                    rng.below(cfg.lineBytes);
+                recent[rng.below(recent.size())] = addr;
+            }
+            const bool write = rng.below(4) == 0;
+            const CacheLevel::Result got = cache.access(addr, write);
+            const CacheLevel::Result want = ref.access(addr, write);
+            ASSERT_EQ(got.hit, want.hit) << cfg.ways << "-way, op " << i;
+            ASSERT_EQ(got.evictedValid, want.evictedValid)
+                << cfg.ways << "-way, op " << i;
+            ASSERT_EQ(got.evictedDirty, want.evictedDirty)
+                << cfg.ways << "-way, op " << i;
+        }
+    }
+}
+
 TEST(Tlb, HitAfterFill)
 {
     Tlb tlb(64, 4096);

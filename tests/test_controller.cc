@@ -61,6 +61,10 @@ class ConstantPredictor : public GatePredictor
     }
     uint32_t opsPerInference() const override { return 1; }
     std::string name() const override { return "constant"; }
+    std::unique_ptr<GatePredictor> clone() const override
+    {
+        return std::make_unique<ConstantPredictor>(*this);
+    }
 
   private:
     bool gate_;
@@ -83,6 +87,10 @@ class OraclePredictor : public GatePredictor
     }
     uint32_t opsPerInference() const override { return 1; }
     std::string name() const override { return "oracle"; }
+    std::unique_ptr<GatePredictor> clone() const override
+    {
+        return std::make_unique<OraclePredictor>(labels_, granularity_);
+    }
 
   private:
     std::vector<uint8_t> labels_;

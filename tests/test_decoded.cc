@@ -3,9 +3,10 @@
  * Tests for the pre-decoded SoA trace representation and the
  * simulator hot path built on it: decode fidelity against the AoS
  * stream, content-hash stability, replay pinned to golden cycles and
- * counter hashes across the genome corpus, the steady-state
- * allocation budget of the replay loop, and the bounded live memory
- * of streamed dual-mode recording.
+ * counter hashes across the genome corpus (with no bandwidth-ring
+ * clamp), the steady-state allocation budget of the replay loop, the
+ * heap footprint of one core, and the bounded live memory of
+ * streamed dual-mode recording.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "common/parallel.hh"
 #include "common/serialize.hh"
 #include "core/builder.hh"
+#include "obs/stats.hh"
 #include "sim/core.hh"
 #include "sim/memo.hh"
 #include "trace/decoded.hh"
@@ -295,6 +297,11 @@ TEST_P(GenomeCategory, PreDecodedReplayMatchesGenDriven)
     constexpr uint64_t kTotal = 6 * kInterval;
     TraceGenerator dec_gen(w);
     const DecodedTrace trace = decodeTrace(dec_gen, kTotal);
+    // The rings' windows are exact only while no reservation looks
+    // back past them (BandwidthRing); no category may get close.
+    const obs::Counter &clamps =
+        obs::StatRegistry::instance().counter("sim.ring_clamps");
+    const uint64_t clamps_before = clamps.value();
 
     for (CoreMode mode : {CoreMode::HighPerf, CoreMode::LowPower}) {
         ClusteredCore inc;
@@ -320,6 +327,7 @@ TEST_P(GenomeCategory, PreDecodedReplayMatchesGenDriven)
         EXPECT_EQ(inc.currentCycle(), rep.currentCycle());
         EXPECT_EQ(inc.counters().raw(), rep.counters().raw());
     }
+    EXPECT_EQ(clamps.value(), clamps_before);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -378,6 +386,20 @@ TEST(DecodedTrace, SteadyStateReplayAllocationBudget)
     g_audit.store(false);
     EXPECT_EQ(g_allocs.load(), 0u)
         << "pre-decoded replay allocates in steady state";
+}
+
+TEST(DecodedTrace, CoreFootprintRatchet)
+{
+    // Every closed-loop run of a parallel suite holds one live core,
+    // so per-core state sets the suite's memory (DESIGN.md §9 lists
+    // it per structure, about 758 KiB in all).
+    { ClusteredCore warm; } // one-time registry entries
+    const int64_t base = g_live.load();
+    auto core = std::make_unique<ClusteredCore>();
+    core->reset();
+    const int64_t bytes = g_live.load() - base;
+    EXPECT_LE(bytes, int64_t{768} << 10)
+        << "a default ClusteredCore now allocates " << bytes << " bytes";
 }
 
 TEST(DecodedTrace, StreamedRecordingMemoryIndependentOfLength)

@@ -159,6 +159,10 @@ class AlwaysGate : public GatePredictor
     }
     uint32_t opsPerInference() const override { return 1; }
     std::string name() const override { return "always_gate"; }
+    std::unique_ptr<GatePredictor> clone() const override
+    {
+        return std::make_unique<AlwaysGate>(*this);
+    }
 };
 
 } // namespace

@@ -34,6 +34,10 @@ class ScriptedInner : public GatePredictor
     }
     uint32_t opsPerInference() const override { return 1; }
     std::string name() const override { return "scripted"; }
+    std::unique_ptr<GatePredictor> clone() const override
+    {
+        return std::make_unique<ScriptedInner>(gate_);
+    }
 
     bool gate_;
     int calls_ = 0;
@@ -226,6 +230,10 @@ class WrongWay : public GatePredictor
     }
     uint32_t opsPerInference() const override { return 1; }
     std::string name() const override { return "wrong_way"; }
+    std::unique_ptr<GatePredictor> clone() const override
+    {
+        return std::make_unique<WrongWay>(*this);
+    }
 };
 
 } // namespace

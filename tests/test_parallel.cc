@@ -3,8 +3,8 @@
  * Tests for the deterministic parallel execution layer: pool
  * lifecycle and shutdown, exception propagation, RNG substream
  * independence, and the bit-identity contract — the same seed must
- * produce byte-equal models, summaries, and equal obs counters
- * whether the process runs on 1 thread or 4.
+ * produce byte-equal models, summaries, closed-loop suite results,
+ * and equal obs counters whether the process runs on 1 thread or 4.
  */
 
 #include <gtest/gtest.h>
@@ -13,13 +13,18 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
+#include "common/fault.hh"
 #include "common/parallel.hh"
 #include "core/builder.hh"
 #include "core/crossval.hh"
+#include "core/firmware_image.hh"
+#include "core/guardrail.hh"
+#include "core/pipeline.hh"
 #include "ml/tree.hh"
 #include "obs/stats.hh"
 
@@ -328,4 +333,172 @@ TEST(SharedStats, CountersExactUnderConcurrentWriters)
     pool.parallelFor(2000, [&](size_t) { ctr.add(3); });
     EXPECT_EQ(ctr.value(), 6000u);
     ctr.reset();
+}
+
+namespace {
+
+/** A small closed-loop corpus: four two-phase workloads, recorded. */
+ExperimentContext
+suiteContext()
+{
+    ExperimentContext ctx;
+    ctx.build.intervalInstr = 10000;
+    ctx.build.warmupInstr = 20000;
+    ctx.build.counterIds = {
+        CounterRegistry::index(Ctr::InstRetired),
+        CounterRegistry::index(Ctr::StallCount),
+        CounterRegistry::index(Ctr::L1dMiss),
+        CounterRegistry::index(Ctr::LoadLatSum),
+        CounterRegistry::index(Ctr::MshrOccSum),
+        CounterRegistry::index(Ctr::UopsStalledOnDep),
+    };
+    for (uint32_t a = 0; a < 4; ++a) {
+        AppGenome g;
+        g.name = "suite" + std::to_string(a);
+        g.seed = 40 + a;
+        PhaseSpec gate, hungry;
+        gate.kernel = {.kind = KernelKind::PointerChase,
+                       .workingSetBytes = 8 << 20, .chains = 4};
+        gate.meanLenInstr = 60e3;
+        hungry.kernel = {.kind = KernelKind::Ilp, .chains = 14};
+        hungry.meanLenInstr = 60e3;
+        g.phases = {gate, hungry};
+        Workload w;
+        w.genome = g;
+        w.inputSeed = 1;
+        w.traceIndex = a;
+        w.lengthInstr = 240000;
+        w.name = g.name;
+        ctx.spec.push_back(recordTrace(w, ctx.build, a, 0));
+        ctx.specWorkloadsList.push_back(std::move(w));
+    }
+    return ctx;
+}
+
+/** Every per-trace and aggregate field of a suite, as bytes. */
+std::vector<uint8_t>
+suiteBytes(const SuiteResult &s)
+{
+    std::vector<uint8_t> bytes;
+    auto put = [&bytes](const auto &v) {
+        const auto *b = reinterpret_cast<const uint8_t *>(&v);
+        bytes.insert(bytes.end(), b, b + sizeof(v));
+    };
+    put(s.ppwGainPct);
+    put(s.rsvPct);
+    put(s.pgosPct);
+    put(s.perfRelativePct);
+    put(s.lowResidencyPct);
+    for (const ClosedLoopResult &r : s.perTrace) {
+        put(r.ppwGainPct);
+        put(r.perfRelativePct);
+        put(r.lowResidency);
+        put(r.confusion.truePositive);
+        put(r.confusion.falsePositive);
+        put(r.confusion.trueNegative);
+        put(r.confusion.falseNegative);
+        put(r.pgos);
+        put(r.rsv);
+        put(r.numPredictions);
+        put(r.modeSwitches);
+        put(r.ucOps);
+    }
+    return bytes;
+}
+
+/** The controller.* counters and gauges, by name. */
+std::map<std::string, double>
+controllerStats()
+{
+    std::map<std::string, double> stats;
+    const auto &reg = obs::StatRegistry::instance();
+    const auto keep = [&stats](const std::string &name, double v) {
+        if (name.rfind("controller.", 0) == 0)
+            stats[name] = v;
+    };
+    reg.forEachCounter([&](const std::string &name, uint64_t v) {
+        keep(name, static_cast<double>(v));
+    });
+    reg.forEachGauge(keep);
+    return stats;
+}
+
+} // namespace
+
+TEST(BitIdentity, ClosedLoopSuiteEqualAcrossThreadCounts)
+{
+    const ExperimentContext ctx = suiteContext();
+    const std::vector<size_t> columns{0, 1, 2, 3, 4, 5};
+    DualTrainOptions opts;
+    opts.granularityInstr = 20000;
+    opts.columns = columns;
+    opts.rsvWindow = 64;
+    const TrainedDual dual =
+        trainDual(ctx.spec, ctx.build, opts, forestFactory(4, 6));
+    const DualModelPredictor rf(dual.high, dual.low, columns, 20000,
+                                "rf");
+
+    std::shared_ptr<SrchModel> srch[2];
+    for (int m = 0; m < 2; ++m) {
+        AssemblyOptions asm_opts;
+        asm_opts.granularityInstr = ctx.build.intervalInstr;
+        asm_opts.telemetryMode =
+            m == 0 ? CoreMode::HighPerf : CoreMode::LowPower;
+        asm_opts.columns = columns;
+        srch[m] = std::make_shared<SrchModel>(
+            assembleDataset(ctx.spec, asm_opts, ctx.build.intervalInstr),
+            2, LogRegConfig{});
+    }
+    const SrchPredictor srch_pred(srch[0], srch[1], columns, 20000,
+                                  "srch");
+    const VmPredictor vm(packageFromDual(rf, columns));
+    // A hair-trigger guardrail, so its per-run state matters.
+    GuardrailConfig rail_cfg;
+    rail_cfg.tripRatio = 0.99;
+    DualModelPredictor rail_inner = rf;
+    const GuardrailedPredictor rail(rail_inner, rail_cfg);
+
+    struct Kind
+    {
+        const char *name;
+        const GatePredictor &predictor;
+        const char *faults;
+    };
+    const Kind kinds[] = {
+        {"dual", rf, ""},
+        {"srch", srch_pred, ""},
+        {"vm", vm,
+         "uc.vm_trap:0.2,telemetry.noise:0.3,"
+         "telemetry.dropped_snapshot:0.1"},
+        {"guardrail", rail, ""},
+    };
+
+    auto &reg = obs::StatRegistry::instance();
+    auto &faults = FaultRegistry::instance();
+    const uint64_t fault_seed = faults.seed();
+    const std::vector<size_t> traces{3, 0, 2, 1};
+    for (const Kind &kind : kinds) {
+        faults.configure(kind.faults, fault_seed);
+        auto run = [&](int threads) {
+            ThreadPool::configure(threads);
+            reg.reset();
+            const SuiteResult suite =
+                evaluateSuite(ctx, kind.predictor, traces, 0.9);
+            return std::make_pair(suiteBytes(suite), controllerStats());
+        };
+        const auto [serial, serial_stats] = run(1);
+        const auto [parallel, parallel_stats] = run(4);
+        EXPECT_EQ(serial, parallel) << kind.name;
+        EXPECT_EQ(serial_stats, parallel_stats) << kind.name;
+        EXPECT_GT(serial_stats.at("controller.predictions"), 0.0)
+            << kind.name;
+        if (std::string(kind.name) == "vm")
+            EXPECT_GT(serial_stats.at("controller.vm_trap_failsafes"),
+                      0.0);
+        if (std::string(kind.name) == "guardrail")
+            EXPECT_GT(serial_stats.at("controller.guardrail_trips"),
+                      0.0);
+    }
+    faults.configure("", fault_seed);
+    ThreadPool::configure(1);
 }
