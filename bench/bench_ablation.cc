@@ -36,15 +36,7 @@ trainRfAt(const ExperimentContext &ctx, uint64_t granularity,
             if (r.appId < max_apps)
                 records.push_back(r);
     }
-    return trainDual(
-        records, ctx.build, opts,
-        [](const Dataset &tune, uint64_t s) -> std::unique_ptr<Model> {
-            ForestConfig fc;
-            fc.numTrees = 8;
-            fc.maxDepth = 8;
-            fc.seed = s;
-            return std::make_unique<RandomForest>(tune, fc);
-        });
+    return trainDual(records, ctx.build, opts, forestFactory(8, 8));
 }
 
 } // namespace

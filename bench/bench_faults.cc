@@ -129,15 +129,7 @@ run()
     opts.granularityInstr = 20000;
     opts.columns = {0, 1, 2, 3, 4, 5};
     opts.rsvWindow = 64;
-    TrainedDual dual = trainDual(
-        train, cfg, opts,
-        [](const Dataset &tune, uint64_t s) -> std::unique_ptr<Model> {
-            ForestConfig fc;
-            fc.numTrees = 4;
-            fc.maxDepth = 6;
-            fc.seed = s;
-            return std::make_unique<RandomForest>(tune, fc);
-        });
+    TrainedDual dual = trainDual(train, cfg, opts, forestFactory(4, 6));
 
     const std::vector<uint64_t> eval_seeds{5, 7, 13, 23};
     std::vector<Workload> eval_w;

@@ -335,7 +335,7 @@ BENCHMARK(BM_PredictBatch_mlp);
 void
 BM_PredictQuant(benchmark::State &state)
 {
-    // Int8 fixed-point scoring (the PSCA_UC_FIXED firmware path).
+    // Int8 fixed-point scoring (the quantized firmware path).
     const Dataset d = randomData(4096, 12, 11);
     ForestConfig fc;
     fc.numTrees = 8;

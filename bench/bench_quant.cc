@@ -1,7 +1,7 @@
 /**
  * @file
  * Fixed-point firmware bench (ISSUE 8, DESIGN.md §14): what does the
- * int8 uc path (PSCA_UC_FIXED=1) cost in prediction quality and what
+ * int8 uc path cost in prediction quality and what
  * does it buy in the uc ops budget?
  *
  * Three sections, all recorded as gauges in BENCH_quant.json:
@@ -207,16 +207,7 @@ run()
     opts.granularityInstr = 40000;
     opts.columns = {0, 1, 2, 3, 4, 5, 6, 7};
     opts.rsvWindow = 400;
-    TrainedDual dual = trainDual(
-        corpus, build, opts,
-        [](const Dataset &tune,
-           uint64_t seed) -> std::unique_ptr<Model> {
-            ForestConfig fc;
-            fc.numTrees = 8;
-            fc.maxDepth = 8;
-            fc.seed = seed;
-            return std::make_unique<RandomForest>(tune, fc);
-        });
+    TrainedDual dual = trainDual(corpus, build, opts, forestFactory(8, 8));
 
     // Scaled telemetry dataset (low-power features, as deployment
     // sees them) for the offline sections.
@@ -328,14 +319,11 @@ run()
                                  opts.granularityInstr, "quant");
     std::vector<size_t> cols(opts.columns.begin(), opts.columns.end());
 
-    unsetenv("PSCA_UC_FIXED");
     VmPredictor vm_float(packageFromDual(predictor, cols));
     const ClosedLoopResult float_run =
         runClosedLoop(workload, record, vm_float, build, SlaSpec{});
 
-    setenv("PSCA_UC_FIXED", "1", 1);
-    VmPredictor vm_fixed(packageFromDual(predictor, cols));
-    unsetenv("PSCA_UC_FIXED");
+    VmPredictor vm_fixed(packageFromDual(predictor, cols, true));
     const ClosedLoopResult fixed_run =
         runClosedLoop(workload, record, vm_fixed, build, SlaSpec{});
 

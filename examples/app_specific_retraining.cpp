@@ -37,16 +37,6 @@ buildConfig()
     return build;
 }
 
-std::unique_ptr<Model>
-makeForest(const Dataset &tune, uint64_t seed, int trees)
-{
-    ForestConfig fc;
-    fc.numTrees = trees;
-    fc.maxDepth = 8;
-    fc.seed = seed;
-    return std::make_unique<RandomForest>(tune, fc);
-}
-
 } // namespace
 
 static int
@@ -104,12 +94,12 @@ run()
             slot.scaler = FeatureScaler::fit(gen_raw);
             const Dataset gen = slot.scaler.apply(gen_raw);
             if (!app_specific) {
-                slot.model = makeForest(gen, 50 + m, 8);
+                slot.model = forestFactory(8, 8)(gen, 50 + m);
             } else {
                 const Dataset app = slot.scaler.apply(assembleDataset(
                     trace_set, ao, build.intervalInstr));
-                auto g4 = makeForest(gen, 60 + m, 4);
-                auto a4 = makeForest(app, 70 + m, 4);
+                auto g4 = forestFactory(4, 8)(gen, 60 + m);
+                auto a4 = forestFactory(4, 8)(app, 70 + m);
                 auto trees = dynamic_cast<RandomForest *>(g4.get())
                                  ->takeTrees();
                 for (auto &t : dynamic_cast<RandomForest *>(a4.get())

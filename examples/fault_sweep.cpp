@@ -72,15 +72,7 @@ run()
     opts.granularityInstr = 20000;
     opts.columns = {0, 1, 2, 3, 4, 5};
     opts.rsvWindow = 64;
-    TrainedDual dual = trainDual(
-        {record}, build, opts,
-        [](const Dataset &tune, uint64_t seed) -> std::unique_ptr<Model> {
-            ForestConfig fc;
-            fc.numTrees = 4;
-            fc.maxDepth = 6;
-            fc.seed = seed;
-            return std::make_unique<RandomForest>(tune, fc);
-        });
+    TrainedDual dual = trainDual({record}, build, opts, forestFactory(4, 6));
 
     // ---- 2-4. Sweep the fault intensity through the closed loop ----
     auto &faults = FaultRegistry::instance();

@@ -64,15 +64,7 @@ run()
     opts.granularityInstr = 40000; // Best RF's budgeted granularity
     opts.columns = {0, 1, 2, 3, 4, 5, 6, 7};
     opts.rsvWindow = 400;
-    TrainedDual dual = trainDual(
-        {record}, build, opts,
-        [](const Dataset &tune, uint64_t seed) -> std::unique_ptr<Model> {
-            ForestConfig fc;
-            fc.numTrees = 8;
-            fc.maxDepth = 8;
-            fc.seed = seed;
-            return std::make_unique<RandomForest>(tune, fc);
-        });
+    TrainedDual dual = trainDual({record}, build, opts, forestFactory(8, 8));
     std::printf("trained %s (threshold %.2f)\n",
                 dual.low.model->describe().c_str(),
                 dual.low.model->threshold());

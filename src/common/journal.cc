@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -644,25 +645,6 @@ Journal::runCheckpointed(
             interrupted.store(true, std::memory_order_relaxed);
             return;
         }
-        const uint64_t token = [&] {
-            std::lock_guard<std::mutex> lock(mu_);
-            const uint64_t t = nextToken_++;
-            inFlight_[t] = InFlight{
-                scope, static_cast<uint64_t>(i),
-                std::chrono::steady_clock::now()};
-            return t;
-        }();
-        struct InFlightGuard
-        {
-            Journal *j;
-            uint64_t token;
-            ~InFlightGuard()
-            {
-                std::lock_guard<std::mutex> lock(j->mu_);
-                j->inFlight_.erase(token);
-            }
-        } guard{this, token};
-
         // Soft-failure requeue: a unit that throws is retried with a
         // deterministic backoff (a taskSeed substream, satellite of
         // the bounded-IO-retry scheme) before the exception is
@@ -825,14 +807,7 @@ Journal::stats() const
     s.tornTails = tornTails_.load(std::memory_order_relaxed);
     s.quarantines = quarantines_.load(std::memory_order_relaxed);
     s.scopesRetired = scopesRetired_.load(std::memory_order_relaxed);
-    s.softTimeouts = softTimeouts_.load(std::memory_order_relaxed);
     return s;
-}
-
-void
-Journal::noteSoftTimeout()
-{
-    softTimeouts_.fetch_add(1, std::memory_order_relaxed);
 }
 
 JournalStats
@@ -863,20 +838,6 @@ Journal::countEntries(const std::string &path)
     size_t count = 0;
     replayFrames(in, size, [&count](const Entry &) { ++count; });
     return count;
-}
-
-void
-Journal::forEachInFlight(
-    const std::function<void(const std::string &, uint64_t, double)>
-        &fn) const
-{
-    const auto now = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &[token, unit] : inFlight_) {
-        const double secs =
-            std::chrono::duration<double>(now - unit.start).count();
-        fn(unit.scope, unit.unit, secs);
-    }
 }
 
 } // namespace psca

@@ -67,7 +67,6 @@
 #define PSCA_COMMON_JOURNAL_HH
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -224,7 +223,6 @@ struct JournalStats
     uint64_t tornTails = 0;      //!< truncated torn journal frames
     uint64_t quarantines = 0;    //!< whole-journal integrity failures
     uint64_t scopesRetired = 0;  //!< scopes compacted away
-    uint64_t softTimeouts = 0;   //!< watchdog-flagged slow units
 };
 
 /**
@@ -346,17 +344,6 @@ class Journal
      */
     static size_t countEntries(const std::string &path);
 
-    /**
-     * Monitoring hook for the runner watchdog: visit every in-flight
-     * checkpointed unit as (scope name, unit index, running seconds).
-     */
-    void forEachInFlight(
-        const std::function<void(const std::string &, uint64_t,
-                                 double)> &fn) const;
-
-    /** Tally one watchdog soft-timeout warning (runner layer). */
-    void noteSoftTimeout();
-
   private:
     struct ScopeKey
     {
@@ -381,19 +368,10 @@ class Journal
     std::string dir_;
     bool enabled_ = false;
 
-    mutable std::mutex mu_; //!< guards fd_, entries_, inFlight_
+    mutable std::mutex mu_; //!< guards fd_, entries_
     int fd_ = -1;           //!< O_APPEND journal descriptor
     /** Replayed + appended completed units: key -> unit -> checksum. */
     std::map<ScopeKey, std::map<uint64_t, uint64_t>> entries_;
-
-    struct InFlight
-    {
-        std::string scope;
-        uint64_t unit;
-        std::chrono::steady_clock::time_point start;
-    };
-    std::map<uint64_t, InFlight> inFlight_; //!< token -> unit
-    uint64_t nextToken_ = 0;
 
     std::atomic<bool> active_{false};
     std::atomic<uint64_t> unitsSkipped_{0};
@@ -403,7 +381,6 @@ class Journal
     std::atomic<uint64_t> tornTails_{0};
     std::atomic<uint64_t> quarantines_{0};
     std::atomic<uint64_t> scopesRetired_{0};
-    std::atomic<uint64_t> softTimeouts_{0};
 };
 
 /**

@@ -20,7 +20,7 @@ namespace {
 
 constexpr uint64_t kMagic = 0x50534341465731ULL; // "PSCAFW1"
 constexpr uint32_t kFwVersion = 4; // 4: fixed-point slot payloads
-                                   //    (PSCA_UC_FIXED); 3: padding-
+                                   //    (int8 tables); 3: padding-
                                    //    free instruction encoding
                                    //    (byte-reproducible images);
                                    //    2: checksum trailer
@@ -173,7 +173,7 @@ FirmwarePackage::load(const std::string &path)
 
 FirmwarePackage
 packageFromDual(const DualModelPredictor &predictor,
-                const std::vector<size_t> &columns)
+                const std::vector<size_t> &columns, bool fixed_point)
 {
     FirmwarePackage pkg;
     pkg.name = predictor.name() + ".fw";
@@ -190,10 +190,10 @@ packageFromDual(const DualModelPredictor &predictor,
     pkg.low.threshold =
         static_cast<float>(predictor.lowSlot().model->threshold());
 
-    // PSCA_UC_FIXED=1: also carry the int8 tables; the package then
+    // Fixed point: also carry the int8 tables; the package then
     // declares itself fixed-point and VmPredictor scores with the
     // quantized path under the int8 ops budget (quant.hh).
-    if (quant::ucFixedPointEnabled()) {
+    if (fixed_point) {
         pkg.high.quantPayload =
             quant::packPayload(*predictor.highSlot().model);
         pkg.low.quantPayload =
@@ -205,8 +205,8 @@ packageFromDual(const DualModelPredictor &predictor,
                 quant::payloadOps(pkg.high.quantPayload);
             pkg.low.quantOps = quant::payloadOps(pkg.low.quantPayload);
         } else {
-            warn("PSCA_UC_FIXED=1 but model class has no quantized "
-                 "form; packaging the float path only");
+            warn("fixed-point package requested but model class has "
+                 "no quantized form; packaging the float path only");
             pkg.high.quantPayload.clear();
             pkg.low.quantPayload.clear();
         }

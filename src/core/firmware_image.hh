@@ -34,8 +34,8 @@ struct FirmwareSlot
     float threshold = 0.5f;
     /**
      * Int8/fixed-point model tables (quant::packPayload), present
-     * when the package was built with `PSCA_UC_FIXED=1`. Empty in
-     * float-only packages.
+     * when the package was built with `fixed_point` set
+     * (packageFromDual). Empty in float-only packages.
      */
     std::string quantPayload;
     /** Ops per inference under the int8 cost model (quant.hh). */
@@ -80,10 +80,12 @@ struct FirmwarePackage
 /**
  * Build a package from a trained dual predictor by compiling both
  * models (supported model classes: MLP, random forest, logistic
- * regression).
+ * regression). With @p fixed_point the package also carries the int8
+ * tables and the uc scores them under the int8 ops budget (quant.hh).
  */
 FirmwarePackage packageFromDual(const DualModelPredictor &predictor,
-                                const std::vector<size_t> &columns);
+                                const std::vector<size_t> &columns,
+                                bool fixed_point = false);
 
 /** Runs a loaded firmware package through the VM. */
 class VmPredictor : public GatePredictor

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 
@@ -49,19 +48,18 @@ onStopSignal(int)
 }
 
 /**
- * The watchdog: one background thread that enforces the run deadline
- * and surfaces stuck units. Joined (via stop()) before guardedMain
- * returns so it never outlives the body's stack.
+ * The watchdog: one background thread that enforces the run deadline.
+ * Started only when PSCA_DEADLINE_S is set, and joined (via stop())
+ * before guardedMain returns so it never outlives the body's stack.
  */
 class Watchdog
 {
   public:
-    Watchdog(double deadline_s, double grace_s, double unit_timeout_s)
+    Watchdog(double deadline_s, double grace_s)
         : deadlineS_(deadline_s), graceS_(grace_s),
-          unitTimeoutS_(unit_timeout_s),
           start_(std::chrono::steady_clock::now())
     {
-        if (deadlineS_ > 0 || unitTimeoutS_ > 0)
+        if (deadlineS_ > 0)
             thread_ = std::thread([this] { loop(); });
     }
 
@@ -94,9 +92,7 @@ class Watchdog
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start_)
                     .count();
-            if (deadlineS_ > 0 && !stop_requested &&
-                elapsed >= deadlineS_)
-            {
+            if (!stop_requested && elapsed >= deadlineS_) {
                 stop_requested = true;
                 warn("deadline: PSCA_DEADLINE_S=", deadlineS_,
                      " reached after ", elapsed,
@@ -107,51 +103,21 @@ class Watchdog
                           "checkpoint-and-stop");
                 requestStop();
             }
-            if (deadlineS_ > 0 && stop_requested &&
-                elapsed >= deadlineS_ + graceS_)
-            {
+            if (stop_requested && elapsed >= deadlineS_ + graceS_) {
                 warn("deadline: run did not unwind within the grace "
                      "period; forcing resumable exit");
                 _exit(kResumableExit);
             }
-            if (unitTimeoutS_ > 0)
-                scanInFlight();
         }
-    }
-
-    void
-    scanInFlight()
-    {
-        Journal::instance().forEachInFlight(
-            [this](const std::string &scope, uint64_t unit,
-                   double secs) {
-                if (secs < unitTimeoutS_)
-                    return;
-                const std::string key =
-                    scope + "#" + std::to_string(unit);
-                if (!warned_.insert(key).second)
-                    return;
-                Journal::instance().noteSoftTimeout();
-                warn("watchdog: unit ", unit, " of scope '", scope,
-                     "' has run ", secs,
-                     " s (> PSCA_UNIT_TIMEOUT_S=", unitTimeoutS_,
-                     "); advisory only, not killed");
-                emitEvent("watchdog", LogLevel::Warn,
-                          "unit " + std::to_string(unit) +
-                              " of scope '" + scope +
-                              "' exceeded the soft unit timeout");
-            });
     }
 
     const double deadlineS_;
     const double graceS_;
-    const double unitTimeoutS_;
     const std::chrono::steady_clock::time_point start_;
 
     std::mutex mu_;
     std::condition_variable cv_;
     bool done_ = false;
-    std::set<std::string> warned_; //!< scope#unit already reported
 
     std::thread thread_;
 };
@@ -183,8 +149,6 @@ guardedMain(const std::function<int()> &body)
         env::doubleOr("PSCA_DEADLINE_S", 0.0, 0.0, 1e9);
     const double grace_s =
         env::doubleOr("PSCA_DEADLINE_GRACE_S", 30.0, 0.0, 1e9);
-    const double unit_timeout_s =
-        env::doubleOr("PSCA_UNIT_TIMEOUT_S", 0.0, 0.0, 1e9);
 
     // Arm the telemetry plane before the body spawns threads: the
     // trace log parses PSCA_TRACE on first touch, and the live
@@ -200,7 +164,7 @@ guardedMain(const std::function<int()> &body)
 
     int status = 0;
     {
-        Watchdog watchdog(deadline_s, grace_s, unit_timeout_s);
+        Watchdog watchdog(deadline_s, grace_s);
         try {
             status = body();
             if (stopRequested()) {

@@ -18,13 +18,6 @@
  *    has not unwound by itself. CI timeouts thus become planned
  *    checkpoints instead of lost work.
  *
- *  - Per-unit soft timeouts (PSCA_UNIT_TIMEOUT_S): the watchdog
- *    polls the journal's in-flight table and warns (once per unit,
- *    counted as runner.soft_timeouts) about units running past the
- *    threshold. Advisory only — deterministic work must never be
- *    killed mid-unit, and the bounded retry/requeue inside
- *    runCheckpointed() already handles failing units.
- *
  * Exit-code contract: 0 = complete; kResumableExit (75, the sysexits
  * EX_TEMPFAIL convention) = interrupted but resumable — re-running
  * the same command continues from the journal; anything else = error.

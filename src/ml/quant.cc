@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace psca {
@@ -51,12 +50,6 @@ dequantizeInput(int8_t q)
 {
     return static_cast<float>(q) /
         static_cast<float>(kInputScale);
-}
-
-bool
-ucFixedPointEnabled()
-{
-    return env::flagOr("PSCA_UC_FIXED", false);
 }
 
 // --------------------------------------------------------------------

@@ -3,7 +3,8 @@
  * Int8/fixed-point inference path modeling the 500-MIPS adaptation
  * microcontroller (Sec. 5). The float models are trained as before;
  * quantization is a post-training transform producing firmware-ready
- * integer tables, enabled at packaging time with `PSCA_UC_FIXED=1`.
+ * integer tables, selected at packaging time by
+ * `packageFromDual(..., fixed_point = true)`.
  *
  * Scheme (DESIGN.md §14):
  *  - Inputs snap to a fixed global grid: q = clamp(round(S x),
@@ -65,9 +66,6 @@ void quantizeInputs(const float *x, size_t n, int8_t *out);
 
 /** Dequantized value of a grid point (exact: q / kInputScale). */
 float dequantizeInput(int8_t q);
-
-/** True when `PSCA_UC_FIXED=1` selects the fixed-point uc path. */
-bool ucFixedPointEnabled();
 
 /** Integer-table random forest; traversal is bit-exact (see @file). */
 class QuantizedForest

@@ -3,7 +3,6 @@
 #include <ostream>
 #include <utility>
 
-#include "common/env.hh"
 #include "obs/json.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -12,17 +11,6 @@ namespace psca {
 namespace obs {
 
 namespace {
-
-size_t
-configuredCapacity()
-{
-    const long long cap = env::intOr(
-        "PSCA_EVENTS_MAX",
-        static_cast<long long>(EventLog::kDefaultCapacity),
-        static_cast<long long>(EventLog::kMinCapacity),
-        static_cast<long long>(EventLog::kMaxCapacity));
-    return static_cast<size_t>(cap);
-}
 
 /**
  * Bridge common/logging.hh's emitEvent() into the process log.
@@ -58,7 +46,7 @@ eventLevelName(LogLevel level)
 EventLog &
 EventLog::instance()
 {
-    static EventLog log(configuredCapacity());
+    static EventLog log(kProcessCapacity);
     return log;
 }
 

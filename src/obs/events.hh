@@ -42,12 +42,10 @@ class EventLog
         std::string msg;
     };
 
-    /** Capacity bounds for PSCA_EVENTS_MAX. */
-    static constexpr size_t kMinCapacity = 16;
-    static constexpr size_t kMaxCapacity = 1 << 20;
-    static constexpr size_t kDefaultCapacity = 1024;
+    /** Capacity of the process-wide log. */
+    static constexpr size_t kProcessCapacity = 1024;
 
-    /** The process-wide log, sized by PSCA_EVENTS_MAX on first use. */
+    /** The process-wide log, created on first use. */
     static EventLog &instance();
 
     /** A standalone log with an explicit capacity (tests, shards). */

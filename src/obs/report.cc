@@ -71,8 +71,6 @@ writeRunReport(const std::string &name)
             set("runner.journal_quarantines", js.quarantines);
         if (js.scopesRetired > 0)
             set("runner.scopes_retired", js.scopesRetired);
-        if (js.softTimeouts > 0)
-            set("runner.soft_timeouts", js.softTimeouts);
     }
     // Drain any buffered log output first so a consumer tailing the
     // log sees every line from the run before the report appears.

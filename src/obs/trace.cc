@@ -82,11 +82,6 @@ TraceLog::instance()
 
 TraceLog::TraceLog()
 {
-    maxEvents_ = static_cast<size_t>(env::intOr(
-        "PSCA_TRACE_MAX_EVENTS",
-        static_cast<long long>(kDefaultMaxEvents),
-        static_cast<long long>(kMinEvents),
-        static_cast<long long>(kMaxEvents)));
     const std::string path = env::stringOr("PSCA_TRACE", "");
     if (!path.empty() && path != "0")
         enable(path);
@@ -161,7 +156,7 @@ TraceLog::drainInto(ThreadBuf &buf)
     }
     uint64_t over = 0;
     for (auto &e : local) {
-        if (central_.size() >= maxEvents_) {
+        if (central_.size() >= kMaxCentralEvents) {
             ++over;
             continue;
         }

@@ -14,8 +14,8 @@
  *
  * Recording path: each thread appends to its own buffer (a mutex
  * uncontended except during a drain) and batches are drained into a
- * bounded central store; past PSCA_TRACE_MAX_EVENTS the newest
- * events are counted as dropped rather than grown without bound.
+ * bounded central store; past kMaxCentralEvents the newest events
+ * are counted as dropped rather than grown without bound.
  * finalize() — called by guardedMain on exit, or at process exit for
  * bare binaries — merges, sorts by timestamp, and writes the file.
  */
@@ -54,10 +54,8 @@ class TraceLog
     /** Args retained per event (extras are dropped). */
     static constexpr int kMaxArgs = 3;
 
-    /** Central-store bounds for PSCA_TRACE_MAX_EVENTS. */
-    static constexpr size_t kMinEvents = 1024;
-    static constexpr size_t kMaxEvents = 64u << 20;
-    static constexpr size_t kDefaultMaxEvents = 1u << 20;
+    /** Central-store capacity; later events count as dropped. */
+    static constexpr size_t kMaxCentralEvents = 1u << 20;
 
     /** The process-wide log; reads PSCA_TRACE on first use. */
     static TraceLog &instance();
@@ -132,9 +130,8 @@ class TraceLog
     std::atomic<uint64_t> recorded_{0};
     std::atomic<uint64_t> dropped_{0};
 
-    mutable std::mutex mu_; //!< path_, central_, bufs_, maxEvents_
+    mutable std::mutex mu_; //!< path_, central_, bufs_
     std::string path_;
-    size_t maxEvents_ = kDefaultMaxEvents;
     std::vector<Ev> central_;
     std::vector<std::shared_ptr<ThreadBuf>> bufs_;
     Counter *recordedCounter_ = nullptr;

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "common/env.hh"
 #include "common/fault.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
@@ -18,6 +17,12 @@ namespace psca {
 namespace serve {
 
 namespace {
+
+/**
+ * Energy slack, in percent, the A/B gate allows a candidate over the
+ * active model at equal-or-better accuracy.
+ */
+constexpr double kAbEnergySlackPct = 2.0;
 
 /**
  * The /health provider hook is a plain function pointer (obs cannot
@@ -78,29 +83,6 @@ serveStateName(ServeState s)
     return "UNKNOWN";
 }
 
-ServeConfig
-ServeConfig::fromEnv()
-{
-    ServeConfig cfg;
-    cfg.lifecycle = env::flagOr("PSCA_SERVE", true);
-    cfg.driftWindow = static_cast<size_t>(
-        env::intOr("PSCA_SERVE_DRIFT_WINDOW", 12, 2, 1 << 20));
-    cfg.driftZ = env::doubleOr("PSCA_SERVE_DRIFT_Z", 3.0, 0.1, 1e6);
-    cfg.abIntervals = static_cast<size_t>(
-        env::intOr("PSCA_SERVE_AB_INTERVALS", 16, 1, 1 << 20));
-    cfg.probationIntervals = static_cast<size_t>(
-        env::intOr("PSCA_SERVE_PROBATION_INTERVALS", 16, 1, 1 << 20));
-    cfg.cooldownBlocks = static_cast<size_t>(
-        env::intOr("PSCA_SERVE_COOLDOWN_BLOCKS", 24, 0, 1 << 20));
-    cfg.abPpwSlackPct =
-        env::doubleOr("PSCA_SERVE_AB_PPW_SLACK_PCT", 2.0, 0.0, 100.0);
-    cfg.ringKeep =
-        static_cast<int>(env::intOr("PSCA_SERVE_RING_KEEP", 4, 2, 64));
-    cfg.dir = env::stringOr("PSCA_SERVE_DIR",
-                            (cacheDirectory() + "/serve").c_str());
-    return cfg;
-}
-
 /** Per-segment runtime: the dual-mode reference record (ground truth
  *  and A/B energy estimates), its block labels, and the live
  *  replayer of the current pass. */
@@ -121,7 +103,7 @@ Service::Service(ServeConfig cfg, BuildConfig build,
       schedule_(std::move(schedule)),
       k_(static_cast<size_t>(cfg_.granularityInstr /
                              build_.intervalInstr)),
-      ring_(cfg_.dir, cfg_.ringKeep),
+      ring_(cfg_.dir),
       drift_(DriftConfig{cfg_.driftWindow, cfg_.driftZ, 16.0, 4.0,
                          0.25})
 {
@@ -456,7 +438,7 @@ Service::evaluateShadowGate()
 {
     const bool finite = std::isfinite(abShadowEnergy_) &&
         std::isfinite(abActiveEnergy_) && abActiveEnergy_ > 0.0;
-    const double slack = 1.0 + cfg_.abPpwSlackPct / 100.0;
+    const double slack = 1.0 + kAbEnergySlackPct / 100.0;
     const bool wins = finite && abShadowWrong_ <= abActiveWrong_ &&
         abShadowEnergy_ <= abActiveEnergy_ * slack;
 

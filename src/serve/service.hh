@@ -16,10 +16,10 @@
  * journaled pipeline (trainDual — checkpoint/resume and the dist
  * fleet come for free). The retrained candidate runs as a SHADOW:
  * scored on the same live telemetry the active model sees, decisions
- * never applied. After PSCA_SERVE_AB_INTERVALS scored blocks the
+ * never applied. After ServeConfig::abIntervals scored blocks the
  * candidate is promoted only if it beats the active model's
- * mispredict count without regressing estimated PPW beyond the
- * configured slack; promotion is a transactional firmware swap into
+ * mispredict count without regressing estimated energy by more than
+ * a fixed 2%; promotion is a transactional firmware swap into
  * the ring, followed by a probation window that auto-rolls back to
  * the prior image if guardrail trips exceed the pre-swap baseline.
  *
@@ -63,19 +63,18 @@ enum class ServeState : uint8_t
 /** Printable state name ("HEALTHY", ...). */
 const char *serveStateName(ServeState s);
 
-/** Service tuning; fromEnv() reads the PSCA_SERVE_* knobs. */
+/** Service tuning. */
 struct ServeConfig
 {
-    /** Lifecycle management on/off (PSCA_SERVE). Off = the loop
-     *  runs the bootstrap firmware forever; no serve stats. */
+    /** Lifecycle management on/off (PSCA_SERVE in `psca serve`).
+     *  Off = the loop runs the bootstrap firmware forever; no serve
+     *  stats. */
     bool lifecycle = true;
-    size_t driftWindow = 12;        //!< PSCA_SERVE_DRIFT_WINDOW
-    double driftZ = 3.0;            //!< PSCA_SERVE_DRIFT_Z
-    size_t abIntervals = 16;        //!< PSCA_SERVE_AB_INTERVALS
-    size_t probationIntervals = 16; //!< PSCA_SERVE_PROBATION_INTERVALS
-    size_t cooldownBlocks = 24;     //!< PSCA_SERVE_COOLDOWN_BLOCKS
-    double abPpwSlackPct = 2.0;     //!< PSCA_SERVE_AB_PPW_SLACK_PCT
-    int ringKeep = 4;               //!< PSCA_SERVE_RING_KEEP
+    size_t driftWindow = 12;        //!< blocks per drift verdict
+    double driftZ = 3.0;            //!< feature mean-shift threshold
+    size_t abIntervals = 16;        //!< shadow-scored blocks per A/B
+    size_t probationIntervals = 16; //!< post-swap probation blocks
+    size_t cooldownBlocks = 24;     //!< quiet blocks after any verdict
     uint64_t granularityInstr = 40000;
     uint64_t seed = 1;
     std::string dir; //!< ring + lifecycle artifact directory
@@ -84,9 +83,6 @@ struct ServeConfig
     /** Retrained forest shape (small: retrains happen inline). */
     int forestTrees = 8;
     int forestDepth = 6;
-
-    /** Env-configured defaults (dir defaults to the cache dir). */
-    static ServeConfig fromEnv();
 };
 
 /** One schedule entry: a workload served for a number of blocks. */

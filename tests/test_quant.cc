@@ -259,10 +259,8 @@ TEST(Quant, FirmwareV4RoundTripCarriesFixedPointSlots)
     DualModelPredictor native(high, low, {0, 1, 2, 3, 4, 5}, 20000,
                               "quant_rf");
 
-    setenv("PSCA_UC_FIXED", "1", 1);
     const FirmwarePackage pkg =
-        packageFromDual(native, {0, 1, 2, 3, 4, 5});
-    unsetenv("PSCA_UC_FIXED");
+        packageFromDual(native, {0, 1, 2, 3, 4, 5}, true);
 
     EXPECT_TRUE(pkg.fixedPoint);
     EXPECT_FALSE(pkg.high.quantPayload.empty());
@@ -284,7 +282,7 @@ TEST(Quant, FirmwareV4RoundTripCarriesFixedPointSlots)
               std::max(pkg.high.quantOps, pkg.low.quantOps));
     std::filesystem::remove(path);
 
-    // Without the flag the package stays float-only and byte-stable.
+    // By default the package stays float-only and byte-stable.
     const FirmwarePackage plain =
         packageFromDual(native, {0, 1, 2, 3, 4, 5});
     EXPECT_FALSE(plain.fixedPoint);

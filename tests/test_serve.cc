@@ -171,7 +171,6 @@ testServeConfig(const std::string &dir)
     cfg.abIntervals = 8;
     cfg.probationIntervals = 8;
     cfg.cooldownBlocks = 8;
-    cfg.ringKeep = 4;
     return cfg;
 }
 

@@ -4,11 +4,11 @@
 Two checks, both cheap enough to run on every CI push:
 
 1. Env-var coverage: every PSCA_* environment variable referenced as
-   a string literal under src/, tools/, or examples/ must appear in
-   OPERATIONS.md (the consolidated variable table), and every PSCA_*
-   token OPERATIONS.md documents must still exist in the source. New
-   knobs land together with their documentation, and the table can
-   never go stale, or this exits non-zero.
+   a string literal under src/, tools/, examples/ or bench/ must
+   appear in OPERATIONS.md (the consolidated variable table), and
+   every PSCA_* token OPERATIONS.md documents must still exist in the
+   source. New knobs land together with their documentation, and the
+   table can never go stale, or this exits non-zero.
 
 2. Link integrity: every intra-repo markdown link ([text](target)
    where target is not a URL) in the repo's *.md files must resolve
@@ -31,7 +31,7 @@ DOC_VAR_RE = re.compile(r"\b(PSCA_[A-Z0-9_]+)\b")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)]+)\)")
 
 SOURCE_GLOBS = ["src/**/*.cc", "src/**/*.hh", "tools/*.cc",
-                "tools/*.py", "examples/*.cc"]
+                "tools/*.py", "examples/*.cpp", "bench/*.cc"]
 
 
 def source_vars(root: pathlib.Path) -> set:

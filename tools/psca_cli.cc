@@ -46,6 +46,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -156,13 +157,34 @@ resolveApp(const std::string &spec, uint64_t len, Workload &out)
     return true;
 }
 
-uint64_t
-optLen(int argc, char **argv, uint64_t fallback)
+/**
+ * Parse a numeric flag's @p value as a whole decimal number in
+ * [@p lo, @p hi]. False on a missing value, trailing junk or an
+ * out-of-range number: the caller answers with usage() rather than
+ * running on whatever atoi/strtoull would have made of it.
+ */
+template <typename T>
+bool
+parseFlag(const char *value, long long lo, long long hi, T &out)
 {
-    for (int i = 0; i + 1 < argc; ++i)
+    long long v = 0;
+    if (!env::tryParseLong(value, v) || v < lo || v > hi)
+        return false;
+    out = static_cast<T>(v);
+    return true;
+}
+
+constexpr long long kMaxFlag = std::numeric_limits<long long>::max();
+
+/** The --len value (instructions), @p len untouched when absent. */
+bool
+optLen(int argc, char **argv, uint64_t &len)
+{
+    for (int i = 0; i < argc; ++i)
         if (!std::strcmp(argv[i], "--len"))
-            return std::strtoull(argv[i + 1], nullptr, 10);
-    return fallback;
+            return parseFlag(i + 1 < argc ? argv[i + 1] : nullptr, 1,
+                             kMaxFlag, len);
+    return true;
 }
 
 int
@@ -199,10 +221,11 @@ cmdKernels()
 int
 cmdRun(int argc, char **argv)
 {
-    if (argc < 1)
+    uint64_t len = 300000;
+    if (argc < 1 || !optLen(argc, argv, len))
         return usage();
     Workload w;
-    if (!resolveApp(argv[0], optLen(argc, argv, 300000), w)) {
+    if (!resolveApp(argv[0], len, w)) {
         std::fprintf(stderr, "unknown app '%s'\n", argv[0]);
         return 2;
     }
@@ -301,15 +324,8 @@ cmdTrain(int argc, char **argv)
     opts.granularityInstr = 40000;
     opts.columns = kAllColumns;
     opts.rsvWindow = 400;
-    TrainedDual dual = trainDual(
-        records, cfg, opts,
-        [](const Dataset &tune, uint64_t s) -> std::unique_ptr<Model> {
-            ForestConfig fc;
-            fc.numTrees = 8;
-            fc.maxDepth = 8;
-            fc.seed = s;
-            return std::make_unique<RandomForest>(tune, fc);
-        });
+    TrainedDual dual =
+        trainDual(records, cfg, opts, forestFactory(8, 8));
     DualModelPredictor predictor(dual.high, dual.low, kAllColumns,
                                  opts.granularityInstr, "psca-cli");
     const FirmwarePackage pkg =
@@ -324,10 +340,11 @@ cmdTrain(int argc, char **argv)
 int
 cmdFlash(int argc, char **argv)
 {
-    if (argc < 2)
+    uint64_t len = 400000;
+    if (argc < 2 || !optLen(argc, argv, len))
         return usage();
     Workload w;
-    if (!resolveApp(argv[1], optLen(argc, argv, 400000), w)) {
+    if (!resolveApp(argv[1], len, w)) {
         std::fprintf(stderr, "unknown app '%s'\n", argv[1]);
         return 2;
     }
@@ -368,14 +385,7 @@ fleetCampaign(const std::string &out_path)
     ExperimentContext ctx =
         setupExperiment(scale, /*need_spec=*/false);
 
-    auto rf_factory = [](const Dataset &tune,
-                         uint64_t s) -> std::unique_ptr<Model> {
-        ForestConfig fc;
-        fc.numTrees = 8;
-        fc.maxDepth = 8;
-        fc.seed = s;
-        return std::make_unique<RandomForest>(tune, fc);
-    };
+    const ModelFactory rf_factory = forestFactory(8, 8);
 
     DualTrainOptions opts;
     opts.granularityInstr = 40000;
@@ -526,19 +536,17 @@ cmdFleet(int argc, char **argv)
     bool supervised = false;
     int max_restarts = 3;
     for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--workers") && i + 1 < argc)
-            workers = std::atoi(argv[i + 1]);
-        else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
-            out_path = argv[i + 1];
+        const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
+        if (!std::strcmp(argv[i], "--out") && value)
+            out_path = value;
         else if (!std::strcmp(argv[i], "--supervise"))
             supervised = true;
-        else if (!std::strcmp(argv[i], "--max-restarts") &&
-                 i + 1 < argc)
-            max_restarts = std::atoi(argv[i + 1]);
+        else if ((!std::strcmp(argv[i], "--workers") &&
+                  !parseFlag(value, 0, 1024, workers)) ||
+                 (!std::strcmp(argv[i], "--max-restarts") &&
+                  !parseFlag(value, 0, 1000, max_restarts)))
+            return usage();
     }
-    if (workers < 0 || workers > 1024 || max_restarts < 0 ||
-        max_restarts > 1000)
-        return usage();
 
     if (supervised && workers > 0 && dist::role() == dist::Role::Off)
     {
@@ -673,13 +681,11 @@ cmdChaos(int argc, char **argv)
     for (int i = 0; i < argc; ++i) {
         const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
         if ((!std::strcmp(argv[i], "--workers") &&
-             !env::tryParseLong(value, workers)) ||
+             !parseFlag(value, 1, 64, workers)) ||
             (!std::strcmp(argv[i], "--seed") &&
-             !env::tryParseLong(value, seed)))
+             !parseFlag(value, 0, kMaxFlag, seed)))
             return usage();
     }
-    if (workers < 1 || workers > 64 || seed < 0)
-        return usage();
 
     const std::string ref_dir = cacheDirectory() + "/chaos_ref";
     const std::string run_dir = cacheDirectory() + "/chaos_run";
@@ -906,18 +912,23 @@ cmdServe(int argc, char **argv)
     std::string schedule_spec = "hpc:2:48,media:7:48";
     uint64_t len = 240000;
     uint64_t max_blocks = 0;
-    serve::ServeConfig cfg = serve::ServeConfig::fromEnv();
-    for (int i = 0; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--schedule"))
-            schedule_spec = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--seed"))
-            cfg.seed = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--dir"))
-            cfg.dir = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--len"))
-            len = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--blocks"))
-            max_blocks = std::strtoull(argv[i + 1], nullptr, 10);
+    serve::ServeConfig cfg;
+    // The rollback runbook's kill switch (OPERATIONS.md).
+    cfg.lifecycle = env::flagOr("PSCA_SERVE", true);
+    cfg.dir = cacheDirectory() + "/serve";
+    for (int i = 0; i < argc; ++i) {
+        const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
+        if (!std::strcmp(argv[i], "--schedule") && value)
+            schedule_spec = value;
+        else if (!std::strcmp(argv[i], "--dir") && value)
+            cfg.dir = value;
+        else if ((!std::strcmp(argv[i], "--seed") &&
+                  !parseFlag(value, 0, kMaxFlag, cfg.seed)) ||
+                 (!std::strcmp(argv[i], "--len") &&
+                  !parseFlag(value, 1, kMaxFlag, len)) ||
+                 (!std::strcmp(argv[i], "--blocks") &&
+                  !parseFlag(value, 0, kMaxFlag, max_blocks)))
+            return usage();
     }
 
     std::vector<serve::ServeSegment> schedule;
@@ -928,9 +939,8 @@ cmdServe(int argc, char **argv)
         if (colon == std::string::npos || colon + 1 >= entry.size())
             return usage();
         serve::ServeSegment seg;
-        seg.blocks =
-            std::strtoull(entry.c_str() + colon + 1, nullptr, 10);
-        if (seg.blocks == 0 ||
+        if (!parseFlag(entry.c_str() + colon + 1, 1, kMaxFlag,
+                       seg.blocks) ||
             !resolveApp(entry.substr(0, colon), len, seg.workload))
         {
             std::fprintf(stderr, "bad schedule entry '%s'\n",
