@@ -58,7 +58,11 @@ fsyncPath(const std::string &path)
     }
 }
 
-/** Unique temp sibling for staging (per thread, per use). */
+/**
+ * Unique temp sibling for staging (per process, per thread, per use).
+ * The pid matters: forked processes inherit the parent's thread ids
+ * and serial, and fleet workers share one cache directory.
+ */
 std::string
 tempSibling(const std::string &path)
 {
@@ -66,7 +70,8 @@ tempSibling(const std::string &path)
     const uint64_t tid = std::hash<std::thread::id>{}(
                              std::this_thread::get_id()) &
         0xffffff;
-    return path + ".tmp." + std::to_string(tid) + "." +
+    return path + ".tmp." + std::to_string(::getpid()) + "." +
+        std::to_string(tid) + "." +
         std::to_string(serial.fetch_add(1, std::memory_order_relaxed));
 }
 

@@ -308,7 +308,7 @@ makeCharstar(const ExperimentContext &ctx, double p_sla, uint64_t seed)
 
 NamedPredictor
 makeSrch(const ExperimentContext &ctx, double p_sla,
-         uint64_t granularity, uint64_t seed)
+         uint64_t granularity)
 {
     const std::vector<size_t> columns = ctx.plan.pfColumns(
         std::min<size_t>(15, ctx.plan.pfRanked.size()));
@@ -330,7 +330,6 @@ makeSrch(const ExperimentContext &ctx, double p_sla,
         LogRegConfig lr;
         models[m] =
             std::make_shared<SrchModel>(per_interval, window, lr);
-        (void)seed;
     }
 
     NamedPredictor np;

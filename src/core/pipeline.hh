@@ -130,7 +130,7 @@ NamedPredictor makeCharstar(const ExperimentContext &ctx, double p_sla,
 
 /** SRCH (PF-15 counters, 10-bucket histograms) at a granularity. */
 NamedPredictor makeSrch(const ExperimentContext &ctx, double p_sla,
-                        uint64_t granularity, uint64_t seed = 14);
+                        uint64_t granularity);
 
 /** Aggregate closed-loop results over a set of traces. */
 struct SuiteResult

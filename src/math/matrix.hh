@@ -84,13 +84,37 @@ class Matrix
         return out;
     }
 
-    /** Matrix-vector product. */
+    /**
+     * Matrix-vector product. Each output sums its row's products in
+     * column order, so results are those of a plain row-by-row loop
+     * bit for bit; four rows run at once so their addition chains
+     * overlap instead of each waiting on its previous add.
+     */
     std::vector<double>
     multiply(const std::vector<double> &v) const
     {
         PSCA_ASSERT(cols_ == v.size(), "matvec shape mismatch");
         std::vector<double> out(rows_, 0.0);
-        for (size_t i = 0; i < rows_; ++i) {
+        size_t i = 0;
+        for (; i + 4 <= rows_; i += 4) {
+            const double *r0 = row(i);
+            const double *r1 = row(i + 1);
+            const double *r2 = row(i + 2);
+            const double *r3 = row(i + 3);
+            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+            for (size_t j = 0; j < cols_; ++j) {
+                const double x = v[j];
+                s0 += r0[j] * x;
+                s1 += r1[j] * x;
+                s2 += r2[j] * x;
+                s3 += r3[j] * x;
+            }
+            out[i] = s0;
+            out[i + 1] = s1;
+            out[i + 2] = s2;
+            out[i + 3] = s3;
+        }
+        for (; i < rows_; ++i) {
             const double *r = row(i);
             double sum = 0.0;
             for (size_t j = 0; j < cols_; ++j)

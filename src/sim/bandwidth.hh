@@ -84,9 +84,16 @@ class BandwidthRing
         }
         if (was_first)
             *was_first = used_[period & mask_] == 0;
-        ++used_[period & mask_];
+        lastUsage_ = ++used_[period & mask_];
         return period << shift_;
     }
+
+    /**
+     * Usage of the period the last reserve() returned, including that
+     * reservation: usageAt(slot) for its slot until the next reserve(),
+     * without a second lookup.
+     */
+    uint8_t lastUsage() const { return lastUsage_; }
 
     /** Usage in the period containing cycle (within the window). */
     uint8_t
@@ -106,6 +113,7 @@ class BandwidthRing
     {
         std::memset(used_.data(), 0, used_.size());
         horizon_ = 0;
+        lastUsage_ = 0;
     }
 
   private:
@@ -128,6 +136,7 @@ class BandwidthRing
     uint64_t mask_;
     uint64_t horizon_ = 0;
     uint8_t capacity_;
+    uint8_t lastUsage_ = 0;
     uint32_t shift_;
 };
 

@@ -75,6 +75,30 @@ noteRingClamp()
 void
 HotCtrs::flush(Counters &out)
 {
+    // Every uop is fetched, dispatched, issued and retired exactly
+    // once, so the stream counters follow from the per-class issue
+    // counts of both clusters.
+    uint64_t opc_retired[kNumOpClasses];
+    uint64_t uops = 0;
+    for (size_t k = 0; k < kNumOpClasses; ++k) {
+        opc_retired[k] = opcIssued[0][k] + opcIssued[1][k];
+        uops += opc_retired[k];
+    }
+    const auto of = [&](OpClass k) {
+        return opc_retired[static_cast<size_t>(k)];
+    };
+    for (Ctr c : {Ctr::DecodeUops, Ctr::UopsDispatched,
+                  Ctr::UopsIssuedTotal, Ctr::InstRetired,
+                  Ctr::UopsRetired})
+        inc(c, uops);
+    inc(Ctr::LoadsRetired, of(OpClass::Load));
+    inc(Ctr::StoresRetired, of(OpClass::Store));
+    inc(Ctr::BranchesRetired, of(OpClass::Branch));
+    inc(Ctr::FpOpsRetired, of(OpClass::FpAdd) + of(OpClass::FpMul) +
+                               of(OpClass::FpDiv) + of(OpClass::FpFma));
+    inc(Ctr::IntOpsRetired, of(OpClass::IntAlu) + of(OpClass::IntMul) +
+                                of(OpClass::IntDiv));
+
     const auto &reg = CounterRegistry::instance();
     for (size_t i = 0; i < kNumScalarCtrs; ++i)
         if (scalar[i])
@@ -105,7 +129,7 @@ HotCtrs::flush(Counters &out)
     family(CtrFamily::BrMispredPcRegion, brMispredPcRegion, 64);
     family(CtrFamily::OpcIssuedC0, opcIssued[0], kNumOpClasses);
     family(CtrFamily::OpcIssuedC1, opcIssued[1], kNumOpClasses);
-    family(CtrFamily::OpcRetired, opcRetired, kNumOpClasses);
+    family(CtrFamily::OpcRetired, opc_retired, kNumOpClasses);
 
     *this = HotCtrs{};
 }
@@ -129,9 +153,6 @@ ClusteredCore::ClusteredCore(const CoreConfig &cfg)
                                0);
     sqFreeTime_.assign(static_cast<size_t>(cfg.sqSize), 0);
     fwdTable_.assign(64, FwdEntry{});
-    // The staging buffer is sized once here so steady-state replay
-    // never reallocates.
-    decodeBuf_.reserve(kStageChunk);
 }
 
 void
@@ -288,7 +309,6 @@ ClusteredCore::processUop(const MicroOp &op)
     }
     const uint64_t fetch_time = fetchCycle_;
     ++fetchedThisCycle_;
-    hot_.inc(Ctr::DecodeUops);
     ++hot_.uopsPcRegion[(op.pc >> 12) & 63];
 
     // ---- Dispatch ----------------------------------------------------
@@ -317,7 +337,6 @@ ClusteredCore::processUop(const MicroOp &op)
             hot_.inc(Ctr::SqFullStalls);
         }
     }
-    hot_.inc(Ctr::UopsDispatched);
 
     // ---- Operand readiness --------------------------------------------
     // Branchless readiness: invalid sources read slot 0 and
@@ -350,17 +369,21 @@ ClusteredCore::processUop(const MicroOp &op)
     bool first_in_cycle = false;
     uint64_t issue = issueRing_[cluster].reserve(ready, &first_in_cycle);
     busyIssueCycles_[cluster] += first_in_cycle;
-    if (op.isLoad())
-        issue = std::max(issue, loadPorts_[cluster].reserve(issue));
+    // The bundle histogram reads the issue cycle's usage: what the
+    // reservation just wrote, unless a load port moved the issue later.
+    uint8_t used = issueRing_[cluster].lastUsage();
+    if (op.isLoad()) {
+        const uint64_t port = loadPorts_[cluster].reserve(issue);
+        if (port > issue) {
+            issue = port;
+            used = issueRing_[cluster].usageAt(issue);
+        }
+    }
 
-    hot_.inc(Ctr::UopsIssuedTotal);
     ++intervalIssued_;
     hot_.inc(ClusterCtr::UopsIssued, cluster);
     ++hot_.opcIssued[cluster][static_cast<size_t>(op.cls)];
-    {
-        const uint8_t used = issueRing_[cluster].usageAt(issue);
-        ++hot_.issueBundleHist[cluster][std::min<uint8_t>(used, 4)];
-    }
+    ++hot_.issueBundleHist[cluster][std::min<uint8_t>(used, 4)];
 
     // ---- Execute ------------------------------------------------------
     uint64_t completion;
@@ -413,7 +436,6 @@ ClusteredCore::processUop(const MicroOp &op)
 
     // ---- Branch resolution ---------------------------------------------
     if (op.isBranch()) {
-        hot_.inc(Ctr::BranchesRetired);
         hot_.scalar[static_cast<size_t>(Ctr::BranchTakenRetired)] +=
             op.branchTaken;
         const bool correct =
@@ -452,51 +474,12 @@ ClusteredCore::processUop(const MicroOp &op)
         rsSlot_[cluster] = 0;
     ++seq_;
 
-    hot_.inc(Ctr::InstRetired);
-    hot_.inc(Ctr::UopsRetired);
-    ++hot_.opcRetired[static_cast<size_t>(op.cls)];
-    hot_.scalar[static_cast<size_t>(Ctr::LoadsRetired)] +=
-        op.isLoad();
-    hot_.scalar[static_cast<size_t>(Ctr::StoresRetired)] +=
-        op.isStore();
-    const bool fp = op.isFp();
-    const bool intop = !fp &&
-        (op.cls == OpClass::IntAlu || op.cls == OpClass::IntMul ||
-         op.cls == OpClass::IntDiv);
-    hot_.scalar[static_cast<size_t>(Ctr::FpOpsRetired)] += fp;
-    hot_.scalar[static_cast<size_t>(Ctr::IntOpsRetired)] += intop;
-
     const uint64_t rob_res = retire - dispatch;
     hot_.inc(Ctr::RobOccSum, rob_res);
     ++hot_.robOccHist[residencyBucket(rob_res)];
     const uint64_t rs_res = issue - dispatch;
     hot_.inc(ClusterCtr::RsOccSum, cluster, rs_res);
     ++hot_.rsOccHist[cluster][residencyBucket(rs_res)];
-}
-
-void
-ClusteredCore::replayDecoded(const DecodedTrace &trace, size_t begin,
-                             size_t n)
-{
-    const uint64_t *pc = trace.pc();
-    const uint64_t *addr = trace.addr();
-    const uint8_t *cls = trace.cls();
-    const int8_t *dst = trace.dst();
-    const int8_t *src0 = trace.src0();
-    const int8_t *src1 = trace.src1();
-    const uint8_t *taken = trace.taken();
-
-    for (size_t i = begin; i < begin + n; ++i) {
-        MicroOp op;
-        op.pc = pc[i];
-        op.addr = addr[i];
-        op.cls = static_cast<OpClass>(cls[i]);
-        op.dst = dst[i];
-        op.src0 = src0[i];
-        op.src1 = src1[i];
-        op.branchTaken = taken[i] != 0;
-        processUop(op);
-    }
 }
 
 ClusteredCore::IntervalSnapshot
@@ -573,13 +556,12 @@ ClusteredCore::run(TraceGenerator &gen, uint64_t n)
     const auto t0 = std::chrono::steady_clock::now();
     const IntervalSnapshot snap = beginInterval();
 
+    const MicroOp *ops = nullptr;
     for (uint64_t remaining = n; remaining > 0;) {
-        const size_t chunk =
-            static_cast<size_t>(std::min<uint64_t>(remaining, kStageChunk));
-        decodeBuf_.clear();
-        gen.fillDecoded(decodeBuf_, chunk);
-        replayDecoded(decodeBuf_, 0, chunk);
-        remaining -= chunk;
+        const size_t take = gen.next(ops, static_cast<size_t>(remaining));
+        for (size_t i = 0; i < take; ++i)
+            processUop(ops[i]);
+        remaining -= take;
     }
     return endInterval(snap, n, obs::elapsedNs(t0));
 }
@@ -591,7 +573,24 @@ ClusteredCore::run(const DecodedTrace &trace, size_t begin, uint64_t n)
                 "decoded replay range out of bounds");
     const auto t0 = std::chrono::steady_clock::now();
     const IntervalSnapshot snap = beginInterval();
-    replayDecoded(trace, begin, static_cast<size_t>(n));
+    const uint64_t *pc = trace.pc();
+    const uint64_t *addr = trace.addr();
+    const uint8_t *cls = trace.cls();
+    const int8_t *dst = trace.dst();
+    const int8_t *src0 = trace.src0();
+    const int8_t *src1 = trace.src1();
+    const uint8_t *taken = trace.taken();
+    for (size_t i = begin; i < begin + n; ++i) {
+        MicroOp op;
+        op.pc = pc[i];
+        op.addr = addr[i];
+        op.cls = static_cast<OpClass>(cls[i]);
+        op.dst = dst[i];
+        op.src0 = src0[i];
+        op.src1 = src1[i];
+        op.branchTaken = taken[i] != 0;
+        processUop(op);
+    }
     return endInterval(snap, n, obs::elapsedNs(t0));
 }
 

@@ -18,12 +18,13 @@
  * microcode on cluster 1, then clock-gates cluster 2 (tens of
  * cycles); ungating is a few cycles.
  *
- * Hot path (DESIGN.md §9): the replay loop consumes a pre-decoded
- * structure-of-arrays trace (trace/decoded.hh), batches all per-uop
- * telemetry into a plain-struct accumulator flushed once per
- * interval, and addresses every circular structure with wrap
- * counters instead of modulo. Both run() overloads replay through
- * the same replayDecoded() loop.
+ * Hot path (DESIGN.md §9): the generator-driven run() replays the
+ * generator's emit buffer in place (TraceGenerator::next()), batches
+ * all per-uop telemetry into a plain-struct accumulator flushed once
+ * per interval (counters that depend only on the stream are derived
+ * there, not bumped per uop), and addresses every circular structure
+ * with wrap counters instead of modulo. Both run() overloads feed the
+ * same processUop().
  */
 
 #ifndef PSCA_SIM_CORE_HH
@@ -65,7 +66,10 @@ struct IntervalStats
  * byte-identical totals while keeping CounterRegistry lookups and
  * the 936-entry counter vector off the per-uop path. (The memory
  * hierarchy still writes Counters directly; its indices are cached
- * at construction.)
+ * at construction.) Counters that depend only on the uop stream
+ * (decode, dispatch, issue and retire totals, per-class retire
+ * counts) are not accumulated at all: every uop is issued exactly
+ * once, so flush() derives them from opcIssued.
  */
 struct HotCtrs
 {
@@ -81,7 +85,6 @@ struct HotCtrs
     uint64_t uopsPcRegion[64] = {};
     uint64_t brMispredPcRegion[64] = {};
     uint64_t opcIssued[kNumClusters][kNumOpClasses] = {};
-    uint64_t opcRetired[kNumOpClasses] = {};
 
     void
     inc(Ctr c, uint64_t n = 1)
@@ -95,7 +98,10 @@ struct HotCtrs
         cluster[cl][static_cast<size_t>(c)] += n;
     }
 
-    /** Add every accumulated count into out, then zero self. */
+    /**
+     * Add every accumulated count, and the stream counters derived
+     * from opcIssued, into out; then zero self.
+     */
     void flush(Counters &out);
 };
 
@@ -158,8 +164,6 @@ class ClusteredCore
     IntervalSnapshot beginInterval();
     IntervalStats endInterval(const IntervalSnapshot &snap, uint64_t n,
                               uint64_t elapsed_ns);
-    void replayDecoded(const DecodedTrace &trace, size_t begin,
-                       size_t n);
     void processUop(const MicroOp &op);
     int steer(const MicroOp &op);
     int execLatency(OpClass cls) const;
@@ -216,14 +220,6 @@ class ClusteredCore
 
     // Interval bookkeeping.
     uint64_t intervalIssued_ = 0;
-
-    /**
-     * Uops staged per generator fill. Any size replays the same
-     * stream (the generator emits in its own chunks); a small one
-     * keeps the staging buffer's share of per-core state small.
-     */
-    static constexpr size_t kStageChunk = 512;
-    DecodedTrace decodeBuf_; //!< generator-driven replay staging
 };
 
 } // namespace psca

@@ -1,7 +1,5 @@
 #include "trace/decoded.hh"
 
-#include <algorithm>
-
 #include "common/rng.hh"
 #include "trace/generator.hh"
 
@@ -106,6 +104,28 @@ ContentHasher::ContentHasher(uint64_t total_ops)
     : h_(mixSeeds(0x5ca1ab1edec0deULL, total_ops))
 {}
 
+namespace {
+
+/**
+ * Fold one op into h. The narrow fields are packed into one word so
+ * each op costs two mixes; the mix is order-sensitive through h.
+ */
+inline uint64_t
+foldOp(uint64_t h, uint64_t pc, uint64_t addr, uint8_t cls, int8_t dst,
+       int8_t src0, int8_t src1, uint8_t taken)
+{
+    const uint64_t packed =
+        (static_cast<uint64_t>(cls) << 40) ^
+        (static_cast<uint64_t>(static_cast<uint8_t>(dst)) << 32) ^
+        (static_cast<uint64_t>(static_cast<uint8_t>(src0)) << 24) ^
+        (static_cast<uint64_t>(static_cast<uint8_t>(src1)) << 16) ^
+        (static_cast<uint64_t>(taken) << 8);
+    h = mixSeeds(h, pc ^ (addr * 0x9e3779b97f4a7c15ULL));
+    return mixSeeds(h, packed);
+}
+
+} // namespace
+
 void
 ContentHasher::update(const DecodedTrace &chunk)
 {
@@ -117,19 +137,20 @@ ContentHasher::update(const DecodedTrace &chunk)
     const int8_t *src1 = chunk.src1();
     const uint8_t *taken = chunk.taken();
     uint64_t h = h_;
-    for (size_t i = 0; i < chunk.size(); ++i) {
-        // Fold the narrow fields into one word so each op costs two
-        // mixes; the mix is order-sensitive through h.
-        const uint64_t packed =
-            (static_cast<uint64_t>(cls[i]) << 40) ^
-            (static_cast<uint64_t>(static_cast<uint8_t>(dst[i])) << 32) ^
-            (static_cast<uint64_t>(static_cast<uint8_t>(src0[i]))
-             << 24) ^
-            (static_cast<uint64_t>(static_cast<uint8_t>(src1[i]))
-             << 16) ^
-            (static_cast<uint64_t>(taken[i]) << 8);
-        h = mixSeeds(h, pc[i] ^ (addr[i] * 0x9e3779b97f4a7c15ULL));
-        h = mixSeeds(h, packed);
+    for (size_t i = 0; i < chunk.size(); ++i)
+        h = foldOp(h, pc[i], addr[i], cls[i], dst[i], src0[i], src1[i],
+                   taken[i]);
+    h_ = h;
+}
+
+void
+ContentHasher::update(const MicroOp *ops, size_t n)
+{
+    uint64_t h = h_;
+    for (size_t i = 0; i < n; ++i) {
+        const MicroOp &op = ops[i];
+        h = foldOp(h, op.pc, op.addr, static_cast<uint8_t>(op.cls),
+                   op.dst, op.src0, op.src1, op.branchTaken ? 1 : 0);
     }
     h_ = h;
 }
@@ -137,16 +158,12 @@ ContentHasher::update(const DecodedTrace &chunk)
 uint64_t
 streamContentHash(TraceGenerator &gen, uint64_t n)
 {
-    // The chunk matches ClusteredCore::run's decode chunk.
-    constexpr uint64_t kChunk = 4096;
     ContentHasher h(n);
-    DecodedTrace chunk;
-    chunk.reserve(kChunk);
-    for (uint64_t done = 0; done < n; done += kChunk) {
-        chunk.clear();
-        gen.fillDecoded(chunk, static_cast<size_t>(
-                                   std::min(kChunk, n - done)));
-        h.update(chunk);
+    const MicroOp *ops = nullptr;
+    for (uint64_t left = n; left > 0;) {
+        const size_t take = gen.next(ops, static_cast<size_t>(left));
+        h.update(ops, take);
+        left -= take;
     }
     return h.value();
 }

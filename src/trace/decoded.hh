@@ -91,6 +91,12 @@ class ContentHasher
     /** Fold every op of chunk, in order. */
     void update(const DecodedTrace &chunk);
 
+    /**
+     * Fold n ops of an in-place span (TraceGenerator::next()); the
+     * same hash as decoding them and calling update(chunk).
+     */
+    void update(const MicroOp *ops, size_t n);
+
     uint64_t value() const { return h_; }
 
   private:
@@ -98,8 +104,8 @@ class ContentHasher
 };
 
 /**
- * contentHash() of the next n micro-ops of the generator, decoded and
- * hashed in bounded chunks (memory independent of n). The generator's
+ * contentHash() of the next n micro-ops of the generator, hashed in
+ * place span by span (memory independent of n). The generator's
  * cursor advances past them.
  */
 uint64_t streamContentHash(TraceGenerator &gen, uint64_t n);

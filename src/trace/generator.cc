@@ -103,54 +103,47 @@ TraceGenerator::enterNextPhase()
     }
 }
 
+size_t
+TraceGenerator::next(const MicroOp *&ops, size_t max)
+{
+    if (max == 0)
+        return 0;
+    if (buffer_pos_ >= buffer_.size()) {
+        buffer_.clear();
+        buffer_pos_ = 0;
+        if (phase_remaining_ == 0)
+            enterNextPhase();
+        const size_t chunk = static_cast<size_t>(
+            std::min<uint64_t>(phase_remaining_, kEmitChunk));
+        kernels_[current_phase_]->emit(buffer_, chunk, rng_);
+        phase_remaining_ -= chunk;
+    }
+    const size_t take = std::min(max, buffer_.size() - buffer_pos_);
+    ops = buffer_.data() + buffer_pos_;
+    buffer_pos_ += take;
+    produced_ += take;
+    return take;
+}
+
 void
 TraceGenerator::fill(std::vector<MicroOp> &out, size_t n)
 {
-    size_t remaining = n;
-    while (remaining > 0) {
-        if (buffer_pos_ >= buffer_.size()) {
-            buffer_.clear();
-            buffer_pos_ = 0;
-            if (phase_remaining_ == 0)
-                enterNextPhase();
-            const size_t chunk = static_cast<size_t>(
-                std::min<uint64_t>(phase_remaining_, kEmitChunk));
-            kernels_[current_phase_]->emit(buffer_, chunk, rng_);
-            phase_remaining_ -= chunk;
-        }
-        const size_t take =
-            std::min(remaining, buffer_.size() - buffer_pos_);
-        out.insert(out.end(), buffer_.begin() +
-                       static_cast<ptrdiff_t>(buffer_pos_),
-                   buffer_.begin() +
-                       static_cast<ptrdiff_t>(buffer_pos_ + take));
-        buffer_pos_ += take;
-        remaining -= take;
-        produced_ += take;
+    const MicroOp *ops = nullptr;
+    while (n > 0) {
+        const size_t take = next(ops, n);
+        out.insert(out.end(), ops, ops + take);
+        n -= take;
     }
 }
 
 void
 TraceGenerator::fillDecoded(DecodedTrace &out, size_t n)
 {
-    size_t remaining = n;
-    while (remaining > 0) {
-        if (buffer_pos_ >= buffer_.size()) {
-            buffer_.clear();
-            buffer_pos_ = 0;
-            if (phase_remaining_ == 0)
-                enterNextPhase();
-            const size_t chunk = static_cast<size_t>(
-                std::min<uint64_t>(phase_remaining_, kEmitChunk));
-            kernels_[current_phase_]->emit(buffer_, chunk, rng_);
-            phase_remaining_ -= chunk;
-        }
-        const size_t take =
-            std::min(remaining, buffer_.size() - buffer_pos_);
-        out.append(buffer_.data() + buffer_pos_, take);
-        buffer_pos_ += take;
-        remaining -= take;
-        produced_ += take;
+    const MicroOp *ops = nullptr;
+    while (n > 0) {
+        const size_t take = next(ops, n);
+        out.append(ops, take);
+        n -= take;
     }
 }
 

@@ -45,6 +45,15 @@ class TraceGenerator
   public:
     explicit TraceGenerator(const Workload &workload);
 
+    /**
+     * Hand out the next micro-ops in place. Sets ops to a span of at
+     * most max ops inside the generator's emit buffer and returns its
+     * length: at least 1 when max > 0, fewer than max when the span
+     * reaches the end of the current emit chunk. The span stays valid
+     * until the next call of next(), fill(), fillDecoded() or reset().
+     */
+    size_t next(const MicroOp *&ops, size_t max);
+
     /** Append exactly n micro-ops to out. */
     void fill(std::vector<MicroOp> &out, size_t n);
 

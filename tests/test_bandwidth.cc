@@ -174,6 +174,38 @@ TEST(BandwidthRing, MatchesUnboundedWithinLookBack)
     EXPECT_EQ(clamps.value(), before);
 }
 
+TEST(BandwidthRing, LastUsageMatchesUsageAt)
+{
+    // The core's issue-bundle histogram reads lastUsage() instead of
+    // usageAt(issue): after every reserve() the two must agree on the
+    // returned slot, including far-future jumps that clear the window
+    // and look-backs past it that clamp.
+    for (uint8_t capacity : {1, 2, 4, 15}) {
+        for (uint32_t shift : {0u, 2u}) {
+            BandwidthRing ring(capacity, shift, 10);
+            Rng rng(0x1a57 + capacity * 4 + shift);
+            uint64_t horizon = 0;
+            for (int i = 0; i < 100000; ++i) {
+                const uint64_t r = rng.below(100);
+                uint64_t period;
+                if (r < 80)
+                    period = horizon + rng.below(6);
+                else if (r < 97)
+                    period = horizon - std::min(horizon, rng.below(1200));
+                else
+                    period = horizon + rng.below(4096);
+                const uint64_t slot = ring.reserve(period << shift);
+                ASSERT_EQ(ring.lastUsage(), ring.usageAt(slot))
+                    << "capacity " << int(capacity) << " shift " << shift
+                    << " op " << i;
+                ASSERT_GE(ring.lastUsage(), 1);
+                ASSERT_LE(ring.lastUsage(), capacity);
+                horizon = std::max(horizon, slot >> shift);
+            }
+        }
+    }
+}
+
 TEST(InOrderSlots, MatchesRingOnMonotoneSequence)
 {
     // The retire stage's pattern: each request is at least the cycle

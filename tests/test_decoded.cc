@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the pre-decoded SoA trace representation and the
- * simulator hot path built on it: decode fidelity against the AoS
- * stream, content-hash stability, replay pinned to golden cycles and
- * counter hashes across the genome corpus (with no bandwidth-ring
- * clamp), the steady-state allocation budget of the replay loop, the
- * heap footprint of one core, and the bounded live memory of
- * streamed dual-mode recording.
+ * Tests for the trace stream and the simulator hot path that replays
+ * it: the generator's in-place spans, fill() and the pre-decoded SoA
+ * representation give one stream, content hashes agree however the
+ * stream is fed, replay is pinned to golden cycles and counter hashes
+ * across the genome corpus (with no bandwidth-ring clamp), the
+ * counters derived once per interval equal their per-uop definitions,
+ * the steady-state allocation budget of the replay loop, the heap
+ * footprint of one core, and the bounded live memory of streamed
+ * dual-mode recording.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +18,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <new>
 #include <vector>
 
 #include "common/parallel.hh"
+#include "common/rng.hh"
 #include "common/serialize.hh"
 #include "core/builder.hh"
 #include "obs/stats.hh"
@@ -114,6 +118,12 @@ categoryWorkload(AppCategory cat, uint64_t seed, uint64_t len)
     return w;
 }
 
+constexpr AppCategory kAllCategories[] = {
+    AppCategory::HpcPerf,         AppCategory::CloudSecurity,
+    AppCategory::AiAnalytics,     AppCategory::WebProductivity,
+    AppCategory::Multimedia,      AppCategory::GamesRendering,
+};
+
 /** Fields of one op, comparable across representations. */
 void
 expectOpEq(const MicroOp &a, const MicroOp &b, size_t i)
@@ -178,13 +188,11 @@ TEST(DecodedTrace, ContentHashStableAndDiscriminating)
 
 TEST(DecodedTrace, IncrementalHashMatchesWholeTrace)
 {
-    // The streaming recorder keys the memo with ContentHasher; any
-    // chunking must reproduce the whole-trace contentHash() exactly.
+    // The streaming recorder keys the memo with ContentHasher fed the
+    // generator's in-place spans; any chunking, decoded or in place,
+    // must reproduce the whole-trace contentHash() exactly.
     constexpr uint64_t kOps = 20000;
-    for (AppCategory cat :
-         {AppCategory::HpcPerf, AppCategory::CloudSecurity,
-          AppCategory::Multimedia})
-    {
+    for (AppCategory cat : kAllCategories) {
         const Workload w = categoryWorkload(cat, 41, 1 << 20);
         TraceGenerator whole_gen(w);
         const uint64_t whole = decodeTrace(whole_gen, kOps).contentHash();
@@ -198,7 +206,19 @@ TEST(DecodedTrace, IncrementalHashMatchesWholeTrace)
                 gen.fillDecoded(buf, std::min(chunk, kOps - done));
                 h.update(buf);
             }
-            EXPECT_EQ(h.value(), whole) << "chunk " << chunk;
+            EXPECT_EQ(h.value(), whole) << "decoded chunk " << chunk;
+
+            TraceGenerator span_gen(w);
+            ContentHasher span_h(kOps);
+            const MicroOp *ops = nullptr;
+            for (uint64_t done = 0; done < kOps;) {
+                const size_t take = span_gen.next(
+                    ops, static_cast<size_t>(std::min(chunk, kOps - done)));
+                span_h.update(ops, take);
+                done += take;
+            }
+            EXPECT_EQ(span_h.value(), whole)
+                << appCategoryName(cat) << " span chunk " << chunk;
         }
         TraceGenerator stream_gen(w);
         EXPECT_EQ(streamContentHash(stream_gen, kOps), whole);
@@ -206,9 +226,9 @@ TEST(DecodedTrace, IncrementalHashMatchesWholeTrace)
 }
 
 // ---------------------------------------------------------------------
-// Per genome category. Both run() overloads replay through the same
-// replayDecoded() loop, so comparing them cannot catch a field-mapping
-// bug there; the gen-driven side is pinned to goldens instead.
+// Per genome category. The gen-driven run() replays the generator's
+// ops in place and the pre-decoded one rebuilds them from its arrays;
+// the gen-driven side is pinned to goldens and the other must match.
 
 namespace {
 
@@ -254,6 +274,60 @@ constexpr ReplayGolden kReplayGoldens[] = {
      0x128bd18a72afc626ull},
 };
 
+/** The per-uop definitions of the counters HotCtrs::flush derives. */
+struct StreamTally
+{
+    uint64_t perClass[kNumOpClasses] = {};
+    uint64_t total = 0;
+    uint64_t loads = 0;
+    uint64_t stores = 0;
+    uint64_t branches = 0;
+    uint64_t fp = 0;
+    uint64_t intops = 0;
+
+    void
+    add(const MicroOp &op)
+    {
+        ++perClass[static_cast<size_t>(op.cls)];
+        ++total;
+        loads += op.isLoad();
+        stores += op.isStore();
+        branches += op.isBranch();
+        fp += op.isFp();
+        intops += op.cls == OpClass::IntAlu ||
+            op.cls == OpClass::IntMul || op.cls == OpClass::IntDiv;
+    }
+
+    /** Expect a core's cumulative counters to equal the tally. */
+    void
+    expectMatches(const Counters &c) const
+    {
+        const auto &reg = CounterRegistry::instance();
+        for (Ctr ctr : {Ctr::DecodeUops, Ctr::UopsDispatched,
+                        Ctr::UopsIssuedTotal, Ctr::InstRetired,
+                        Ctr::UopsRetired})
+            EXPECT_EQ(c.value(ctr), total)
+                << reg.name(CounterRegistry::index(ctr));
+        EXPECT_EQ(c.value(Ctr::LoadsRetired), loads);
+        EXPECT_EQ(c.value(Ctr::StoresRetired), stores);
+        EXPECT_EQ(c.value(Ctr::BranchesRetired), branches);
+        EXPECT_EQ(c.value(Ctr::FpOpsRetired), fp);
+        EXPECT_EQ(c.value(Ctr::IntOpsRetired), intops);
+        const uint16_t retired = reg.familyBase(CtrFamily::OpcRetired);
+        const uint16_t c0 = reg.familyBase(CtrFamily::OpcIssuedC0);
+        const uint16_t c1 = reg.familyBase(CtrFamily::OpcIssuedC1);
+        for (size_t k = 0; k < kNumOpClasses; ++k) {
+            const auto i = static_cast<uint16_t>(k);
+            EXPECT_EQ(c.value(static_cast<uint16_t>(retired + i)),
+                      perClass[k])
+                << opClassName(static_cast<OpClass>(k));
+            EXPECT_EQ(c.value(static_cast<uint16_t>(c0 + i)) +
+                          c.value(static_cast<uint16_t>(c1 + i)),
+                      perClass[k]);
+        }
+    }
+};
+
 uint64_t
 countersHash(const ClusteredCore &core)
 {
@@ -267,25 +341,73 @@ countersHash(const ClusteredCore &core)
 class GenomeCategory : public ::testing::TestWithParam<AppCategory>
 {};
 
-TEST_P(GenomeCategory, FillDecodedMatchesFill)
+TEST_P(GenomeCategory, NextFillAndFillDecodedAgree)
 {
+    // The three ways to draw the stream must give the same ops in
+    // the same order, whatever the request sizes and wherever they
+    // fall against the generator's 4096-uop emit chunks.
     const Workload w = categoryWorkload(GetParam(), kGenomeSeed, 1 << 20);
-    TraceGenerator aos_gen(w);
-    TraceGenerator soa_gen(w);
-
     constexpr size_t kOps = 50000;
-    std::vector<MicroOp> aos;
-    aos_gen.fill(aos, kOps);
 
-    // Deliberately odd chunk size: stream content must not depend on
-    // how the decode is chunked.
+    TraceGenerator aos_gen(w);
+    std::vector<MicroOp> aos;
+    while (aos.size() < kOps)
+        aos_gen.fill(aos, 4097);
+
+    TraceGenerator soa_gen(w);
     DecodedTrace trace;
     while (trace.size() < kOps)
         soa_gen.fillDecoded(trace, 999);
 
+    // Request sizes that straddle, match and undershoot emit chunks.
+    TraceGenerator span_gen(w);
+    std::vector<MicroOp> spans;
+    const size_t maxes[] = {1, 4095, 4096, 4097, 7, 10000, 3};
+    for (size_t k = 0; spans.size() < kOps; ++k) {
+        const size_t max = maxes[k % std::size(maxes)];
+        const MicroOp *ops = nullptr;
+        const size_t take = span_gen.next(ops, max);
+        ASSERT_GE(take, 1u);
+        ASSERT_LE(take, max);
+        spans.insert(spans.end(), ops, ops + take);
+        ASSERT_EQ(span_gen.produced(), spans.size());
+    }
+
     ASSERT_GE(trace.size(), kOps);
-    for (size_t i = 0; i < kOps; ++i)
+    for (size_t i = 0; i < kOps; ++i) {
         expectOpEq(trace.opAt(i), aos[i], i);
+        expectOpEq(spans[i], aos[i], i);
+        EXPECT_EQ(spans[i].memSize, aos[i].memSize) << "op " << i;
+    }
+}
+
+TEST_P(GenomeCategory, DerivedStreamCountersMatchStream)
+{
+    // flush() derives the stream counters from the per-class issue
+    // counts; at every interval boundary they must equal their
+    // per-uop definitions, tallied here from a second generator.
+    const Workload w = categoryWorkload(GetParam(), kGenomeSeed, 1 << 22);
+    constexpr uint64_t kInterval = 10000;
+
+    for (CoreMode mode : {CoreMode::HighPerf, CoreMode::LowPower}) {
+        ClusteredCore core;
+        core.reset();
+        core.setMode(mode);
+        TraceGenerator gen(w);
+        TraceGenerator tally_gen(w);
+        StreamTally tally;
+        std::vector<MicroOp> ops;
+        for (int t = 0; t < 6; ++t) {
+            ASSERT_EQ(core.run(gen, kInterval).instructions, kInterval);
+            ops.clear();
+            tally_gen.fill(ops, kInterval);
+            for (const MicroOp &op : ops)
+                tally.add(op);
+            tally.expectMatches(core.counters());
+            EXPECT_EQ(core.counters().value(Ctr::InstRetired),
+                      (t + 1) * kInterval);
+        }
+    }
 }
 
 TEST_P(GenomeCategory, PreDecodedReplayMatchesGenDriven)
@@ -332,20 +454,17 @@ TEST_P(GenomeCategory, PreDecodedReplayMatchesGenDriven)
 
 INSTANTIATE_TEST_SUITE_P(
     GenomeCorpus, GenomeCategory,
-    ::testing::Values(AppCategory::HpcPerf, AppCategory::CloudSecurity,
-                      AppCategory::AiAnalytics,
-                      AppCategory::WebProductivity,
-                      AppCategory::Multimedia,
-                      AppCategory::GamesRendering),
+    ::testing::ValuesIn(kAllCategories),
     [](const ::testing::TestParamInfo<AppCategory> &info) {
         return std::string(appCategoryName(info.param));
     });
 
 TEST(DecodedTrace, SteadyStateReplayAllocationBudget)
 {
-    // The reserve() audit: after warmup, neither the gen-driven SoA
-    // path nor the pre-decoded replay may allocate per interval
-    // (single-phase kernel, so the generator reaches steady state).
+    // The reserve() audit: after warmup, neither the gen-driven
+    // in-place path nor the pre-decoded replay may allocate per
+    // interval (single-phase kernel, so the generator reaches steady
+    // state).
     AppGenome g;
     g.name = "alloc_audit";
     g.seed = 7;
@@ -371,7 +490,7 @@ TEST(DecodedTrace, SteadyStateReplayAllocationBudget)
     for (int t = 0; t < 10; ++t)
         core.run(gen, 10000);
     g_audit.store(false);
-    EXPECT_LE(g_allocs.load(), 16u)
+    EXPECT_EQ(g_allocs.load(), 0u)
         << "gen-driven replay allocates in steady state";
 
     TraceGenerator dec_gen(w);
@@ -388,17 +507,53 @@ TEST(DecodedTrace, SteadyStateReplayAllocationBudget)
         << "pre-decoded replay allocates in steady state";
 }
 
+TEST(DecodedTrace, DerivedCountersCoverEveryOpClass)
+{
+    // The generator's kernels never emit some classes (IntMul,
+    // IntDiv, Nop), so the derived per-class counts are also checked
+    // on a random stream that mixes all of them.
+    Rng rng(0xc1a55);
+    DecodedTrace trace;
+    for (int i = 0; i < 6000; ++i) {
+        MicroOp op;
+        op.cls = static_cast<OpClass>(rng.below(kNumOpClasses));
+        op.pc = 0x400000 + 4 * rng.below(4096);
+        op.dst = static_cast<int8_t>(rng.below(kNumArchRegs));
+        op.src0 = static_cast<int8_t>(rng.below(kNumArchRegs));
+        op.src1 = rng.below(2) ? kNoReg
+                               : static_cast<int8_t>(rng.below(kNumArchRegs));
+        if (op.isMem())
+            op.addr = 0x10000000 + 8 * rng.below(1 << 16);
+        op.branchTaken = op.isBranch() && rng.below(2);
+        trace.append(op);
+    }
+    for (CoreMode mode : {CoreMode::HighPerf, CoreMode::LowPower}) {
+        ClusteredCore core;
+        core.reset();
+        core.setMode(mode);
+        StreamTally tally;
+        for (size_t base = 0; base < trace.size(); base += 1000) {
+            core.run(trace, base, 1000);
+            for (size_t i = base; i < base + 1000; ++i)
+                tally.add(trace.opAt(i));
+            tally.expectMatches(core.counters());
+        }
+        for (size_t k = 0; k < kNumOpClasses; ++k)
+            EXPECT_GT(tally.perClass[k], 0u);
+    }
+}
+
 TEST(DecodedTrace, CoreFootprintRatchet)
 {
     // Every closed-loop run of a parallel suite holds one live core,
     // so per-core state sets the suite's memory (DESIGN.md §9 lists
-    // it per structure, about 758 KiB in all).
+    // it per structure, about 753 KiB in all).
     { ClusteredCore warm; } // one-time registry entries
     const int64_t base = g_live.load();
     auto core = std::make_unique<ClusteredCore>();
     core->reset();
     const int64_t bytes = g_live.load() - base;
-    EXPECT_LE(bytes, int64_t{768} << 10)
+    EXPECT_LE(bytes, int64_t{756} << 10)
         << "a default ClusteredCore now allocates " << bytes << " bytes";
 }
 

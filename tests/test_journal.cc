@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -142,6 +145,40 @@ TEST(ArtifactStore, TxnPublishFailureReportsFalse)
     txn.stage(dir + "/good.bin").put<uint64_t>(2);
     EXPECT_FALSE(txn.commit());
     EXPECT_TRUE(fs::is_directory(blocked));
+    EXPECT_EQ(countFilesContaining(dir, ".tmp"), 0u);
+}
+
+TEST(ArtifactStore, ForkedWritersNeverShareATempFile)
+{
+    // Forked processes inherit the parent's thread id and temp-name
+    // serial. Processes writing one directory (fleet workers sharing
+    // a cache) must still stage to distinct temp files, or a writer's
+    // rename can find its temp already renamed away by another.
+    const std::string dir = scratchDir("forked_writers");
+    const std::string path = dir + "/shared.bin";
+    constexpr int kChildren = 4;
+    constexpr int kWrites = 100;
+    std::fflush(nullptr);
+    std::vector<pid_t> children;
+    for (int c = 0; c < kChildren; ++c) {
+        const pid_t pid = fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            int failures = 0;
+            for (int i = 0; i < kWrites; ++i)
+                failures += !writeArtifactFile(path, [&](BinaryWriter &out) {
+                    out.put<uint64_t>(static_cast<uint64_t>(c * kWrites + i));
+                });
+            _exit(failures == 0 ? 0 : 1);
+        }
+        children.push_back(pid);
+    }
+    for (const pid_t pid : children) {
+        int status = 0;
+        ASSERT_EQ(waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), 0) << "a writer lost its temp file";
+    }
     EXPECT_EQ(countFilesContaining(dir, ".tmp"), 0u);
 }
 

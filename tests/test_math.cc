@@ -62,6 +62,33 @@ TEST(Matrix, MatVec)
     EXPECT_DOUBLE_EQ(r[1], 39);
 }
 
+TEST(Matrix, MatVecMatchesRowByRowSums)
+{
+    // multiply(v) runs four rows at a time; every element must still
+    // be bit-identical to summing its row in column order, for row
+    // counts on and off the block size.
+    Rng rng(0x3a7);
+    for (size_t rows : {1, 3, 4, 5, 8, 37, 300}) {
+        for (size_t cols : {1, 2, 17, 300}) {
+            Matrix a(rows, cols);
+            std::vector<double> v(cols);
+            for (double &x : a.data())
+                x = rng.gaussian(0.0, 3.0);
+            for (double &x : v)
+                x = rng.gaussian(0.0, 3.0);
+            const std::vector<double> out = a.multiply(v);
+            ASSERT_EQ(out.size(), rows);
+            for (size_t i = 0; i < rows; ++i) {
+                double sum = 0.0;
+                for (size_t j = 0; j < cols; ++j)
+                    sum += a(i, j) * v[j];
+                EXPECT_EQ(out[i], sum)
+                    << rows << "x" << cols << " row " << i;
+            }
+        }
+    }
+}
+
 TEST(Covariance, DiagonalIsVariance)
 {
     Rng rng(7);
