@@ -165,6 +165,22 @@ cacheDirectory()
     return dir;
 }
 
+uint64_t
+memoTraceHash(const Workload &workload, const BuildConfig &cfg)
+{
+    // Hash pass: stream the generator once, folding the content hash
+    // chunk by chunk (equal to DecodedTrace::contentHash() of the
+    // whole trace), so the trace is never held whole. The key mixes
+    // the content hash with the warmup/interval split because those
+    // boundaries determine how the deltas are sliced.
+    const uint64_t n_intervals = workload.lengthInstr / cfg.intervalInstr;
+    TraceGenerator gen(workload);
+    const uint64_t content_hash = streamContentHash(
+        gen, cfg.warmupInstr + n_intervals * cfg.intervalInstr);
+    return mixSeeds(mixSeeds(content_hash, cfg.warmupInstr),
+                    cfg.intervalInstr);
+}
+
 TraceRecord
 recordTrace(const Workload &workload, const BuildConfig &cfg,
             uint32_t app_id, uint32_t trace_id)
@@ -179,20 +195,8 @@ recordTrace(const Workload &workload, const BuildConfig &cfg,
     record.traceId = trace_id;
     record.numCounters = static_cast<uint16_t>(cfg.counterIds.size());
 
-    // Hash pass: stream the generator once, folding the content hash
-    // chunk by chunk (equal to DecodedTrace::contentHash() of the
-    // whole trace), so the trace is never held whole. The memo key
-    // mixes the content hash with the warmup/interval split because
-    // those boundaries determine how the deltas are sliced.
     const uint64_t n_intervals = workload.lengthInstr / cfg.intervalInstr;
-    uint64_t content_hash = 0;
-    {
-        TraceGenerator gen(workload);
-        content_hash = streamContentHash(
-            gen, cfg.warmupInstr + n_intervals * cfg.intervalInstr);
-    }
-    const uint64_t trace_hash = mixSeeds(
-        mixSeeds(content_hash, cfg.warmupInstr), cfg.intervalInstr);
+    const uint64_t trace_hash = memoTraceHash(workload, cfg);
 
     // The two fixed-mode passes are independent simulations, each
     // with its own generator, writing disjoint vectors; run them as a

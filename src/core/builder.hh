@@ -82,6 +82,13 @@ struct TraceRecord
     }
 };
 
+/**
+ * The trace half of the workload's SimMemo keys under @p cfg: the
+ * streamed content hash of its warmup and whole intervals, mixed with
+ * the warmup/interval split. Costs one generator pass, no simulation.
+ */
+uint64_t memoTraceHash(const Workload &workload, const BuildConfig &cfg);
+
 /** Simulate one workload in both modes and record telemetry. */
 TraceRecord recordTrace(const Workload &workload,
                         const BuildConfig &cfg, uint32_t app_id,

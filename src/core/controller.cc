@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 #include "common/fault.hh"
 #include "obs/phase.hh"
 #include "obs/stats.hh"
 #include "sim/core.hh"
+#include "sim/memo.hh"
 #include "uc/budget.hh"
 
 namespace psca {
@@ -223,6 +226,71 @@ BlockReplayer::modeSwitches() const
     return core_.counters().value(Ctr::ModeSwitches);
 }
 
+namespace {
+
+/**
+ * Premise check of the deferred high-performance prefix: the telemetry
+ * view (@p row, @p cycles) of interval @p t, as the replayer or the
+ * memo produces it, is bit-equal to the reference's HighPerf record,
+ * which the predictor consumed in its place.
+ */
+void
+checkAgainstRecord(const TraceRecord &reference, size_t t,
+                   const float *row, float cycles)
+{
+    PSCA_ASSERT(cycles == reference.cyclesHigh[t] &&
+                    std::memcmp(row, reference.rowHigh(t),
+                                reference.numCounters * sizeof(float)) ==
+                        0,
+                "interval ", t, " of '", reference.name,
+                "' differs from its reference record: the reference "
+                "was not recorded under this BuildConfig");
+}
+
+/**
+ * Settle the accounting of a loop that never gated from the memo's
+ * full-width HighPerf deltas: per interval exactly the add that
+ * BlockReplayer::runBlock() would make, in the same order.
+ *
+ * @param n Intervals to settle (whole blocks).
+ * @return false on a memo miss (or with the memo disabled); @p acc is
+ *         then untouched.
+ */
+bool
+settleFromMemo(const Workload &workload, const TraceRecord &reference,
+               const BuildConfig &cfg, size_t n, PpwAccumulator &acc)
+{
+    const SimMemo &memo = SimMemo::instance();
+    if (!memo.enabled())
+        return false;
+    const MemoKey key{memoTraceHash(workload, cfg),
+                      coreConfigHash(cfg.core), CoreMode::HighPerf};
+    MemoIntervals intervals;
+    if (!memo.lookup(key, intervals) ||
+        intervals.size() != reference.numIntervals())
+    {
+        return false;
+    }
+
+    const PowerModel power(cfg.power, cfg.core.clockGhz);
+    const uint16_t cycles_idx = CounterRegistry::index(Ctr::Cycles);
+    std::vector<float> row(cfg.counterIds.size());
+    for (size_t t = 0; t < n; ++t) {
+        const std::vector<uint64_t> &delta = intervals[t];
+        const uint64_t cyc = delta[cycles_idx];
+        for (size_t j = 0; j < row.size(); ++j)
+            row[j] = static_cast<float>(delta[cfg.counterIds[j]]);
+        checkAgainstRecord(reference, t, row.data(),
+                           static_cast<float>(cyc));
+        acc.add(cfg.intervalInstr, cyc,
+                power.intervalEnergyNj(delta, cyc, CoreMode::HighPerf));
+    }
+    obs::StatRegistry::instance().counter("memo.closed_loop_settles").add();
+    return true;
+}
+
+} // namespace
+
 ClosedLoopResult
 simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
                    GatePredictor &predictor, const BuildConfig &cfg,
@@ -230,6 +298,10 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
 {
     PSCA_ASSERT(predictor.granularity() % cfg.intervalInstr == 0,
                 "granularity must be a multiple of the interval");
+    PSCA_ASSERT(reference.numCounters == cfg.counterIds.size(),
+                "reference '", reference.name, "' has ",
+                reference.numCounters, " counters, the config ",
+                cfg.counterIds.size());
     const size_t k = predictor.granularity() / cfg.intervalInstr;
     const size_t blocks = reference.numIntervals() / k;
 
@@ -247,8 +319,6 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
     obs::Counter &stay_ctr =
         reg.counter("controller.nogate_decisions");
 
-    BlockReplayer replayer(workload, cfg, k);
-
     const auto labels = blockLabels(reference, k, sla.pSla);
     const UcBudget budget;
     const uint64_t ops_budget =
@@ -264,7 +334,6 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
     }
 
     std::vector<uint8_t> predictions(blocks, 0); // applied config
-    const uint64_t trace_key = replayer.traceKey();
     const FaultSite &miss_site = FAULT_SITE("uc.deadline_miss");
 
     PpwAccumulator adaptive;
@@ -273,6 +342,31 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
     // at block b+2).
     std::vector<uint8_t> pending(blocks + 2, 0);
 
+    // Deferred high-performance prefix (DESIGN.md §9): until the first
+    // LowPower block the core would replay exactly the reference's
+    // HighPerf run, so the predictor reads those blocks from the
+    // record and the replayer is built only when the loop first
+    // gates. It then replays the served blocks in HighPerf, in order
+    // (PpwAccumulator sums stay bit-identical), before going live.
+    // Armed fault sites corrupt the live view, so they build it at
+    // block 0.
+    std::optional<BlockReplayer> replayer;
+    auto start_replayer = [&](size_t catch_up) {
+        replayer.emplace(workload, cfg, k);
+        for (size_t b = 0; b < catch_up; ++b) {
+            replayer->runBlock(CoreMode::HighPerf, adaptive);
+            for (size_t t = 0; t < k; ++t)
+                checkAgainstRecord(reference, b * k + t,
+                                   replayer->subRows()[t].data(),
+                                   replayer->subCycles()[t]);
+        }
+    };
+    if (FaultRegistry::instance().anyEnabled())
+        start_replayer(0);
+    std::vector<const float *> row_ptrs(k);
+    std::vector<float> record_cycles(k);
+    size_t served = 0;
+
     for (size_t b = 0; b < blocks; ++b) {
         const CoreMode block_mode = pending[b]
             ? CoreMode::LowPower
@@ -280,19 +374,33 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
         predictions[b] = pending[b];
         low_blocks += pending[b];
 
-        replayer.runBlock(block_mode, adaptive);
+        if (!replayer && block_mode == CoreMode::LowPower)
+            start_replayer(b);
+        const std::vector<float> *sub_cycles = &record_cycles;
+        if (replayer) {
+            replayer->runBlock(block_mode, adaptive);
+            row_ptrs = replayer->rowPtrs();
+            sub_cycles = &replayer->subCycles();
+        } else {
+            for (size_t t = 0; t < k; ++t) {
+                row_ptrs[t] = reference.rowHigh(b * k + t);
+                record_cycles[t] = reference.cyclesHigh[b * k + t];
+            }
+            ++served;
+        }
 
         // Microcontroller inference for block b+2. A deadline miss
         // (injected, or deterministic-on-overrun when the site's
         // param >= 1 and the model's static ops exceed the budget)
         // means the result arrives too late to matter: the
         // controller carries the most recently scheduled decision
-        // forward instead of consuming a stale or partial one.
+        // forward instead of consuming a stale or partial one. An
+        // armed site means the replayer exists from block 0.
         bool deadline_missed = false;
         if (miss_site.enabled()) {
             deadline_missed = miss_site.param(0.0) >= 1.0
                 ? predictor.opsPerInference() > ops_budget
-                : miss_site.fires(mixSeeds(trace_key, b));
+                : miss_site.fires(mixSeeds(replayer->traceKey(), b));
         }
         if (deadline_missed) {
             reg.counter("controller.deadline_misses").add();
@@ -301,11 +409,9 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
                 pending[b + 2] = pending[b + 1];
             continue;
         }
-        const std::vector<const float *> row_ptrs =
-            replayer.rowPtrs();
         const auto decide_start = std::chrono::steady_clock::now();
-        const bool gate = predictor.decide(
-            row_ptrs, replayer.subCycles(), block_mode);
+        const bool gate =
+            predictor.decide(row_ptrs, *sub_cycles, block_mode);
         decision_lat.add(obs::elapsedNs(decide_start));
         ops_hist.add(predictor.opsPerInference());
         (gate ? gate_ctr : stay_ctr).add();
@@ -313,6 +419,15 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
         ++result.numPredictions;
         if (b + 2 < pending.size())
             pending[b + 2] = gate ? 1 : 0;
+    }
+    reg.counter("sim.closed_loop_deferred_blocks").add(served);
+
+    // A loop that never gated settles from the memo; on a miss it
+    // replays in HighPerf after all.
+    if (!replayer &&
+        !settleFromMemo(workload, reference, cfg, blocks * k, adaptive))
+    {
+        start_replayer(blocks);
     }
 
     // Reference (non-adaptive high-performance) totals.
@@ -336,7 +451,8 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
         : 100.0;
     result.lowResidency = static_cast<double>(low_blocks) /
         static_cast<double>(blocks);
-    result.modeSwitches = replayer.modeSwitches();
+    // A settled loop ran HighPerf throughout: no switches.
+    result.modeSwitches = replayer ? replayer->modeSwitches() : 0;
 
     for (size_t b = 0; b < blocks; ++b)
         result.confusion.add(predictions[b] != 0, labels[b] != 0);

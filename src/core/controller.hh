@@ -240,7 +240,11 @@ struct ClosedLoopResult
  * @param reference Its dual-mode record (ground-truth labels and the
  *        non-adaptive baseline for PPW).
  * @param predictor The adaptation model pair.
- * @param cfg Recording configuration (must match the reference).
+ * @param cfg Recording configuration. It must be the reference's:
+ *        until the loop first gates, the predictor reads the
+ *        reference's high-performance rows instead of a replay, and a
+ *        loop that never gates settles from the memo (DESIGN.md §9);
+ *        a mismatch found there is fatal.
  * @param sla SLA used for labels and RSV windows.
  */
 ClosedLoopResult runClosedLoop(const Workload &workload,
