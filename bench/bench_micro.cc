@@ -116,6 +116,22 @@ mixedWorkload()
     return w;
 }
 
+/**
+ * Segment 1 of the serve_shift schedule (benchmark/psca_benchmark.cc):
+ * a cloud-security genome that spends tens of simulated cycles per
+ * micro-op, so its replay cost shows any per-cycle work the core does.
+ */
+Workload
+lowIpcWorkload()
+{
+    Workload w;
+    w.genome = sampleGenome(AppCategory::CloudSecurity, 1);
+    w.inputSeed = 1;
+    w.lengthInstr = 600000;
+    w.name = w.genome.name;
+    return w;
+}
+
 /** One quick-scale SPEC trace and the recording set-up it runs under. */
 Workload
 quickSpecWorkload()
@@ -493,7 +509,10 @@ recordCrossvalSpeedup()
  * gauges the ReportGuard derives. Two paths: pre-decoded SoA replay
  * (sim.replay_soa_muops_per_s) and the generator-driven in-place
  * replay that recording, closed loops and serve run
- * (sim.replay_gen_muops_per_s, generation included).
+ * (sim.replay_gen_muops_per_s, generation included). The same
+ * generator-driven replay of a low-IPC genome
+ * (sim.replay_lowipc_muops_per_s) shows replay cost that grows with
+ * simulated cycles per micro-op, which the high-IPC trace cannot.
  */
 void
 recordReplayThroughput()
@@ -531,12 +550,24 @@ recordReplayThroughput()
         for (uint64_t t = 0; t < kIntervals; ++t)
             core.run(replay_gen, kInterval);
     });
+    const Workload low_ipc_workload = lowIpcWorkload();
+    uint64_t low_ipc_cycles = 0;
+    const double low_ipc = best_of_three([&](ClusteredCore &core) {
+        TraceGenerator replay_gen(low_ipc_workload);
+        for (uint64_t t = 0; t < kIntervals; ++t)
+            core.run(replay_gen, kInterval);
+        low_ipc_cycles = core.currentCycle();
+    });
     auto &reg = obs::StatRegistry::instance();
     reg.gauge("sim.replay_soa_muops_per_s").set(soa);
     reg.gauge("sim.replay_gen_muops_per_s").set(in_place);
+    reg.gauge("sim.replay_lowipc_muops_per_s").set(low_ipc);
     std::printf("replay throughput: %.1f Muops/s pre-decoded, "
-                "%.1f Muops/s generator-driven\n",
-                soa, in_place);
+                "%.1f Muops/s generator-driven, %.1f Muops/s "
+                "generator-driven at %.1f cycles/uop (%s)\n",
+                soa, in_place, low_ipc,
+                static_cast<double>(low_ipc_cycles) / kUops,
+                low_ipc_workload.name.c_str());
 }
 
 /**

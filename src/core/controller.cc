@@ -159,6 +159,9 @@ BlockReplayer::BlockReplayer(const Workload &workload,
         core_.run(gen_, cfg_.warmupInstr);
     prev_ = core_.counters().raw();
     deltaAll_.resize(prev_.size());
+    rowPtrs_.reserve(k_);
+    for (const std::vector<float> &row : subRows_)
+        rowPtrs_.push_back(row.data());
 }
 
 BlockReplayer::BlockStats
@@ -208,16 +211,6 @@ BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
                                         block_mode));
     }
     return totals;
-}
-
-std::vector<const float *>
-BlockReplayer::rowPtrs() const
-{
-    std::vector<const float *> ptrs;
-    ptrs.reserve(k_);
-    for (size_t t = 0; t < k_; ++t)
-        ptrs.push_back(subRows_[t].data());
-    return ptrs;
 }
 
 uint64_t
@@ -363,7 +356,7 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
     };
     if (FaultRegistry::instance().anyEnabled())
         start_replayer(0);
-    std::vector<const float *> row_ptrs(k);
+    std::vector<const float *> record_rows(k);
     std::vector<float> record_cycles(k);
     size_t served = 0;
 
@@ -376,14 +369,15 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
 
         if (!replayer && block_mode == CoreMode::LowPower)
             start_replayer(b);
+        const std::vector<const float *> *row_ptrs = &record_rows;
         const std::vector<float> *sub_cycles = &record_cycles;
         if (replayer) {
             replayer->runBlock(block_mode, adaptive);
-            row_ptrs = replayer->rowPtrs();
+            row_ptrs = &replayer->rowPtrs();
             sub_cycles = &replayer->subCycles();
         } else {
             for (size_t t = 0; t < k; ++t) {
-                row_ptrs[t] = reference.rowHigh(b * k + t);
+                record_rows[t] = reference.rowHigh(b * k + t);
                 record_cycles[t] = reference.cyclesHigh[b * k + t];
             }
             ++served;
@@ -411,7 +405,7 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
         }
         const auto decide_start = std::chrono::steady_clock::now();
         const bool gate =
-            predictor.decide(row_ptrs, *sub_cycles, block_mode);
+            predictor.decide(*row_ptrs, *sub_cycles, block_mode);
         decision_lat.add(obs::elapsedNs(decide_start));
         ops_hist.add(predictor.opsPerInference());
         (gate ? gate_ctr : stay_ctr).add();

@@ -169,6 +169,9 @@ class BlockReplayer
      */
     BlockReplayer(const Workload &workload, const BuildConfig &cfg,
                   size_t k);
+    // rowPtrs() points into this object's own rows.
+    BlockReplayer(const BlockReplayer &) = delete;
+    BlockReplayer &operator=(const BlockReplayer &) = delete;
 
     /**
      * Simulate the next block in @p mode. The controller's
@@ -184,8 +187,14 @@ class BlockReplayer
     }
     const std::vector<float> &subCycles() const { return subCycles_; }
 
-    /** subRows() as the row-pointer list predictors consume. */
-    std::vector<const float *> rowPtrs() const;
+    /**
+     * subRows() as the row-pointer list predictors consume. Built once:
+     * the rows never reallocate, so a block costs no allocation.
+     */
+    const std::vector<const float *> &rowPtrs() const
+    {
+        return rowPtrs_;
+    }
 
     /** Stable fault-stream identity of this workload. */
     uint64_t traceKey() const { return traceKey_; }
@@ -208,6 +217,7 @@ class BlockReplayer
     std::vector<uint64_t> deltaAll_;
     std::vector<uint64_t> view_;
     std::vector<std::vector<float>> subRows_;
+    std::vector<const float *> rowPtrs_;
     std::vector<float> subCycles_;
     std::vector<float> carryRow_;
     float carryCycles_ = 0.0f;

@@ -280,7 +280,7 @@ Service::stepBlock()
                            static_cast<uint64_t>(seg_->ref.cyclesHigh[t]),
                            seg_->ref.energyHighNj[t]);
 
-    const std::vector<const float *> rows = seg_->replayer->rowPtrs();
+    const std::vector<const float *> &rows = seg_->replayer->rowPtrs();
     const std::vector<float> &cycles = seg_->replayer->subCycles();
 
     const bool decision = guard_->decide(rows, cycles, mode);

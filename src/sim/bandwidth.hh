@@ -11,6 +11,7 @@
 #ifndef PSCA_SIM_BANDWIDTH_HH
 #define PSCA_SIM_BANDWIDTH_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -72,16 +73,16 @@ class BandwidthRing
     reserve(uint64_t earliest_cycle, bool *was_first = nullptr)
     {
         uint64_t period = earliest_cycle >> shift_;
-        advanceTo(period);
         // Periods older than the window have been forgotten; clamp.
         if (horizon_ > mask_ && period < horizon_ - mask_) {
             period = horizon_ - mask_;
             noteRingClamp();
         }
-        while (used_[period & mask_] >= capacity_) {
+        // Periods past the horizon are empty, so the walk over full
+        // periods stops there and the window moves once, after it.
+        while (period <= horizon_ && used_[period & mask_] >= capacity_)
             ++period;
-            advanceTo(period);
-        }
+        advanceTo(period);
         if (was_first)
             *was_first = used_[period & mask_] == 0;
         lastUsage_ = ++used_[period & mask_];
@@ -117,17 +118,24 @@ class BandwidthRing
     }
 
   private:
-    /** Clear slots newly entering the window as the horizon moves. */
+    /**
+     * Clear the periods (horizon_, period] as they enter the window:
+     * one memset, or two when the range wraps the array end, so the
+     * cost does not grow with the number of periods skipped.
+     */
     void
     advanceTo(uint64_t period)
     {
         if (period <= horizon_)
             return;
-        if (period - horizon_ > mask_) {
+        const uint64_t n = period - horizon_;
+        if (n > mask_) {
             std::memset(used_.data(), 0, used_.size());
         } else {
-            for (uint64_t p = horizon_ + 1; p <= period; ++p)
-                used_[p & mask_] = 0;
+            const uint64_t first = (horizon_ + 1) & mask_;
+            const uint64_t head = std::min(n, used_.size() - first);
+            std::memset(used_.data() + first, 0, head);
+            std::memset(used_.data(), 0, n - head);
         }
         horizon_ = period;
     }

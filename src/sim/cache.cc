@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 namespace psca {
 
@@ -73,8 +74,7 @@ CacheLevel::access(uint64_t addr, bool is_write)
         entry = tag | dirty;
     }
     // Move to front: ways [0, w) age by one position.
-    for (; w > 0; --w)
-        ways[w] = ways[w - 1];
+    std::memmove(ways + 1, ways, w * sizeof(*ways));
     ways[0] = entry;
     return result;
 }

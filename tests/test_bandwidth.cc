@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "common/rng.hh"
 #include "obs/stats.hh"
@@ -171,6 +172,72 @@ TEST(BandwidthRing, MatchesUnboundedWithinLookBack)
             }
         }
     }
+    EXPECT_EQ(clamps.value(), before);
+}
+
+TEST(BandwidthRing, AdvanceClearsExactlyTheEnteringPeriods)
+{
+    // The window moves by clearing the periods that enter it in at
+    // most two ranges, split where they wrap the array end. Fill a
+    // 16-period window to capacity with its horizon at every array
+    // offset, move the horizon by 1 to 40 periods (16 and more take
+    // the whole-array clear), and check every period of the new
+    // window, then a reservation at each, against the unbounded
+    // table: a period cleared once too often or too rarely shows up
+    // as a wrong slot, was_first or usage. At capacity 1 those
+    // reservations find their periods full up to the horizon, so
+    // they also drive the saturated walk past it onto an array slot
+    // last used a lap ago.
+    obs::Counter &clamps =
+        obs::StatRegistry::instance().counter("sim.ring_clamps");
+    const uint64_t before = clamps.value();
+    constexpr uint64_t kSpan = 15; // log2_size 4: horizon - 15 .. horizon
+    uint64_t walks_past_horizon = 0;
+    for (uint8_t capacity : {1, 3}) {
+        for (uint64_t offset = 0; offset <= kSpan; ++offset) {
+            for (uint64_t advance : {1, 2, 14, 15, 16, 17, 40}) {
+                const std::string where = "capacity " +
+                    std::to_string(capacity) + " offset " +
+                    std::to_string(offset) + " advance " +
+                    std::to_string(advance);
+                BandwidthRing ring(capacity, 0, 4);
+                UnboundedSlots ref(capacity, 0);
+                const auto check = [&](uint64_t earliest) {
+                    bool first_a = false, first_b = false;
+                    const uint64_t a = ring.reserve(earliest, &first_a);
+                    const uint64_t b = ref.reserve(earliest, &first_b);
+                    EXPECT_EQ(a, b) << where << " earliest " << earliest;
+                    EXPECT_EQ(first_a, first_b)
+                        << where << " earliest " << earliest;
+                    EXPECT_EQ(ring.usageAt(a), ref.usageAt(a))
+                        << where << " earliest " << earliest;
+                    return a;
+                };
+                const uint64_t base = 2 * (kSpan + 1) + offset;
+                for (uint64_t p = base - kSpan; p <= base; ++p)
+                    for (int c = 0; c < capacity; ++c)
+                        check(p);
+                const uint64_t horizon = base + advance;
+                check(horizon);
+                for (uint64_t p = horizon - kSpan; p <= horizon; ++p)
+                    EXPECT_EQ(ring.usageAt(p), ref.usageAt(p))
+                        << where << " period " << p;
+                // Each reservation here lands in the window or walks
+                // one past the horizon, moving the window by one, so
+                // the next period stays inside it (no clamp).
+                uint64_t top = horizon;
+                for (uint64_t p = horizon - kSpan; p <= horizon; ++p) {
+                    const uint64_t slot = check(p);
+                    if (slot > top) {
+                        ++walks_past_horizon;
+                        top = slot;
+                    }
+                }
+                ASSERT_FALSE(HasFailure()) << where;
+            }
+        }
+    }
+    EXPECT_GT(walks_past_horizon, 0u);
     EXPECT_EQ(clamps.value(), before);
 }
 

@@ -6,9 +6,9 @@
  * stream is fed, replay is pinned to golden cycles and counter hashes
  * across the genome corpus (with no bandwidth-ring clamp), the
  * counters derived once per interval equal their per-uop definitions,
- * the steady-state allocation budget of the replay loop, the heap
- * footprint of one core, and the bounded live memory of streamed
- * dual-mode recording.
+ * the steady-state allocation budget of the replay and block loops,
+ * the heap footprint of one core, and the bounded live memory of
+ * streamed dual-mode recording.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "core/builder.hh"
+#include "core/controller.hh"
 #include "obs/stats.hh"
 #include "sim/core.hh"
 #include "sim/memo.hh"
@@ -505,6 +506,34 @@ TEST(DecodedTrace, SteadyStateReplayAllocationBudget)
     g_audit.store(false);
     EXPECT_EQ(g_allocs.load(), 0u)
         << "pre-decoded replay allocates in steady state";
+
+    // The block step closed loops and the serve loop share: replay a
+    // block, then hand the predictor its row pointers.
+    BuildConfig cfg;
+    cfg.intervalInstr = 10000;
+    cfg.warmupInstr = 20000;
+    cfg.counterIds = {CounterRegistry::index(Ctr::InstRetired),
+                      CounterRegistry::index(Ctr::L1dMiss)};
+    constexpr size_t kSubIntervals = 2;
+    BlockReplayer replayer(w, cfg, kSubIntervals);
+    PpwAccumulator acc;
+    replayer.runBlock(CoreMode::HighPerf, acc); // warm, both modes
+    replayer.runBlock(CoreMode::LowPower, acc);
+
+    size_t rows_seen = 0;
+    g_allocs.store(0);
+    g_audit.store(true);
+    for (int b = 0; b < 6; ++b) {
+        replayer.runBlock(b % 2 ? CoreMode::LowPower : CoreMode::HighPerf,
+                          acc);
+        const std::vector<const float *> &rows = replayer.rowPtrs();
+        for (size_t t = 0; t < rows.size(); ++t)
+            rows_seen += rows[t] == replayer.subRows()[t].data();
+    }
+    g_audit.store(false);
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "block replay allocates in steady state";
+    EXPECT_EQ(rows_seen, 6 * kSubIntervals);
 }
 
 TEST(DecodedTrace, DerivedCountersCoverEveryOpClass)
