@@ -34,7 +34,6 @@
 #include "obs/stats.hh"
 #include "sim/core.hh"
 #include "trace/corpus.hh"
-#include "trace/decoded.hh"
 #include "trace/generator.hh"
 #include "uc/compilers.hh"
 #include "core/runner.hh"
@@ -269,29 +268,6 @@ BM_CoreSimulation(benchmark::State &state)
 BENCHMARK(BM_CoreSimulation)->Arg(0)->Arg(1);
 
 void
-BM_DecodedReplay(benchmark::State &state)
-{
-    // Pure replay of a pre-decoded SoA trace: no generation, no
-    // decode — the hot loop the dataset builder runs after its one
-    // decode pass (and what the perf-smoke job tracks).
-    constexpr size_t kUops = 1u << 21;
-    TraceGenerator gen(mixedWorkload());
-    const DecodedTrace trace = decodeTrace(gen, kUops);
-    ClusteredCore core;
-    core.reset();
-    core.setMode(CoreMode::HighPerf);
-    size_t base = 0;
-    for (auto _ : state) {
-        core.run(trace, base, 10000);
-        base += 10000;
-        if (base + 10000 > trace.size())
-            base = 0;
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_DecodedReplay);
-
-void
 BM_RecordTrace(benchmark::State &state)
 {
     // One cold dual-mode recording (memo off): the hash pass plus two
@@ -365,22 +341,6 @@ BM_PredictQuant(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PredictQuant);
-
-void
-BM_TraceDecode(benchmark::State &state)
-{
-    // One-time cost amortized across every replay of a trace.
-    TraceGenerator gen(mixedWorkload());
-    DecodedTrace trace;
-    trace.reserve(1u << 16);
-    for (auto _ : state) {
-        trace.clear();
-        gen.fillDecoded(trace, 1u << 16);
-        benchmark::DoNotOptimize(trace.size());
-    }
-    state.SetItemsProcessed(state.iterations() * (1u << 16));
-}
-BENCHMARK(BM_TraceDecode);
 
 void
 BM_ForestTraining(benchmark::State &state)
@@ -506,13 +466,11 @@ recordCrossvalSpeedup()
  * Wall-clock replay of a 2M-uop trace (best of three passes each, to
  * ride out machine noise) and record it as gauges, so BENCH_micro.json
  * documents the replay kernel next to the whole-run sim.replay_*
- * gauges the ReportGuard derives. Two paths: pre-decoded SoA replay
- * (sim.replay_soa_muops_per_s) and the generator-driven in-place
- * replay that recording, closed loops and serve run
- * (sim.replay_gen_muops_per_s, generation included). The same
- * generator-driven replay of a low-IPC genome
- * (sim.replay_lowipc_muops_per_s) shows replay cost that grows with
- * simulated cycles per micro-op, which the high-IPC trace cannot.
+ * gauges the ReportGuard derives. Both replay in place from a
+ * generator, generation included, as recording, closed loops and
+ * serve do: a high-IPC trace (sim.replay_gen_muops_per_s) and a
+ * low-IPC genome (sim.replay_lowipc_muops_per_s), which shows replay
+ * cost that grows with simulated cycles per micro-op.
  */
 void
 recordReplayThroughput()
@@ -521,8 +479,6 @@ recordReplayThroughput()
     constexpr uint64_t kInterval = 10000;
     constexpr uint64_t kIntervals = (1u << 21) / kInterval;
     constexpr uint64_t kUops = kIntervals * kInterval;
-    TraceGenerator gen(mixedWorkload());
-    const DecodedTrace trace = decodeTrace(gen, kUops);
 
     // Best Muops/s of three passes of replay(core).
     const auto best_of_three = [&](const auto &replay) {
@@ -541,10 +497,6 @@ recordReplayThroughput()
         }
         return best;
     };
-    const double soa = best_of_three([&](ClusteredCore &core) {
-        for (uint64_t t = 0; t < kIntervals; ++t)
-            core.run(trace, t * kInterval, kInterval);
-    });
     const double in_place = best_of_three([&](ClusteredCore &core) {
         TraceGenerator replay_gen(mixedWorkload());
         for (uint64_t t = 0; t < kIntervals; ++t)
@@ -559,13 +511,11 @@ recordReplayThroughput()
         low_ipc_cycles = core.currentCycle();
     });
     auto &reg = obs::StatRegistry::instance();
-    reg.gauge("sim.replay_soa_muops_per_s").set(soa);
     reg.gauge("sim.replay_gen_muops_per_s").set(in_place);
     reg.gauge("sim.replay_lowipc_muops_per_s").set(low_ipc);
-    std::printf("replay throughput: %.1f Muops/s pre-decoded, "
-                "%.1f Muops/s generator-driven, %.1f Muops/s "
-                "generator-driven at %.1f cycles/uop (%s)\n",
-                soa, in_place, low_ipc,
+    std::printf("replay throughput: %.1f Muops/s generator-driven, "
+                "%.1f Muops/s at %.1f cycles/uop (%s)\n",
+                in_place, low_ipc,
                 static_cast<double>(low_ipc_cycles) / kUops,
                 low_ipc_workload.name.c_str());
 }

@@ -169,8 +169,7 @@ uint64_t
 memoTraceHash(const Workload &workload, const BuildConfig &cfg)
 {
     // Hash pass: stream the generator once, folding the content hash
-    // chunk by chunk (equal to DecodedTrace::contentHash() of the
-    // whole trace), so the trace is never held whole. The key mixes
+    // span by span, so the trace is never held whole. The key mixes
     // the content hash with the warmup/interval split because those
     // boundaries determine how the deltas are sliced.
     const uint64_t n_intervals = workload.lengthInstr / cfg.intervalInstr;

@@ -567,30 +567,12 @@ ClusteredCore::run(TraceGenerator &gen, uint64_t n)
 }
 
 IntervalStats
-ClusteredCore::run(const DecodedTrace &trace, size_t begin, uint64_t n)
+ClusteredCore::run(const MicroOp *ops, uint64_t n)
 {
-    PSCA_ASSERT(begin + n <= trace.size(),
-                "decoded replay range out of bounds");
     const auto t0 = std::chrono::steady_clock::now();
     const IntervalSnapshot snap = beginInterval();
-    const uint64_t *pc = trace.pc();
-    const uint64_t *addr = trace.addr();
-    const uint8_t *cls = trace.cls();
-    const int8_t *dst = trace.dst();
-    const int8_t *src0 = trace.src0();
-    const int8_t *src1 = trace.src1();
-    const uint8_t *taken = trace.taken();
-    for (size_t i = begin; i < begin + n; ++i) {
-        MicroOp op;
-        op.pc = pc[i];
-        op.addr = addr[i];
-        op.cls = static_cast<OpClass>(cls[i]);
-        op.dst = dst[i];
-        op.src0 = src0[i];
-        op.src1 = src1[i];
-        op.branchTaken = taken[i] != 0;
-        processUop(op);
-    }
+    for (uint64_t i = 0; i < n; ++i)
+        processUop(ops[i]);
     return endInterval(snap, n, obs::elapsedNs(t0));
 }
 

@@ -38,7 +38,6 @@
 #include "sim/cache.hh"
 #include "sim/config.hh"
 #include "telemetry/counters.hh"
-#include "trace/decoded.hh"
 #include "trace/generator.hh"
 
 namespace psca {
@@ -129,13 +128,12 @@ class ClusteredCore
     IntervalStats run(TraceGenerator &gen, uint64_t n);
 
     /**
-     * Execute micro-ops [begin, begin + n) of a pre-decoded trace.
-     * Timing-equivalent to feeding the same stream through a
-     * generator. Production replay streams through the generator
-     * overload; this one serves tests and benches.
+     * Execute the n micro-ops at ops: the same interval as feeding
+     * that stream through a generator. Production replay streams
+     * through the generator overload; this one lets tests replay
+     * streams no kernel emits.
      */
-    IntervalStats run(const DecodedTrace &trace, size_t begin,
-                      uint64_t n);
+    IntervalStats run(const MicroOp *ops, uint64_t n);
 
     /** Telemetry accumulated since reset(). */
     const Counters &counters() const { return counters_; }

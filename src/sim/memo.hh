@@ -1,7 +1,7 @@
 /**
  * @file
  * Content-hashed simulation memo cache. A fixed-mode replay of a
- * decoded trace is a pure function of (trace content, core
+ * trace is a pure function of (trace content, core
  * configuration, mode): the same stream replayed on the same machine
  * state produces the same per-interval telemetry deltas, bit for
  * bit. The memo cache stores those deltas on disk keyed by that
@@ -9,7 +9,7 @@
  * that re-simulate identical traces skip straight to the telemetry.
  *
  * Invalidation (DESIGN.md §9): the trace key is
- * DecodedTrace::contentHash() mixed with the warmup/interval split,
+ * streamContentHash() mixed with the warmup/interval split,
  * so any change to the generator stream or interval boundaries
  * misses; the config key hashes every CoreConfig field, so any
  * timing-model parameter change misses; kMemoVersion is bumped when

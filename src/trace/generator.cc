@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "trace/decoded.hh"
 
 namespace psca {
 
@@ -132,17 +131,6 @@ TraceGenerator::fill(std::vector<MicroOp> &out, size_t n)
     while (n > 0) {
         const size_t take = next(ops, n);
         out.insert(out.end(), ops, ops + take);
-        n -= take;
-    }
-}
-
-void
-TraceGenerator::fillDecoded(DecodedTrace &out, size_t n)
-{
-    const MicroOp *ops = nullptr;
-    while (n > 0) {
-        const size_t take = next(ops, n);
-        out.append(ops, take);
         n -= take;
     }
 }

@@ -20,8 +20,6 @@
 
 namespace psca {
 
-class DecodedTrace;
-
 /**
  * One recorded trace: an application genome executed on one input,
  * starting from one recording offset (the SimPoint analogue).
@@ -50,19 +48,12 @@ class TraceGenerator
      * most max ops inside the generator's emit buffer and returns its
      * length: at least 1 when max > 0, fewer than max when the span
      * reaches the end of the current emit chunk. The span stays valid
-     * until the next call of next(), fill(), fillDecoded() or reset().
+     * until the next call of next(), fill() or reset().
      */
     size_t next(const MicroOp *&ops, size_t max);
 
     /** Append exactly n micro-ops to out. */
     void fill(std::vector<MicroOp> &out, size_t n);
-
-    /**
-     * Append exactly n micro-ops to a pre-decoded SoA trace,
-     * bypassing the AoS copy. Produces the identical stream fill()
-     * would (the internal buffering is caller-invisible).
-     */
-    void fillDecoded(DecodedTrace &out, size_t n);
 
     /** Restart the identical stream from the beginning. */
     void reset();

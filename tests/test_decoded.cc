@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the trace stream and the simulator hot path that replays
- * it: the generator's in-place spans, fill() and the pre-decoded SoA
- * representation give one stream, content hashes agree however the
- * stream is fed, replay is pinned to golden cycles and counter hashes
- * across the genome corpus (with no bandwidth-ring clamp), the
+ * it: the generator's in-place spans and fill() give one stream,
+ * content hashes agree however the stream is fed and are pinned per
+ * genome category, replay is pinned to golden cycles and counter
+ * hashes across the genome corpus (with no bandwidth-ring clamp), the
  * counters derived once per interval equal their per-uop definitions,
  * the steady-state allocation budget of the replay and block loops,
  * the heap footprint of one core, and the bounded live memory of
@@ -138,77 +138,53 @@ expectOpEq(const MicroOp &a, const MicroOp &b, size_t i)
     EXPECT_EQ(a.branchTaken, b.branchTaken) << "op " << i;
 }
 
-} // namespace
-
-TEST(DecodedTrace, BatchAppendMatchesSingle)
+/** Content hash of a whole stream, fed in one span. */
+uint64_t
+wholeHash(const std::vector<MicroOp> &ops)
 {
-    const Workload w =
-        categoryWorkload(AppCategory::GamesRendering, 9, 1 << 20);
-    TraceGenerator gen(w);
-    std::vector<MicroOp> ops;
-    gen.fill(ops, 4096);
-
-    DecodedTrace batch;
-    batch.append(ops.data(), ops.size());
-    DecodedTrace single;
-    for (const MicroOp &op : ops)
-        single.append(op);
-
-    ASSERT_EQ(batch.size(), single.size());
-    EXPECT_EQ(batch.contentHash(), single.contentHash());
-    for (size_t i = 0; i < ops.size(); ++i)
-        expectOpEq(batch.opAt(i), single.opAt(i), i);
+    ContentHasher h(ops.size());
+    h.update(ops.data(), ops.size());
+    return h.value();
 }
 
-TEST(DecodedTrace, ContentHashStableAndDiscriminating)
+} // namespace
+
+TEST(TraceStream, ContentHashStableAndDiscriminating)
 {
     const Workload w =
         categoryWorkload(AppCategory::AiAnalytics, 3, 1 << 20);
 
     TraceGenerator g1(w);
+    const uint64_t a = wholeHash(decodeTrace(g1, 30000));
     TraceGenerator g2(w);
-    const DecodedTrace a = decodeTrace(g1, 30000);
-    DecodedTrace b;
+    std::vector<MicroOp> b;
     while (b.size() < 30000)
-        g2.fillDecoded(b,
-                       std::min<uint64_t>(777, 30000 - b.size()));
+        g2.fill(b, std::min<size_t>(777, 30000 - b.size()));
     ASSERT_EQ(b.size(), 30000u);
-    EXPECT_EQ(a.contentHash(), b.contentHash());
+    EXPECT_EQ(a, wholeHash(b));
 
     Workload other = w;
     other.inputSeed = 2;
     TraceGenerator g3(other);
-    const DecodedTrace c = decodeTrace(g3, 30000);
-    EXPECT_NE(a.contentHash(), c.contentHash());
+    EXPECT_NE(a, wholeHash(decodeTrace(g3, 30000)));
 
     // Length matters too.
     TraceGenerator g4(w);
-    const DecodedTrace d = decodeTrace(g4, 29999);
-    EXPECT_NE(a.contentHash(), d.contentHash());
+    EXPECT_NE(a, wholeHash(decodeTrace(g4, 29999)));
 }
 
-TEST(DecodedTrace, IncrementalHashMatchesWholeTrace)
+TEST(TraceStream, IncrementalHashMatchesWholeTrace)
 {
     // The streaming recorder keys the memo with ContentHasher fed the
-    // generator's in-place spans; any chunking, decoded or in place,
-    // must reproduce the whole-trace contentHash() exactly.
+    // generator's in-place spans; any chunking must reproduce the
+    // hash of the whole trace exactly.
     constexpr uint64_t kOps = 20000;
     for (AppCategory cat : kAllCategories) {
         const Workload w = categoryWorkload(cat, 41, 1 << 20);
         TraceGenerator whole_gen(w);
-        const uint64_t whole = decodeTrace(whole_gen, kOps).contentHash();
+        const uint64_t whole = wholeHash(decodeTrace(whole_gen, kOps));
 
         for (uint64_t chunk : {1ull, 4096ull, 4097ull}) {
-            TraceGenerator gen(w);
-            ContentHasher h(kOps);
-            DecodedTrace buf;
-            for (uint64_t done = 0; done < kOps; done += chunk) {
-                buf.clear();
-                gen.fillDecoded(buf, std::min(chunk, kOps - done));
-                h.update(buf);
-            }
-            EXPECT_EQ(h.value(), whole) << "decoded chunk " << chunk;
-
             TraceGenerator span_gen(w);
             ContentHasher span_h(kOps);
             const MicroOp *ops = nullptr;
@@ -228,8 +204,8 @@ TEST(DecodedTrace, IncrementalHashMatchesWholeTrace)
 
 // ---------------------------------------------------------------------
 // Per genome category. The gen-driven run() replays the generator's
-// ops in place and the pre-decoded one rebuilds them from its arrays;
-// the gen-driven side is pinned to goldens and the other must match.
+// ops in place and is pinned to goldens; the span overload replaying
+// the same ops held whole must match it.
 
 namespace {
 
@@ -239,6 +215,10 @@ constexpr uint64_t kGenomeSeed = 29;
  * Retire-time horizon and FNV-1a of counters().raw() after 6 x 10000
  * gen-driven uops from a fresh core (seed kGenomeSeed). Recorded from
  * the AoS fill() replay path, which matched the SoA path bit for bit.
+ * traceHash is streamContentHash() of those 60000 uops, the memo's
+ * trace key (recorded while it still equalled the SoA trace's
+ * contentHash()): if the fold changed, every warm cache would
+ * silently miss.
  */
 struct ReplayGolden
 {
@@ -246,33 +226,34 @@ struct ReplayGolden
     CoreMode mode;
     uint64_t cycles;
     uint64_t countersHash;
+    uint64_t traceHash;
 };
 
 constexpr ReplayGolden kReplayGoldens[] = {
     {AppCategory::HpcPerf, CoreMode::HighPerf, 31190ull,
-     0x80f032560bebb382ull},
+     0x80f032560bebb382ull, 0x43e2d45a994a4428ull},
     {AppCategory::HpcPerf, CoreMode::LowPower, 31163ull,
-     0x3d62620a10b48f7cull},
+     0x3d62620a10b48f7cull, 0x43e2d45a994a4428ull},
     {AppCategory::CloudSecurity, CoreMode::HighPerf, 121889ull,
-     0x65739c26ca06da95ull},
+     0x65739c26ca06da95ull, 0x482d5facd99a842aull},
     {AppCategory::CloudSecurity, CoreMode::LowPower, 122137ull,
-     0x9a173ac1104babbbull},
+     0x9a173ac1104babbbull, 0x482d5facd99a842aull},
     {AppCategory::AiAnalytics, CoreMode::HighPerf, 31214ull,
-     0x1397b91c73240c43ull},
+     0x1397b91c73240c43ull, 0x9ded4c6510bfa11aull},
     {AppCategory::AiAnalytics, CoreMode::LowPower, 31427ull,
-     0xe572568fff140e4eull},
+     0xe572568fff140e4eull, 0x9ded4c6510bfa11aull},
     {AppCategory::WebProductivity, CoreMode::HighPerf, 114875ull,
-     0xebdee2772d895eaaull},
+     0xebdee2772d895eaaull, 0x3abc88eddb34d8ddull},
     {AppCategory::WebProductivity, CoreMode::LowPower, 114963ull,
-     0x4a3085ee08f7673eull},
+     0x4a3085ee08f7673eull, 0x3abc88eddb34d8ddull},
     {AppCategory::Multimedia, CoreMode::HighPerf, 102041ull,
-     0xe932f426b3c8630eull},
+     0xe932f426b3c8630eull, 0x6b5f513045c00ffcull},
     {AppCategory::Multimedia, CoreMode::LowPower, 103353ull,
-     0xf2760ff38a87e630ull},
+     0xf2760ff38a87e630ull, 0x6b5f513045c00ffcull},
     {AppCategory::GamesRendering, CoreMode::HighPerf, 203098ull,
-     0x342ec9d01f21cbdaull},
+     0x342ec9d01f21cbdaull, 0xaae6716f75fd569bull},
     {AppCategory::GamesRendering, CoreMode::LowPower, 324954ull,
-     0x128bd18a72afc626ull},
+     0x128bd18a72afc626ull, 0xaae6716f75fd569bull},
 };
 
 /** The per-uop definitions of the counters HotCtrs::flush derives. */
@@ -342,11 +323,11 @@ countersHash(const ClusteredCore &core)
 class GenomeCategory : public ::testing::TestWithParam<AppCategory>
 {};
 
-TEST_P(GenomeCategory, NextFillAndFillDecodedAgree)
+TEST_P(GenomeCategory, NextAndFillAgree)
 {
-    // The three ways to draw the stream must give the same ops in
-    // the same order, whatever the request sizes and wherever they
-    // fall against the generator's 4096-uop emit chunks.
+    // Both ways to draw the stream must give the same ops in the same
+    // order, whatever the request sizes and wherever they fall
+    // against the generator's 4096-uop emit chunks.
     const Workload w = categoryWorkload(GetParam(), kGenomeSeed, 1 << 20);
     constexpr size_t kOps = 50000;
 
@@ -354,11 +335,6 @@ TEST_P(GenomeCategory, NextFillAndFillDecodedAgree)
     std::vector<MicroOp> aos;
     while (aos.size() < kOps)
         aos_gen.fill(aos, 4097);
-
-    TraceGenerator soa_gen(w);
-    DecodedTrace trace;
-    while (trace.size() < kOps)
-        soa_gen.fillDecoded(trace, 999);
 
     // Request sizes that straddle, match and undershoot emit chunks.
     TraceGenerator span_gen(w);
@@ -374,9 +350,7 @@ TEST_P(GenomeCategory, NextFillAndFillDecodedAgree)
         ASSERT_EQ(span_gen.produced(), spans.size());
     }
 
-    ASSERT_GE(trace.size(), kOps);
     for (size_t i = 0; i < kOps; ++i) {
-        expectOpEq(trace.opAt(i), aos[i], i);
         expectOpEq(spans[i], aos[i], i);
         EXPECT_EQ(spans[i].memSize, aos[i].memSize) << "op " << i;
     }
@@ -411,15 +385,17 @@ TEST_P(GenomeCategory, DerivedStreamCountersMatchStream)
     }
 }
 
-TEST_P(GenomeCategory, PreDecodedReplayMatchesGenDriven)
+TEST_P(GenomeCategory, ReplayMatchesGoldens)
 {
-    // The gen-driven path must reproduce its goldens, and the
-    // pure-replay overload must retire the same stream.
+    // The gen-driven path must reproduce its goldens, and the span
+    // overload must retire the same stream held whole.
     const Workload w = categoryWorkload(GetParam(), kGenomeSeed, 1 << 22);
     constexpr uint64_t kInterval = 10000;
     constexpr uint64_t kTotal = 6 * kInterval;
     TraceGenerator dec_gen(w);
-    const DecodedTrace trace = decodeTrace(dec_gen, kTotal);
+    const std::vector<MicroOp> trace = decodeTrace(dec_gen, kTotal);
+    TraceGenerator hash_gen(w);
+    const uint64_t trace_hash = streamContentHash(hash_gen, kTotal);
     // The rings' windows are exact only while no reservation looks
     // back past them (BandwidthRing); no category may get close.
     const obs::Counter &clamps =
@@ -441,12 +417,13 @@ TEST_P(GenomeCategory, PreDecodedReplayMatchesGenDriven)
         ASSERT_NE(golden, nullptr);
         EXPECT_EQ(inc.currentCycle(), golden->cycles);
         EXPECT_EQ(countersHash(inc), golden->countersHash);
+        EXPECT_EQ(trace_hash, golden->traceHash);
 
         ClusteredCore rep;
         rep.reset();
         rep.setMode(mode);
         for (uint64_t base = 0; base < kTotal; base += kInterval)
-            rep.run(trace, base, kInterval);
+            rep.run(trace.data() + base, kInterval);
         EXPECT_EQ(inc.currentCycle(), rep.currentCycle());
         EXPECT_EQ(inc.counters().raw(), rep.counters().raw());
     }
@@ -460,11 +437,10 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(appCategoryName(info.param));
     });
 
-TEST(DecodedTrace, SteadyStateReplayAllocationBudget)
+TEST(TraceStream, SteadyStateReplayAllocationBudget)
 {
     // The reserve() audit: after warmup, neither the gen-driven
-    // in-place path nor the pre-decoded replay may allocate per
-    // interval (single-phase kernel, so the generator reaches steady
+    // in-place path nor the span replay may allocate per interval (single-phase kernel, so the generator reaches steady
     // state).
     AppGenome g;
     g.name = "alloc_audit";
@@ -495,17 +471,17 @@ TEST(DecodedTrace, SteadyStateReplayAllocationBudget)
         << "gen-driven replay allocates in steady state";
 
     TraceGenerator dec_gen(w);
-    const DecodedTrace trace = decodeTrace(dec_gen, 120000);
-    core.run(trace, 0, 10000); // warm
+    const std::vector<MicroOp> trace = decodeTrace(dec_gen, 120000);
+    core.run(trace.data(), 10000); // warm
 
     g_allocs.store(0);
     g_audit.store(true);
     for (uint64_t base = 10000; base + 10000 <= trace.size();
          base += 10000)
-        core.run(trace, base, 10000);
+        core.run(trace.data() + base, 10000);
     g_audit.store(false);
     EXPECT_EQ(g_allocs.load(), 0u)
-        << "pre-decoded replay allocates in steady state";
+        << "span replay allocates in steady state";
 
     // The block step closed loops and the serve loop share: replay a
     // block, then hand the predictor its row pointers.
@@ -536,13 +512,13 @@ TEST(DecodedTrace, SteadyStateReplayAllocationBudget)
     EXPECT_EQ(rows_seen, 6 * kSubIntervals);
 }
 
-TEST(DecodedTrace, DerivedCountersCoverEveryOpClass)
+TEST(TraceStream, DerivedCountersCoverEveryOpClass)
 {
     // The generator's kernels never emit some classes (IntMul,
     // IntDiv, Nop), so the derived per-class counts are also checked
     // on a random stream that mixes all of them.
     Rng rng(0xc1a55);
-    DecodedTrace trace;
+    std::vector<MicroOp> trace;
     for (int i = 0; i < 6000; ++i) {
         MicroOp op;
         op.cls = static_cast<OpClass>(rng.below(kNumOpClasses));
@@ -554,7 +530,7 @@ TEST(DecodedTrace, DerivedCountersCoverEveryOpClass)
         if (op.isMem())
             op.addr = 0x10000000 + 8 * rng.below(1 << 16);
         op.branchTaken = op.isBranch() && rng.below(2);
-        trace.append(op);
+        trace.push_back(op);
     }
     for (CoreMode mode : {CoreMode::HighPerf, CoreMode::LowPower}) {
         ClusteredCore core;
@@ -562,9 +538,9 @@ TEST(DecodedTrace, DerivedCountersCoverEveryOpClass)
         core.setMode(mode);
         StreamTally tally;
         for (size_t base = 0; base < trace.size(); base += 1000) {
-            core.run(trace, base, 1000);
+            core.run(trace.data() + base, 1000);
             for (size_t i = base; i < base + 1000; ++i)
-                tally.add(trace.opAt(i));
+                tally.add(trace[i]);
             tally.expectMatches(core.counters());
         }
         for (size_t k = 0; k < kNumOpClasses; ++k)
@@ -572,7 +548,7 @@ TEST(DecodedTrace, DerivedCountersCoverEveryOpClass)
     }
 }
 
-TEST(DecodedTrace, CoreFootprintRatchet)
+TEST(TraceStream, CoreFootprintRatchet)
 {
     // Every closed-loop run of a parallel suite holds one live core,
     // so per-core state sets the suite's memory (DESIGN.md §9 lists
@@ -586,7 +562,7 @@ TEST(DecodedTrace, CoreFootprintRatchet)
         << "a default ClusteredCore now allocates " << bytes << " bytes";
 }
 
-TEST(DecodedTrace, StreamedRecordingMemoryIndependentOfLength)
+TEST(TraceStream, StreamedRecordingMemoryIndependentOfLength)
 {
     // Cold dual-mode recording replays each mode from a fresh
     // generator in bounded chunks, so its peak live allocation is set

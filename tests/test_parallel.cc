@@ -492,12 +492,14 @@ TEST(BitIdentity, ClosedLoopSuiteEqualAcrossThreadCounts)
         EXPECT_EQ(serial_stats, parallel_stats) << kind.name;
         EXPECT_GT(serial_stats.at("controller.predictions"), 0.0)
             << kind.name;
-        if (std::string(kind.name) == "vm")
+        if (std::string(kind.name) == "vm") {
             EXPECT_GT(serial_stats.at("controller.vm_trap_failsafes"),
                       0.0);
-        if (std::string(kind.name) == "guardrail")
+        }
+        if (std::string(kind.name) == "guardrail") {
             EXPECT_GT(serial_stats.at("controller.guardrail_trips"),
                       0.0);
+        }
     }
     faults.configure("", fault_seed);
     ThreadPool::configure(1);

@@ -111,52 +111,6 @@ usage()
     return 2;
 }
 
-/** Resolve an <app> spec string into a workload. */
-bool
-resolveApp(const std::string &spec, uint64_t len, Workload &out)
-{
-    const size_t colon = spec.find(':');
-    if (colon == std::string::npos)
-        return false;
-    const std::string kind = spec.substr(0, colon);
-    const std::string arg = spec.substr(colon + 1);
-
-    if (kind == "spec") {
-        for (const auto &app : buildSpecApps()) {
-            if (app.genome.name.find(arg) != std::string::npos) {
-                out.genome = app.genome;
-                break;
-            }
-        }
-        if (out.genome.phases.empty())
-            return false;
-    } else {
-        static const std::pair<const char *, AppCategory> cats[] = {
-            {"hpc", AppCategory::HpcPerf},
-            {"cloud", AppCategory::CloudSecurity},
-            {"ai", AppCategory::AiAnalytics},
-            {"web", AppCategory::WebProductivity},
-            {"media", AppCategory::Multimedia},
-            {"games", AppCategory::GamesRendering},
-        };
-        bool found = false;
-        for (const auto &[name, cat] : cats) {
-            if (kind == name) {
-                out.genome = sampleGenome(
-                    cat, std::strtoull(arg.c_str(), nullptr, 10));
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            return false;
-    }
-    out.inputSeed = 1;
-    out.lengthInstr = len;
-    out.name = out.genome.name;
-    return true;
-}
-
 /**
  * Parse a numeric flag's @p value as a whole decimal number in
  * [@p lo, @p hi]. False on a missing value, trailing junk or an
@@ -175,6 +129,60 @@ parseFlag(const char *value, long long lo, long long hi, T &out)
 }
 
 constexpr long long kMaxFlag = std::numeric_limits<long long>::max();
+
+/**
+ * Resolve an <app> spec string into a workload. False on an unknown
+ * kind, an empty or unmatched spec name, or a seed that is not a
+ * whole decimal number in [0, kMaxFlag].
+ */
+bool
+resolveApp(const std::string &spec, uint64_t len, Workload &out)
+{
+    const size_t colon = spec.find(':');
+    if (colon == std::string::npos)
+        return false;
+    const std::string kind = spec.substr(0, colon);
+    const std::string arg = spec.substr(colon + 1);
+
+    if (kind == "spec") {
+        if (arg.empty())
+            return false;
+        for (const auto &app : buildSpecApps()) {
+            if (app.genome.name.find(arg) != std::string::npos) {
+                out.genome = app.genome;
+                break;
+            }
+        }
+        if (out.genome.phases.empty())
+            return false;
+    } else {
+        static const std::pair<const char *, AppCategory> cats[] = {
+            {"hpc", AppCategory::HpcPerf},
+            {"cloud", AppCategory::CloudSecurity},
+            {"ai", AppCategory::AiAnalytics},
+            {"web", AppCategory::WebProductivity},
+            {"media", AppCategory::Multimedia},
+            {"games", AppCategory::GamesRendering},
+        };
+        uint64_t seed = 0;
+        if (!parseFlag(arg.c_str(), 0, kMaxFlag, seed))
+            return false;
+        bool found = false;
+        for (const auto &[name, cat] : cats) {
+            if (kind == name) {
+                out.genome = sampleGenome(cat, seed);
+                found = true;
+                break;
+            }
+        }
+        if (!found)
+            return false;
+    }
+    out.inputSeed = 1;
+    out.lengthInstr = len;
+    out.name = out.genome.name;
+    return true;
+}
 
 /** The --len value (instructions), @p len untouched when absent. */
 bool
@@ -475,20 +483,33 @@ spawnSelf(const std::vector<std::string> &args,
     return pid;
 }
 
-/** The env prefixes a fleet child must never inherit verbatim. */
+/** The env prefixes a fleet worker must never inherit verbatim. */
 const std::vector<std::string> kFleetDropPrefixes = {
     "PSCA_DIST_", "PSCA_JOURNAL=", "PSCA_REPORT_DIR=",
     "PSCA_HTTP_PORT="};
 
 /**
+ * The env prefixes chaos children must never inherit: chaos sets
+ * their cache directory and fault schedule itself, and they must not
+ * resume the caller's run.
+ */
+const std::vector<std::string> kChaosDropPrefixes = {
+    "PSCA_DIST_",      "PSCA_JOURNAL=",    "PSCA_REPORT_DIR=",
+    "PSCA_HTTP_PORT=", "PSCA_CACHE_DIR=",  "PSCA_FAULTS=",
+    "PSCA_FAULT_SEED=", "PSCA_RESUME="};
+
+/**
  * fork+exec one worker: same binary, `fleet --workers 0`, with the
  * fleet role env spliced in. @p addr may be "auto" so the worker
  * finds the coordinator through the address file — the form that
- * survives coordinator restarts, which republish a fresh port.
+ * survives coordinator restarts, which republish a fresh port. The
+ * worker reports under @p dir, the run's cache directory. A
+ * non-empty @p chaos_env makes it a chaos child (kChaosDropPrefixes)
+ * and goes before the role env.
  */
 pid_t
 spawnFleetWorker(int index, const std::string &addr,
-                 const std::string &out_path,
+                 const std::string &out_path, const std::string &dir,
                  const std::vector<std::string> &chaos_env = {})
 {
     std::vector<std::string> extra = chaos_env;
@@ -497,13 +518,14 @@ spawnFleetWorker(int index, const std::string &addr,
     // The coordinator owns the journal; workers report to their own
     // directory so they cannot clobber the coordinator's run report.
     extra.push_back("PSCA_JOURNAL=0");
-    const std::string rdir =
-        cacheDirectory() + "/workers/w" + std::to_string(index);
+    const std::string rdir = dir + "/workers/w" + std::to_string(index);
     std::filesystem::create_directories(rdir);
     extra.push_back("PSCA_REPORT_DIR=" + rdir);
     return spawnSelf({"psca", "fleet", "--workers", "0", "--out",
                       out_path},
-                     kFleetDropPrefixes, extra);
+                     chaos_env.empty() ? kFleetDropPrefixes
+                                       : kChaosDropPrefixes,
+                     extra);
 }
 
 /**
@@ -511,6 +533,7 @@ spawnFleetWorker(int index, const std::string &addr,
  * coordinator role spliced in, so cmdFleet in the child serves the
  * fleet without forking workers of its own. The supervisor parent
  * respawns it after a crash; the journal resumes completed work.
+ * @p chaos_env as for spawnFleetWorker.
  */
 pid_t
 spawnFleetCoordinator(int workers, const std::string &out_path,
@@ -520,12 +543,15 @@ spawnFleetCoordinator(int workers, const std::string &out_path,
     extra.push_back("PSCA_DIST_ROLE=coordinator");
     extra.push_back("PSCA_DIST_ADDR=auto");
     extra.push_back("PSCA_DIST_WORKERS=" + std::to_string(workers));
-    // Unlike workers, the coordinator keeps the caller's journal and
+    // Outside chaos the coordinator keeps the caller's journal and
     // report settings: its journal is what makes the restart resume,
     // and its fleet.json is the report of record.
+    const std::vector<std::string> fleet_drop = {"PSCA_DIST_",
+                                                 "PSCA_HTTP_PORT="};
     return spawnSelf({"psca", "fleet", "--workers", "0", "--out",
                       out_path},
-                     {"PSCA_DIST_", "PSCA_HTTP_PORT="}, extra);
+                     chaos_env.empty() ? fleet_drop : kChaosDropPrefixes,
+                     extra);
 }
 
 int
@@ -563,7 +589,8 @@ cmdFleet(int argc, char **argv)
                     workers, max_restarts);
         std::vector<pid_t> kids;
         for (int i = 1; i <= workers; ++i)
-            kids.push_back(spawnFleetWorker(i, "auto", out_path));
+            kids.push_back(spawnFleetWorker(i, "auto", out_path,
+                                            cacheDirectory()));
         const int rc = runner::supervise(
             [&] { return spawnFleetCoordinator(workers, out_path); },
             max_restarts, "fleet coordinator");
@@ -597,8 +624,8 @@ cmdFleet(int argc, char **argv)
             std::printf("fleet: coordinating %d workers on %s\n",
                         workers, addr.c_str());
             for (int i = 1; i <= workers; ++i)
-                kids.push_back(
-                    spawnFleetWorker(i, addr, out_path));
+                kids.push_back(spawnFleetWorker(i, addr, out_path,
+                                                cacheDirectory()));
         }
     }
 
@@ -657,12 +684,6 @@ reportValue(const std::string &path, const std::string &name)
         return 0.0;
     return std::strtod(text.c_str() + colon + 1, nullptr);
 }
-
-/** The env prefixes chaos children must never inherit. */
-const std::vector<std::string> kChaosDropPrefixes = {
-    "PSCA_DIST_",      "PSCA_JOURNAL=",    "PSCA_REPORT_DIR=",
-    "PSCA_HTTP_PORT=", "PSCA_CACHE_DIR=",  "PSCA_FAULTS=",
-    "PSCA_FAULT_SEED=", "PSCA_RESUME="};
 
 /**
  * Chaos soak (ISSUE: robustness): run the fleet campaign twice —
@@ -736,29 +757,23 @@ cmdChaos(int argc, char **argv)
                 workers, spec.str().c_str(),
                 static_cast<unsigned long long>(kill_at));
 
-    const std::vector<std::string> fault_env = {
+    const std::string out_path = run_dir + "/fleet_fw.bin";
+    const std::vector<std::string> chaos_env = {
         "PSCA_FAULTS=" + spec.str(),
-        "PSCA_FAULT_SEED=" + std::to_string(seed)};
+        "PSCA_FAULT_SEED=" + std::to_string(seed),
+        "PSCA_CACHE_DIR=" + run_dir};
+    // Workers ride out the coordinator's death: they retry and wait
+    // long enough for the supervisor to bring a new one up.
+    std::vector<std::string> worker_env = chaos_env;
+    worker_env.insert(worker_env.end(),
+                      {"PSCA_DIST_RETRIES=10", "PSCA_DIST_CONNECT_S=30",
+                       "PSCA_DIST_IO_TIMEOUT_S=30",
+                       "PSCA_DIST_HEARTBEAT_MS=100"});
 
     std::vector<pid_t> kids;
-    for (int i = 1; i <= workers; ++i) {
-        const std::string rdir =
-            run_dir + "/workers/w" + std::to_string(i);
-        std::filesystem::create_directories(rdir);
-        std::vector<std::string> extra = fault_env;
-        extra.insert(extra.end(),
-                     {"PSCA_CACHE_DIR=" + run_dir,
-                      "PSCA_REPORT_DIR=" + rdir, "PSCA_JOURNAL=0",
-                      "PSCA_DIST_ROLE=worker", "PSCA_DIST_ADDR=auto",
-                      "PSCA_DIST_RETRIES=10",
-                      "PSCA_DIST_CONNECT_S=30",
-                      "PSCA_DIST_IO_TIMEOUT_S=30",
-                      "PSCA_DIST_HEARTBEAT_MS=100"});
+    for (int i = 1; i <= workers; ++i)
         kids.push_back(
-            spawnSelf({"psca", "fleet", "--workers", "0", "--out",
-                       run_dir + "/fleet_fw.bin"},
-                      kChaosDropPrefixes, extra));
-    }
+            spawnFleetWorker(i, "auto", out_path, run_dir, worker_env));
 
     // The killer thread waits for the coordinator's journal to show
     // real mid-scope progress, then SIGKILLs whatever incarnation is
@@ -783,19 +798,12 @@ cmdChaos(int argc, char **argv)
         }
     });
 
-    std::vector<std::string> coord_extra = fault_env;
-    coord_extra.insert(coord_extra.end(),
-                       {"PSCA_CACHE_DIR=" + run_dir,
-                        "PSCA_REPORT_DIR=" + run_dir,
-                        "PSCA_DIST_ROLE=coordinator",
-                        "PSCA_DIST_ADDR=auto",
-                        "PSCA_DIST_WORKERS=" +
-                            std::to_string(workers)});
+    std::vector<std::string> coord_env = chaos_env;
+    coord_env.push_back("PSCA_REPORT_DIR=" + run_dir);
     const int rc_run = runner::supervise(
         [&] {
-            return spawnSelf({"psca", "fleet", "--workers", "0",
-                              "--out", run_dir + "/fleet_fw.bin"},
-                             kChaosDropPrefixes, coord_extra);
+            return spawnFleetCoordinator(static_cast<int>(workers),
+                                         out_path, coord_env);
         },
         /*max_restarts=*/3, "chaos coordinator", &current);
     killer_stop.store(true);
