@@ -23,6 +23,10 @@ constexpr uint64_t kJournalMagic = 0x505343414a524e4cULL; // "PSCAJRNL"
 constexpr uint32_t kJournalVersion = 1;
 constexpr uint64_t kCkptMagic = 0x50534341434b5054ULL; // "PSCACKPT"
 constexpr uint32_t kCkptVersion = 1;
+/** Checkpoint bytes before the payload: magic, version, then the
+ *  scope/config/unit keys (Journal::commitUnit writes them). */
+constexpr uint64_t kCkptHeaderBytes =
+    sizeof(kCkptMagic) + sizeof(kCkptVersion) + 3 * sizeof(uint64_t);
 
 /** Unit attempts before the exception propagates (requeue budget). */
 constexpr int kUnitAttempts = 3;
@@ -115,6 +119,37 @@ retryBackoffSleep(uint64_t key, int attempt)
 {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(retryBackoffMs(key, attempt)));
+}
+
+void
+runUnit(const std::string &scope, uint64_t config_h, size_t i,
+        const std::function<void(size_t)> &exec_unit,
+        const char *span_name, std::atomic<uint64_t> *retry_tally)
+{
+    const uint64_t retry_key =
+        mixSeeds(mixSeeds(Journal::scopeHash(scope), config_h),
+                 static_cast<uint64_t>(i));
+    const uint64_t span_start = traceHooksEnabled() ? steadyNowNs() : 0;
+    for (int attempt = 0;; ++attempt) {
+        try {
+            exec_unit(i);
+            break;
+        } catch (const RunInterrupted &) {
+            throw;
+        } catch (const std::exception &e) {
+            if (attempt + 1 >= kUnitAttempts)
+                throw;
+            if (retry_tally != nullptr)
+                retry_tally->fetch_add(1, std::memory_order_relaxed);
+            warn("unit ", i, " of scope '", scope, "' failed (",
+                 e.what(), "); requeued (attempt ", attempt + 2, "/",
+                 kUnitAttempts, ")");
+            retryBackoffSleep(retry_key, attempt);
+        }
+    }
+    if (span_start)
+        traceSpanHook(span_name, span_start, steadyNowNs(), "unit",
+                      static_cast<long long>(i));
 }
 
 bool
@@ -291,6 +326,26 @@ encodeFrame(const Journal::Entry &e, std::vector<uint8_t> &buf)
 }
 
 /**
+ * Size an open journal stream into @p size and read its header; true
+ * when the magic and version match, leaving the stream at frame 0.
+ */
+bool
+readJournalHeader(std::ifstream &in, uint64_t &size)
+{
+    size = 0;
+    if (in) {
+        in.seekg(0, std::ios::end);
+        size = static_cast<uint64_t>(in.tellg());
+        in.seekg(0, std::ios::beg);
+    }
+    uint64_t magic = 0;
+    uint32_t version = 0;
+    in.read(reinterpret_cast<char *>(&magic), sizeof(magic));
+    in.read(reinterpret_cast<char *>(&version), sizeof(version));
+    return in && magic == kJournalMagic && version == kJournalVersion;
+}
+
+/**
  * Replay every well-formed frame of an open journal stream. Returns
  * the byte offset just past the last good frame; entries beyond it
  * (a torn tail) are the caller's to truncate.
@@ -347,18 +402,7 @@ Journal::openAndReplay(bool resume)
     if (resume && std::filesystem::exists(path, ec)) {
         std::ifstream in(path, std::ios::binary);
         uint64_t size = 0;
-        if (in) {
-            in.seekg(0, std::ios::end);
-            size = static_cast<uint64_t>(in.tellg());
-            in.seekg(0, std::ios::beg);
-        }
-        uint64_t magic = 0;
-        uint32_t version = 0;
-        in.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-        in.read(reinterpret_cast<char *>(&version), sizeof(version));
-        if (!in || magic != kJournalMagic ||
-            version != kJournalVersion)
-        {
+        if (!readJournalHeader(in, size)) {
             // Not a torn tail: the journal itself is unusable. Move
             // it aside and rebuild from scratch.
             quarantineFile(path, "journal header corrupt");
@@ -650,58 +694,12 @@ Journal::runCheckpointed(
             interrupted.store(true, std::memory_order_relaxed);
             return;
         }
-        // Soft-failure requeue: a unit that throws is retried with a
-        // deterministic backoff (a taskSeed substream, satellite of
-        // the bounded-IO-retry scheme) before the exception is
-        // allowed to take down the region.
-        const uint64_t retry_key =
-            mixSeeds(mixSeeds(scope_h, config_h),
-                     static_cast<uint64_t>(i));
-        const uint64_t span_start =
-            traceHooksEnabled() ? steadyNowNs() : 0;
-        for (int attempt = 0;; ++attempt) {
-            try {
-                exec_unit(i);
-                break;
-            } catch (const RunInterrupted &) {
-                throw;
-            } catch (const std::exception &e) {
-                if (attempt + 1 >= kUnitAttempts)
-                    throw;
-                unitRetries_.fetch_add(1,
-                                       std::memory_order_relaxed);
-                warn("unit ", i, " of scope '", scope,
-                     "' failed (", e.what(), "); requeued (attempt ",
-                     attempt + 2, "/", kUnitAttempts, ")");
-                retryBackoffSleep(retry_key, attempt);
-            }
-        }
-
-        if (span_start)
-            traceSpanHook("journal.unit", span_start, steadyNowNs(),
-                          "unit", static_cast<long long>(i));
-
-        uint64_t sum = 0;
-        const bool stored = writeArtifactFile(
-            unitPath(scope_h, config_h, i),
-            [&](BinaryWriter &out) {
-                writeFileHeader(out, kCkptMagic, kCkptVersion);
-                out.put(scope_h);
-                out.put(config_h);
-                out.put(static_cast<uint64_t>(i));
-                save_unit(i, out);
-                out.putChecksumTrailer();
-            },
-            &sum);
-        if (stored) {
-            Entry e;
-            e.type = EntryType::UnitDone;
-            e.scopeHash = scope_h;
-            e.configHash = config_h;
-            e.unitIndex = i;
-            e.artifactSum = sum;
-            appendEntry(e);
-        } else {
+        runUnit(scope, config_h, i, exec_unit, "journal.unit",
+                &unitRetries_);
+        const bool stored = commitUnit(
+            scope_h, config_h, i,
+            [&](BinaryWriter &out) { save_unit(i, out); });
+        if (!stored) {
             // Checkpointing is best-effort: the unit's in-memory
             // result is still valid, it just cannot be skipped on a
             // future resume.
@@ -731,7 +729,16 @@ Journal::commitUnitPayload(const std::string &scope,
     if (!enabled_)
         return false;
     active_.store(true, std::memory_order_relaxed);
-    const uint64_t scope_h = scopeHash(scope);
+    return commitUnit(scopeHash(scope), config_h, unit,
+                      [&](BinaryWriter &out) {
+                          out.putBytes(payload, size);
+                      });
+}
+
+bool
+Journal::commitUnit(uint64_t scope_h, uint64_t config_h, uint64_t unit,
+                    const std::function<void(BinaryWriter &)> &payload_fill)
+{
     uint64_t sum = 0;
     const bool stored = writeArtifactFile(
         unitPath(scope_h, config_h, unit),
@@ -740,7 +747,7 @@ Journal::commitUnitPayload(const std::string &scope,
             out.put(scope_h);
             out.put(config_h);
             out.put(unit);
-            out.putBytes(payload, size);
+            payload_fill(out);
             out.putChecksumTrailer();
         },
         &sum);
@@ -779,9 +786,7 @@ Journal::readUnitPayload(const std::string &scope, uint64_t config_h,
     if (!raw)
         return false;
     const uint64_t total = static_cast<uint64_t>(raw.tellg());
-    // magic + version (12), scope/config/unit keys (24), trailer (8).
-    constexpr uint64_t kHeaderBytes = 12 + 24;
-    constexpr uint64_t kWrapBytes = kHeaderBytes + 8;
+    constexpr uint64_t kWrapBytes = kCkptHeaderBytes + sizeof(uint64_t);
     if (total < kWrapBytes)
         return false;
     raw.seekg(0);
@@ -794,7 +799,7 @@ Journal::readUnitPayload(const std::string &scope, uint64_t config_h,
     if (fnv1aUpdate(kFnv1aBasis, all.data(),
                     static_cast<size_t>(total - 8)) != expect)
         return false;
-    payload.assign(all, kHeaderBytes,
+    payload.assign(all, kCkptHeaderBytes,
                    static_cast<size_t>(total - kWrapBytes));
     return true;
 }
@@ -829,16 +834,8 @@ size_t
 Journal::countEntries(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return 0;
-    in.seekg(0, std::ios::end);
-    const uint64_t size = static_cast<uint64_t>(in.tellg());
-    in.seekg(0, std::ios::beg);
-    uint64_t magic = 0;
-    uint32_t version = 0;
-    in.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-    in.read(reinterpret_cast<char *>(&version), sizeof(version));
-    if (!in || magic != kJournalMagic || version != kJournalVersion)
+    uint64_t size = 0;
+    if (!readJournalHeader(in, size))
         return 0;
     size_t count = 0;
     replayFrames(in, size, [&count](const Entry &) { ++count; });

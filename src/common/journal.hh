@@ -152,6 +152,20 @@ int retryBackoffMs(uint64_t key, int attempt);
 void retryBackoffSleep(uint64_t key, int attempt);
 
 /**
+ * Run unit @p i of a checkpointed scope: the one retry loop that the
+ * local journal path and fleet workers share. A unit that throws is
+ * retried after retryBackoffSleep() keyed on (scope, config, unit)
+ * until its attempt budget is spent, then the exception propagates;
+ * RunInterrupted propagates at once. Each retry adds one to
+ * @p retry_tally when given. With trace hooks on, the run (retries
+ * included) is one @p span_name span.
+ */
+void runUnit(const std::string &scope, uint64_t config_h, size_t i,
+             const std::function<void(size_t)> &exec_unit,
+             const char *span_name,
+             std::atomic<uint64_t> *retry_tally = nullptr);
+
+/**
  * Transactionally publish one artifact file: the callback writes the
  * payload through a BinaryWriter positioned on a unique temp file;
  * the store flushes, fsync()s, and atomically renames into place.
@@ -360,6 +374,13 @@ class Journal
 
     void openAndReplay(bool resume);
     void appendEntry(const Entry &entry);
+    /**
+     * The one checkpoint writer: publish unit @p unit's artifact
+     * (header, keys, @p payload_fill's bytes, trailer) atomically and
+     * journal it. False on IO failure (nothing journaled).
+     */
+    bool commitUnit(uint64_t scope_h, uint64_t config_h, uint64_t unit,
+                    const std::function<void(BinaryWriter &)> &payload_fill);
     bool verifyAndLoadUnit(
         uint64_t scope_h, uint64_t config_h, uint64_t unit,
         uint64_t expect_sum,

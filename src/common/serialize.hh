@@ -168,9 +168,6 @@ class BinaryReader
     /** True if the source opened and no read error has occurred. */
     bool good() const { return static_cast<bool>(*in_); }
 
-    /** Total file size in bytes (0 when the open failed). */
-    uint64_t fileSize() const { return fileSize_; }
-
     /** Read one trivially-copyable value. */
     template <typename T>
     T

@@ -71,15 +71,6 @@ struct TraceRecord
     {
         return deltaLow.data() + t * numCounters;
     }
-
-    /** IPC ratio low/high of interval t (= cyclesHigh/cyclesLow). */
-    double
-    ipcRatio(size_t t) const
-    {
-        return cyclesLow[t] > 0.0f
-            ? static_cast<double>(cyclesHigh[t]) / cyclesLow[t]
-            : 1.0;
-    }
 };
 
 /**

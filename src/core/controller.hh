@@ -199,9 +199,6 @@ class BlockReplayer
     /** Stable fault-stream identity of this workload. */
     uint64_t traceKey() const { return traceKey_; }
 
-    /** Blocks replayed so far. */
-    uint64_t blocksRun() const { return block_; }
-
     /** Cumulative cluster mode switches of the simulated core. */
     uint64_t modeSwitches() const;
 

@@ -21,46 +21,6 @@ maxFramePayloadCap()
 }
 
 const char *
-msgName(Msg m)
-{
-    switch (m) {
-      case Msg::Hello:
-        return "Hello";
-      case Msg::ScopeEnter:
-        return "ScopeEnter";
-      case Msg::Poll:
-        return "Poll";
-      case Msg::Result:
-        return "Result";
-      case Msg::Fetch:
-        return "Fetch";
-      case Msg::ScopeLeave:
-        return "ScopeLeave";
-      case Msg::Heartbeat:
-        return "Heartbeat";
-      case Msg::Bye:
-        return "Bye";
-      case Msg::Welcome:
-        return "Welcome";
-      case Msg::Assign:
-        return "Assign";
-      case Msg::Wait:
-        return "Wait";
-      case Msg::ScopeDone:
-        return "ScopeDone";
-      case Msg::Data:
-        return "Data";
-      case Msg::Ack:
-        return "Ack";
-      case Msg::Shutdown:
-        return "Shutdown";
-      case Msg::Error:
-        return "Error";
-    }
-    return "?";
-}
-
-const char *
 recvStatusName(RecvStatus s)
 {
     switch (s) {

@@ -65,8 +65,6 @@ enum class Msg : uint8_t
     Error = 39,     //!< protocol/config divergence; drop connection
 };
 
-const char *msgName(Msg m);
-
 /** One decoded frame. */
 struct Frame
 {

@@ -384,34 +384,8 @@ Worker::runScope(
                             cv.notify_one();
                             return;
                         }
-                        // Same bounded retry semantics as the local
-                        // checkpointed path.
-                        const uint64_t retry_key = mixSeeds(
-                            mixSeeds(scope_h, config_h),
-                            static_cast<uint64_t>(i));
-                        const uint64_t span_start =
-                            traceHooksEnabled() ? steadyNowNs() : 0;
-                        for (int attempt = 0;; ++attempt) {
-                            try {
-                                exec_unit(i);
-                                break;
-                            } catch (const RunInterrupted &) {
-                                throw;
-                            } catch (const std::exception &e) {
-                                if (attempt + 1 >= 3)
-                                    throw;
-                                warn("dist: unit ", i, " of '",
-                                     scope, "' failed (", e.what(),
-                                     "); retrying");
-                                retryBackoffSleep(retry_key,
-                                                  attempt);
-                            }
-                        }
-                        if (span_start)
-                            traceSpanHook(
-                                "dist.unit", span_start,
-                                steadyNowNs(), "unit",
-                                static_cast<long long>(i));
+                        runUnit(scope, config_h, i, exec_unit,
+                                "dist.unit");
                         BinaryWriter w;
                         save_unit(i, w);
                         std::lock_guard<std::mutex> lock(mu);

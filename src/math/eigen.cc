@@ -90,21 +90,4 @@ jacobiEigenSymmetric(const Matrix &a, int max_sweeps)
     return result;
 }
 
-EigenResult
-topEigenSymmetric(const Matrix &a, size_t k)
-{
-    EigenResult full = jacobiEigenSymmetric(a);
-    const size_t keep = std::min(k, full.eigenvalues.size());
-
-    EigenResult out;
-    out.eigenvalues.assign(full.eigenvalues.begin(),
-                           full.eigenvalues.begin() +
-                               static_cast<ptrdiff_t>(keep));
-    out.eigenvectors = Matrix(keep, a.rows());
-    for (size_t i = 0; i < keep; ++i)
-        for (size_t j = 0; j < a.rows(); ++j)
-            out.eigenvectors(i, j) = full.eigenvectors(i, j);
-    return out;
-}
-
 } // namespace psca

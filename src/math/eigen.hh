@@ -1,8 +1,10 @@
 /**
  * @file
- * Symmetric eigendecomposition via cyclic Jacobi rotations, used by
- * the Perona-Freeman counter-selection algorithm (Alg. 1 in the paper)
- * to extract the second eigenvector of a counter covariance matrix.
+ * Symmetric eigendecomposition via cyclic Jacobi rotations. The
+ * Perona-Freeman counter selection (Alg. 1 in the paper) extracts its
+ * leading eigenvectors by power iteration (leadingEigenvectors in
+ * core/pf_selection.hh); this full decomposition is the reference the
+ * tests check that power iteration against.
  */
 
 #ifndef PSCA_MATH_EIGEN_HH
@@ -33,12 +35,6 @@ struct EigenResult
  * @return Eigenpairs sorted by descending eigenvalue.
  */
 EigenResult jacobiEigenSymmetric(const Matrix &a, int max_sweeps = 64);
-
-/**
- * Leading eigenpairs via the same full decomposition; convenience for
- * callers that only need the top-k (e.g. PF selection needs k = 2).
- */
-EigenResult topEigenSymmetric(const Matrix &a, size_t k);
 
 } // namespace psca
 

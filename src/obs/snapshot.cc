@@ -1,7 +1,6 @@
 #include "obs/snapshot.hh"
 
 #include <atomic>
-#include <cstdio>
 #include <ostream>
 
 #include "common/serialize.hh"
@@ -87,44 +86,6 @@ StatSnapshot::deserialize(BinaryReader &in)
             return false;
     }
     return in.good();
-}
-
-bool
-StatSnapshot::writeFile(const std::string &path) const
-{
-    BinaryWriter out(path);
-    writeFileHeader(out, kSnapshotMagic, kSnapshotVersion);
-    serialize(out);
-    out.putChecksumTrailer();
-    return out.good();
-}
-
-bool
-StatSnapshot::readFile(const std::string &path)
-{
-    counters.clear();
-    gauges.clear();
-    histograms.clear();
-    BinaryReader in(path);
-    if (!in.good()) {
-        warn("stat snapshot '", path, "': cannot open");
-        return false;
-    }
-    const HeaderCheck hc =
-        readFileHeader(in, kSnapshotMagic, kSnapshotVersion);
-    if (hc != HeaderCheck::Ok) {
-        warn("stat snapshot '", path, "': ", headerCheckName(hc));
-        return false;
-    }
-    if (!deserialize(in) || !in.verifyChecksumTrailer()) {
-        warn("stat snapshot '", path,
-             "': corrupt payload or checksum mismatch");
-        counters.clear();
-        gauges.clear();
-        histograms.clear();
-        return false;
-    }
-    return true;
 }
 
 namespace {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Mergeable stat snapshots (DESIGN.md §12): a plain-data copy of a
- * StatRegistry that can be serialized to a compact checksummed binary
- * blob, shipped across a process boundary, and folded into another
+ * StatRegistry that can be serialized to a compact binary payload,
+ * shipped across a process boundary, and folded into another
  * snapshot. The merge rules are commutative and associative —
  * counters sum, gauges take the max (order-invariant; shards that
  * agree on a configuration gauge reproduce it exactly), histograms
@@ -30,10 +30,6 @@ class BinaryWriter;
 
 namespace obs {
 
-/** On-disk snapshot format identity ("PSCASNAP", revision 1). */
-constexpr uint64_t kSnapshotMagic = 0x50534341534e4150ULL;
-constexpr uint32_t kSnapshotVersion = 1;
-
 /** One registry's stats, detached from the live atomic objects. */
 struct StatSnapshot
 {
@@ -50,20 +46,13 @@ struct StatSnapshot
      */
     void merge(const StatSnapshot &other);
 
-    /** Payload codec (no header/trailer; see writeFile/readFile). */
+    /**
+     * Payload codec, no header or trailer: the fleet carries it inside
+     * checksummed ScopeLeave frames. deserialize() is false on a
+     * truncated or malformed payload.
+     */
     void serialize(BinaryWriter &out) const;
     bool deserialize(BinaryReader &in);
-
-    /**
-     * Whole-file codec in the serialize.hh cache idiom: standard
-     * (magic, version) header, payload, FNV-1a checksum trailer.
-     * writeFile() returns false on an IO error (partial file left for
-     * the caller); readFile() returns false — without quarantining,
-     * that is the caller's policy — on any open/header/checksum
-     * failure, leaving *this empty.
-     */
-    bool writeFile(const std::string &path) const;
-    bool readFile(const std::string &path);
 
     /**
      * The "counters"/"gauges"/"histograms" report sections, exactly

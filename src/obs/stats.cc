@@ -291,22 +291,6 @@ StatRegistry::findCounter(const std::string &name) const
     return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Gauge *
-StatRegistry::findGauge(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? nullptr : it->second.get();
-}
-
-const Histogram *
-StatRegistry::findHistogram(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : it->second.get();
-}
-
 void
 StatRegistry::reset()
 {

@@ -327,8 +327,6 @@ class StatRegistry
 
     /** Lookup without creating (nullptr when absent). */
     const Counter *findCounter(const std::string &name) const;
-    const Gauge *findGauge(const std::string &name) const;
-    const Histogram *findHistogram(const std::string &name) const;
 
     /** Zero every stat's value; registered objects stay alive. */
     void reset();

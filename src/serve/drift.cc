@@ -23,7 +23,6 @@ DriftDetector::setReference(const FeatureScaler &high,
     count_ = 0;
     trips_ = 0;
     baselineTripRate_ = -1.0;
-    windows_ = 0;
 }
 
 void
@@ -87,7 +86,6 @@ DriftDetector::takeWindow()
     sumZ2_.assign(dims_, 0.0);
     count_ = 0;
     trips_ = 0;
-    ++windows_;
     return v;
 }
 

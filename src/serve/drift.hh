@@ -95,9 +95,6 @@ class DriftDetector
      */
     DriftVerdict takeWindow();
 
-    /** Windows evaluated since the last setReference(). */
-    uint64_t windowsEvaluated() const { return windows_; }
-
   private:
     DriftConfig cfg_;
     FeatureScaler high_;
@@ -108,7 +105,6 @@ class DriftDetector
     size_t count_ = 0;
     uint64_t trips_ = 0;
     double baselineTripRate_ = -1.0; //!< <0 until first window
-    uint64_t windows_ = 0;
 };
 
 } // namespace serve

@@ -63,26 +63,6 @@ hdtrTraceCount(const AppGenome &app)
     return 6;
 }
 
-std::vector<Workload>
-hdtrWorkloads(const std::vector<AppGenome> &apps,
-              uint64_t trace_len_instr)
-{
-    std::vector<Workload> traces;
-    for (const auto &app : apps) {
-        const int n = hdtrTraceCount(app);
-        for (int t = 0; t < n; ++t) {
-            Workload w;
-            w.genome = app;
-            w.inputSeed = 1; // HDTR records one input per app
-            w.traceIndex = static_cast<uint64_t>(t);
-            w.lengthInstr = trace_len_instr;
-            w.name = app.name + ".t" + std::to_string(t);
-            traces.push_back(std::move(w));
-        }
-    }
-    return traces;
-}
-
 namespace {
 
 PhaseSpec

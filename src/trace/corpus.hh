@@ -60,10 +60,6 @@ std::vector<AppGenome> buildHdtrApps(int count = 593,
 /** Deterministic per-app trace count (averages ~4.5, as 2648/593). */
 int hdtrTraceCount(const AppGenome &app);
 
-/** Build the (up to 2,648) HDTR trace list for an app population. */
-std::vector<Workload> hdtrWorkloads(const std::vector<AppGenome> &apps,
-                                    uint64_t trace_len_instr);
-
 /** One SPEC2017 stand-in benchmark. */
 struct SpecApp
 {

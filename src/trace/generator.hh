@@ -61,12 +61,6 @@ class TraceGenerator
     /** Micro-ops produced since construction/reset. */
     uint64_t produced() const { return produced_; }
 
-    /** The input-perturbed phase set actually being executed. */
-    const std::vector<PhaseSpec> &effectivePhases() const
-    {
-        return phases_;
-    }
-
   private:
     void enterNextPhase();
 

@@ -58,8 +58,7 @@ constexpr int8_t kDataReg = 16;
 Kernel::Kernel(const KernelParams &params, uint64_t pc_base,
                uint64_t mem_base)
     : params_(params), pc_base_(pc_base), mem_base_(mem_base),
-      ws_mask_(roundUpPow2(params.workingSetBytes) - 1),
-      pc_cursor_(pc_base)
+      ws_mask_(roundUpPow2(params.workingSetBytes) - 1)
 {}
 
 namespace {

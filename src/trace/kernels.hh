@@ -99,14 +99,6 @@ class Kernel
         return mem_base_ + (offset & ws_mask_);
     }
 
-    /** Advance and return the next static pc in the kernel's region. */
-    uint64_t
-    nextPc()
-    {
-        pc_cursor_ = pc_base_ + ((pc_cursor_ - pc_base_ + 4) & 0xffff);
-        return pc_cursor_;
-    }
-
     /** Arithmetic op class honoring the fp flag. */
     OpClass
     arithClass(Rng &rng) const
@@ -125,7 +117,6 @@ class Kernel
     uint64_t pc_base_;
     uint64_t mem_base_;
     uint64_t ws_mask_;
-    uint64_t pc_cursor_;
 };
 
 /**

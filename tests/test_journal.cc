@@ -3,8 +3,8 @@
  * Tests for the crash-safe execution journal (common/journal.hh):
  * transactional artifact writes, two-phase multi-file commits,
  * journal replay and resume, torn-tail truncation, header-corruption
- * quarantine, checkpoint tampering, deterministic retry backoff, and
- * the cooperative stop flag.
+ * quarantine, checkpoint tampering, the coordinator's checkpoint merge
+ * path, deterministic retry backoff, and the cooperative stop flag.
  */
 
 #include <gtest/gtest.h>
@@ -436,6 +436,70 @@ TEST(Journal, StopRequestInterruptsAtUnitBoundary)
     for (size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], unitValue(i));
     EXPECT_EQ(journal.unitsDone("test.units", 7), 8u);
+}
+
+/** Whole-file bytes (empty when the file is missing). */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(Journal, MergePathAndLocalPathShareOneCheckpointFormat)
+{
+    const std::string local_dir = scratchDir("merge_local");
+    const std::string merged_dir = scratchDir("merge_coord");
+    const uint64_t scope_h = Journal::scopeHash("test.units");
+    {
+        Journal local(local_dir, true, true);
+        runUnits(local, 8);
+        Journal merged(merged_dir, true, true);
+        for (uint64_t i = 0; i < 8; ++i) {
+            // readUnitPayload strips exactly what save_unit wrote.
+            BinaryWriter w;
+            w.put(unitValue(i));
+            const std::string expect = w.takeBuffer();
+            std::string payload;
+            ASSERT_TRUE(
+                local.readUnitPayload("test.units", 7, i, payload));
+            EXPECT_EQ(payload, expect) << "unit " << i;
+            // The coordinator's merge path publishes the same file.
+            ASSERT_TRUE(merged.commitUnitPayload(
+                "test.units", 7, i, payload.data(), payload.size()));
+            const std::string local_file =
+                fileBytes(local.unitPath(scope_h, 7, i));
+            ASSERT_FALSE(local_file.empty());
+            EXPECT_EQ(fileBytes(merged.unitPath(scope_h, 7, i)),
+                      local_file)
+                << "unit " << i;
+        }
+        std::string payload;
+        EXPECT_FALSE(local.readUnitPayload("test.units", 7, 8, payload));
+        EXPECT_FALSE(local.readUnitPayload("test.units", 8, 0, payload));
+    }
+    {
+        // A fresh process resumes every merged unit.
+        Journal journal(merged_dir, true, true);
+        const std::vector<uint64_t> out = runUnits(journal, 8);
+        for (size_t i = 0; i < out.size(); ++i)
+            EXPECT_EQ(out[i], unitValue(i)) << "unit " << i;
+        EXPECT_EQ(journal.stats().unitsSkipped, 8u);
+        EXPECT_EQ(journal.stats().unitsExecuted, 0u);
+    }
+    // A well-formed checkpoint of another unit must not stand in for
+    // unit 5: its keys differ, so the journaled checksum does too.
+    Journal journal(merged_dir, true, true);
+    fs::copy_file(journal.unitPath(scope_h, 7, 2),
+                  journal.unitPath(scope_h, 7, 5),
+                  fs::copy_options::overwrite_existing);
+    std::string payload;
+    EXPECT_FALSE(journal.readUnitPayload("test.units", 7, 5, payload));
+    const std::vector<uint64_t> out = runUnits(journal, 8);
+    for (size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i], unitValue(i)) << "unit " << i;
+    EXPECT_EQ(journal.stats().verifyFailures, 1u);
+    EXPECT_EQ(journal.stats().unitsExecuted, 1u);
 }
 
 TEST(Journal, CountEntriesToleratesMissingFile)

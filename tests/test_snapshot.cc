@@ -3,20 +3,19 @@
  * Tests for mergeable stat snapshots (obs/snapshot.hh): shard merges
  * are commutative/associative and reproduce the single-registry
  * report byte for byte (including histogram percentiles and exact
- * integer moments), the binary codec round-trips through disk, and
- * corruption is detected rather than deserialized.
+ * integer moments), and the binary payload codec round-trips exactly
+ * and rejects a truncated payload.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <numeric>
 #include <sstream>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "obs/snapshot.hh"
 #include "obs/stats.hh"
 
@@ -203,55 +202,23 @@ TEST(SnapshotMerge, GaugesTakeMax)
     EXPECT_EQ(jsonOf(m1), jsonOf(m2));
 }
 
-TEST(SnapshotCodec, FileRoundTripIsExact)
+TEST(SnapshotCodec, PayloadRoundTripIsExact)
 {
     StatRegistry reg;
     recordWorkload(reg, nullptr);
     StatSnapshot snap;
     snap.capture(reg);
 
-    const std::string path = "/tmp/psca_snapshot_test.bin";
-    ASSERT_TRUE(snap.writeFile(path));
+    BinaryWriter w;
+    snap.serialize(w);
+    const std::string bytes = w.takeBuffer();
 
+    BinaryReader in(bytes.data(), bytes.size());
     StatSnapshot back;
-    ASSERT_TRUE(back.readFile(path));
+    ASSERT_TRUE(back.deserialize(in));
     EXPECT_EQ(jsonOf(back), jsonOf(snap));
-    std::remove(path.c_str());
-}
 
-TEST(SnapshotCodec, CorruptionIsRejected)
-{
-    StatRegistry reg;
-    recordWorkload(reg, nullptr);
-    StatSnapshot snap;
-    snap.capture(reg);
-
-    const std::string path = "/tmp/psca_snapshot_corrupt_test.bin";
-    ASSERT_TRUE(snap.writeFile(path));
-
-    // Flip one byte mid-payload: the checksum trailer must catch it.
-    {
-        std::fstream f(path,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        ASSERT_TRUE(f.good());
-        f.seekg(0, std::ios::end);
-        const auto size = static_cast<long long>(f.tellg());
-        ASSERT_GT(size, 64);
-        f.seekp(size / 2);
-        char c = 0;
-        f.seekg(size / 2);
-        f.read(&c, 1);
-        c = static_cast<char>(c ^ 0x40);
-        f.seekp(size / 2);
-        f.write(&c, 1);
-    }
-    StatSnapshot back;
-    back.counters["stale"] = 1; // must be cleared by the failure
-    EXPECT_FALSE(back.readFile(path));
-    EXPECT_TRUE(back.counters.empty());
-    EXPECT_TRUE(back.histograms.empty());
-
-    // A missing file is also a clean failure.
-    std::remove(path.c_str());
-    EXPECT_FALSE(back.readFile(path));
+    // A payload cut in half is rejected, not half-read.
+    BinaryReader half(bytes.data(), bytes.size() / 2);
+    EXPECT_FALSE(StatSnapshot().deserialize(half));
 }
