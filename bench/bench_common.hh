@@ -143,9 +143,8 @@ offlineEval(const ExperimentContext &ctx, const ScaledModel &slot,
     const Dataset scaled = slot.scaler.apply(raw);
     SlaSpec sla;
     sla.pSla = p_sla;
-    const uint64_t window = sla.windowPredictions(
-        ctx.build.core.clockGhz * 1e9 * ctx.build.core.retireWidth,
-        granularity);
+    const uint64_t window =
+        sla.windowPredictions(ctx.build.core, granularity);
     return evaluateModel(*slot.model, scaled, window);
 }
 

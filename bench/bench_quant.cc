@@ -180,16 +180,7 @@ run()
                                      AppCategory::WebProductivity};
 
     BuildConfig build;
-    build.counterIds = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::StallCount),
-        CounterRegistry::index(Ctr::L1dMiss),
-        CounterRegistry::index(Ctr::LoadLatSum),
-        CounterRegistry::index(Ctr::MshrOccSum),
-        CounterRegistry::index(Ctr::UopsStalledOnDep),
-        CounterRegistry::index(Ctr::UopsReady),
-        CounterRegistry::index(Ctr::SqOccSum),
-    };
+    build.counterIds = defaultCounterIds();
     const TraceRecord record = recordTrace(workload, build, 0, 0);
     std::vector<TraceRecord> corpus = {record};
     for (size_t i = 0; i < std::size(extraCats); ++i) {

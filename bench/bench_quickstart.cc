@@ -38,16 +38,7 @@ quickstartOnce()
     workload.name = app.name;
 
     BuildConfig build;
-    build.counterIds = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::StallCount),
-        CounterRegistry::index(Ctr::L1dMiss),
-        CounterRegistry::index(Ctr::LoadLatSum),
-        CounterRegistry::index(Ctr::MshrOccSum),
-        CounterRegistry::index(Ctr::UopsStalledOnDep),
-        CounterRegistry::index(Ctr::UopsReady),
-        CounterRegistry::index(Ctr::SqOccSum),
-    };
+    build.counterIds = defaultCounterIds();
     const TraceRecord record = recordTrace(workload, build, 0, 0);
 
     DualTrainOptions opts;

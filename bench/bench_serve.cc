@@ -32,16 +32,7 @@ serveBenchConfig()
     BuildConfig cfg;
     cfg.intervalInstr = 10000;
     cfg.warmupInstr = 20000;
-    cfg.counterIds = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::StallCount),
-        CounterRegistry::index(Ctr::L1dMiss),
-        CounterRegistry::index(Ctr::LoadLatSum),
-        CounterRegistry::index(Ctr::MshrOccSum),
-        CounterRegistry::index(Ctr::UopsStalledOnDep),
-        CounterRegistry::index(Ctr::UopsReady),
-        CounterRegistry::index(Ctr::SqOccSum),
-    };
+    cfg.counterIds = defaultCounterIds();
     return cfg;
 }
 

@@ -24,16 +24,7 @@ BuildConfig
 buildConfig()
 {
     BuildConfig build;
-    build.counterIds = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::StallCount),
-        CounterRegistry::index(Ctr::L1dMiss),
-        CounterRegistry::index(Ctr::LoadLatSum),
-        CounterRegistry::index(Ctr::MshrOccSum),
-        CounterRegistry::index(Ctr::UopsStalledOnDep),
-        CounterRegistry::index(Ctr::UopsReady),
-        CounterRegistry::index(Ctr::SqOccSum),
-    };
+    build.counterIds = defaultCounterIds();
     return build;
 }
 

@@ -25,16 +25,7 @@ run()
     obs::RunReportGuard report("datacenter_sla_tuning_report");
     // A small "fleet" of cloud workloads recorded once.
     BuildConfig build;
-    build.counterIds = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::StallCount),
-        CounterRegistry::index(Ctr::L1dMiss),
-        CounterRegistry::index(Ctr::LoadLatSum),
-        CounterRegistry::index(Ctr::MshrOccSum),
-        CounterRegistry::index(Ctr::UopsStalledOnDep),
-        CounterRegistry::index(Ctr::UopsReady),
-        CounterRegistry::index(Ctr::SqOccSum),
-    };
+    build.counterIds = defaultCounterIds();
 
     std::printf("recording a 12-workload mixed fleet...\n");
     std::vector<Workload> fleet;

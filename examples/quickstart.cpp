@@ -39,16 +39,7 @@ run()
     workload.name = app.name;
 
     BuildConfig build;
-    build.counterIds = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::StallCount),
-        CounterRegistry::index(Ctr::L1dMiss),
-        CounterRegistry::index(Ctr::LoadLatSum),
-        CounterRegistry::index(Ctr::MshrOccSum),
-        CounterRegistry::index(Ctr::UopsStalledOnDep),
-        CounterRegistry::index(Ctr::UopsReady),
-        CounterRegistry::index(Ctr::SqOccSum),
-    };
+    build.counterIds = defaultCounterIds();
 
     std::printf("recording '%s' in both cluster configurations...\n",
                 workload.name.c_str());

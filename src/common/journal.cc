@@ -157,28 +157,12 @@ writeArtifactFile(const std::string &path,
                   const std::function<void(BinaryWriter &)> &fill,
                   uint64_t *content_sum)
 {
-    const std::string tmp = tempSibling(path);
-    uint64_t sum = 0;
-    {
-        BinaryWriter out(tmp);
-        fill(out);
-        sum = out.checksum();
-        if (!out.good()) {
-            std::error_code ec;
-            std::filesystem::remove(tmp, ec);
-            return false;
-        }
-    }
-    // Make the temp durable before publishing the name: a crash
-    // straddling the rename must never expose an empty or partial
-    // file under the final path.
-    fsyncPath(tmp);
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
+    ArtifactTxn txn;
+    BinaryWriter &out = txn.stage(path);
+    fill(out);
+    const uint64_t sum = out.checksum();
+    if (!txn.commit())
         return false;
-    }
     if (content_sum != nullptr)
         *content_sum = sum;
     return true;
@@ -444,31 +428,15 @@ Journal::openAndReplay(bool resume)
         std::filesystem::remove(path, ec);
     }
 
-    if (fresh) {
-        const std::string tmp = tempSibling(path);
-        {
-            std::ofstream out(tmp, std::ios::binary);
-            out.write(reinterpret_cast<const char *>(&kJournalMagic),
-                      sizeof(kJournalMagic));
-            out.write(
-                reinterpret_cast<const char *>(&kJournalVersion),
-                sizeof(kJournalVersion));
-            if (!out) {
-                warn("journal '", path,
-                     "': cannot initialize; journaling disabled for "
-                     "this run");
-                std::filesystem::remove(tmp, ec);
-                enabled_ = false;
-                return;
-            }
-        }
-        fsyncPath(tmp);
-        std::filesystem::rename(tmp, path, ec);
-        if (ec) {
-            std::filesystem::remove(tmp, ec);
-            enabled_ = false;
-            return;
-        }
+    if (fresh && !writeArtifactFile(path, [](BinaryWriter &out) {
+            out.put(kJournalMagic);
+            out.put(kJournalVersion);
+        }))
+    {
+        warn("journal '", path,
+             "': cannot initialize; journaling disabled for this run");
+        enabled_ = false;
+        return;
     }
 
     fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);

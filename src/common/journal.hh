@@ -21,14 +21,15 @@
  *     header quarantines the whole journal and the run rebuilds from
  *     scratch — corruption can cost time, never correctness.
  *
- *  2. Transactional artifact writes — writeArtifactFile() stages to a
- *     unique temp name, flushes, fsync()s, then atomically rename()s
- *     into place; ArtifactTxn extends the same contract to multi-file
- *     artifacts (two-phase: stage and fsync every file, then rename
- *     them in sequence — a reader never observes a half-written file,
- *     and a crash between renames leaves a prefix of complete files,
- *     each individually valid). The memo/corpus/firmware caches all
- *     publish through this path.
+ *  2. Transactional artifact writes — ArtifactTxn stages each file
+ *     to a unique temp name, flushes, fsync()s, then atomically
+ *     rename()s it into place; writeArtifactFile() is its one-file
+ *     form. Multi-file artifacts are two-phase (stage and fsync every
+ *     file, then rename them in sequence — a reader never observes a
+ *     half-written file, and a crash between renames leaves a prefix
+ *     of complete files, each individually valid). The memo, corpus
+ *     and firmware caches and the journal's own header all publish
+ *     through this path.
  *
  *  3. checkpointedMap() — the resumable counterpart of
  *     ThreadPool::parallelMap(). Each completed unit's result is
@@ -166,9 +167,10 @@ void runUnit(const std::string &scope, uint64_t config_h, size_t i,
              std::atomic<uint64_t> *retry_tally = nullptr);
 
 /**
- * Transactionally publish one artifact file: the callback writes the
- * payload through a BinaryWriter positioned on a unique temp file;
- * the store flushes, fsync()s, and atomically renames into place.
+ * Transactionally publish one artifact file, as a one-file
+ * ArtifactTxn: the callback writes the payload through a BinaryWriter
+ * positioned on a unique temp file; the commit flushes, fsync()s, and
+ * atomically renames it into place.
  * Readers therefore only ever see complete, checksummed files.
  *
  * @param fill        Writes the payload (header + trailer included if

@@ -91,7 +91,7 @@ readRecord(BinaryReader &in)
  * One fixed-mode recording pass of a workload. The full per-interval
  * counter deltas come from the simulation memo cache when available
  * (a fixed-mode replay is a pure function of the memo key); on a miss
- * a fresh generator replays the trace through the core's bounded
+ * an IntervalReplay streams the trace through the core's bounded
  * chunked path, so memory does not grow with the trace. Either way
  * the projection to the record's float columns runs below, so
  * records are byte-identical whether the deltas were replayed or
@@ -133,28 +133,40 @@ recordMode(const Workload &workload, uint64_t trace_hash,
     intervals.clear();
     if (memo.enabled())
         intervals.reserve(n_intervals);
-    TraceGenerator gen(workload);
-    ClusteredCore core(cfg.core);
-    core.reset();
-    core.setMode(mode);
-    if (cfg.warmupInstr > 0)
-        core.run(gen, cfg.warmupInstr);
-    std::vector<uint64_t> prev(core.counters().raw());
+    IntervalReplay replay(workload, cfg, mode);
     for (size_t t = 0; t < n_intervals; ++t) {
-        core.run(gen, cfg.intervalInstr);
-        const auto &now = core.counters().raw();
-        std::vector<uint64_t> delta_all(now.size());
-        for (size_t i = 0; i < now.size(); ++i)
-            delta_all[i] = now[i] - prev[i];
-        prev = now;
-        project(delta_all);
+        replay.step();
+        project(replay.delta());
         if (memo.enabled())
-            intervals.push_back(std::move(delta_all));
+            intervals.push_back(replay.delta());
     }
     memo.store(key, intervals);
 }
 
 } // namespace
+
+IntervalReplay::IntervalReplay(const Workload &workload,
+                               const BuildConfig &cfg, CoreMode mode)
+    : intervalInstr_(cfg.intervalInstr), core_(cfg.core), gen_(workload)
+{
+    core_.reset();
+    core_.setMode(mode);
+    if (cfg.warmupInstr > 0)
+        core_.run(gen_, cfg.warmupInstr);
+    prev_ = core_.counters().raw();
+    delta_.resize(prev_.size());
+}
+
+IntervalStats
+IntervalReplay::step()
+{
+    const IntervalStats stats = core_.run(gen_, intervalInstr_);
+    const std::vector<uint64_t> &now = core_.counters().raw();
+    for (size_t i = 0; i < now.size(); ++i)
+        delta_[i] = now[i] - prev_[i];
+    prev_ = now;
+    return stats;
+}
 
 std::string
 cacheDirectory()

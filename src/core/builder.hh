@@ -27,6 +27,7 @@
 #include "ml/dataset.hh"
 #include "power/power_model.hh"
 #include "sim/config.hh"
+#include "sim/core.hh"
 #include "trace/corpus.hh"
 
 namespace psca {
@@ -71,6 +72,44 @@ struct TraceRecord
     {
         return deltaLow.data() + t * numCounters;
     }
+};
+
+/**
+ * One replay of a workload on a fresh core, one telemetry interval per
+ * step(): the core is reset, set to @p mode and warmed up for
+ * cfg.warmupInstr before the first interval. The recorder
+ * (recordTrace) and the closed-loop replayer (BlockReplayer) both run
+ * on it, so a closed loop that stays in HighPerf reproduces its
+ * reference record by construction.
+ */
+class IntervalReplay
+{
+  public:
+    IntervalReplay(const Workload &workload, const BuildConfig &cfg,
+                   CoreMode mode);
+
+    /** Simulate the next interval in the current mode. */
+    IntervalStats step();
+
+    /** Full-width counter deltas of the last step(). */
+    const std::vector<uint64_t> &delta() const { return delta_; }
+
+    /** Mode of the next step() (applies the transition cost). */
+    void setMode(CoreMode mode) { core_.setMode(mode); }
+    CoreMode mode() const { return core_.mode(); }
+
+    /** Cumulative cluster mode switches of the simulated core. */
+    uint64_t modeSwitches() const
+    {
+        return core_.counters().value(Ctr::ModeSwitches);
+    }
+
+  private:
+    uint64_t intervalInstr_;
+    ClusteredCore core_;
+    TraceGenerator gen_;
+    std::vector<uint64_t> prev_;
+    std::vector<uint64_t> delta_;
 };
 
 /**

@@ -15,44 +15,9 @@
 
 namespace psca {
 
-DualModelPredictor::DualModelPredictor(ScaledModel high,
-                                       ScaledModel low,
-                                       std::vector<size_t> columns,
-                                       uint64_t granularity,
-                                       std::string name)
-    : high_(std::move(high)), low_(std::move(low)),
-      columns_(std::move(columns)), granularity_(granularity),
-      name_(std::move(name))
-{}
-
 bool
-DualModelPredictor::decide(const std::vector<const float *> &sub_rows,
-                           const std::vector<float> &sub_cycles,
-                           CoreMode mode)
+sanitizeScaled(std::vector<float> &scaled)
 {
-    // Aggregate the block and cycle-normalize (Sec. 4.1).
-    std::vector<float> agg(columns_.size(), 0.0f);
-    double cycles = 0.0;
-    for (size_t t = 0; t < sub_rows.size(); ++t) {
-        for (size_t j = 0; j < columns_.size(); ++j)
-            agg[j] += sub_rows[t][columns_[j]];
-        cycles += sub_cycles[t];
-    }
-    const float inv =
-        cycles > 0.0 ? static_cast<float>(1.0 / cycles) : 0.0f;
-    for (auto &v : agg)
-        v *= inv;
-
-    const ScaledModel &slot =
-        mode == CoreMode::HighPerf ? high_ : low_;
-    std::vector<float> scaled(agg.size());
-    slot.scaler.applyRow(agg.data(), scaled.data());
-
-    // Input sanitation (always on): faulted telemetry can hand the
-    // model NaN/Inf or values far outside the trained distribution.
-    // Non-finite inputs veto straight to high-performance mode (the
-    // fail-safe configuration); finite outliers are clamped to a
-    // generous z-score envelope no healthy snapshot reaches.
     constexpr float kMaxAbsZ = 24.0f;
     size_t clamped = 0;
     for (auto &z : scaled) {
@@ -75,6 +40,32 @@ DualModelPredictor::decide(const std::vector<const float *> &sub_rows,
             .counter("controller.sanitized_inputs")
             .add(clamped);
     }
+    return true;
+}
+
+DualModelPredictor::DualModelPredictor(ScaledModel high,
+                                       ScaledModel low,
+                                       std::vector<size_t> columns,
+                                       uint64_t granularity,
+                                       std::string name)
+    : high_(std::move(high)), low_(std::move(low)),
+      columns_(std::move(columns)), granularity_(granularity),
+      name_(std::move(name))
+{}
+
+bool
+DualModelPredictor::decide(const std::vector<const float *> &sub_rows,
+                           const std::vector<float> &sub_cycles,
+                           CoreMode mode)
+{
+    const ScaledModel &slot =
+        mode == CoreMode::HighPerf ? high_ : low_;
+    const std::vector<float> agg =
+        blockFeatures(sub_rows, sub_cycles, columns_);
+    std::vector<float> scaled(agg.size());
+    slot.scaler.applyRow(agg.data(), scaled.data());
+    if (!sanitizeScaled(scaled))
+        return false;
     return slot.model->predict(scaled.data());
 }
 
@@ -148,17 +139,11 @@ BlockReplayer::BlockReplayer(const Workload &workload,
       traceKey_(mixSeeds(
           workload.genome.seed,
           mixSeeds(workload.inputSeed, workload.traceIndex))),
-      core_(cfg.core), power_(cfg.power, cfg.core.clockGhz),
-      gen_(workload),
+      replay_(workload, cfg, CoreMode::HighPerf),
+      power_(cfg.power, cfg.core.clockGhz),
       subRows_(k, std::vector<float>(cfg.counterIds.size())),
       subCycles_(k), carryRow_(cfg.counterIds.size(), 0.0f)
 {
-    core_.reset();
-    core_.setMode(CoreMode::HighPerf);
-    if (cfg_.warmupInstr > 0)
-        core_.run(gen_, cfg_.warmupInstr);
-    prev_ = core_.counters().raw();
-    deltaAll_.resize(prev_.size());
     rowPtrs_.reserve(k_);
     for (const std::vector<float> &row : subRows_)
         rowPtrs_.push_back(row.data());
@@ -168,23 +153,19 @@ BlockReplayer::BlockStats
 BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
 {
     auto &reg = obs::StatRegistry::instance();
-    core_.setMode(mode);
-    const CoreMode block_mode = core_.mode();
+    replay_.setMode(mode);
+    const CoreMode block_mode = replay_.mode();
     const uint64_t b = block_++;
     BlockStats totals;
 
     for (size_t t = 0; t < k_; ++t) {
-        const IntervalStats stats =
-            core_.run(gen_, cfg_.intervalInstr);
+        const IntervalStats stats = replay_.step();
         totals.instructions += stats.instructions;
         totals.cycles += stats.cycles;
-        const auto &now = core_.counters().raw();
-        for (size_t i = 0; i < now.size(); ++i)
-            deltaAll_[i] = now[i] - prev_[i];
-        prev_ = now;
+        const std::vector<uint64_t> &delta = replay_.delta();
         bool dropped = false;
         if (faultsOn_) {
-            view_ = deltaAll_;
+            view_ = delta;
             dropped = applyTelemetryFaults(
                 view_, mixSeeds(traceKey_, b * k_ + t));
         }
@@ -196,7 +177,7 @@ BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
             subCycles_[t] = carryCycles_;
             reg.counter("controller.snapshot_carryforwards").add();
         } else {
-            const auto &src = faultsOn_ ? view_ : deltaAll_;
+            const auto &src = faultsOn_ ? view_ : delta;
             for (size_t j = 0; j < cfg_.counterIds.size(); ++j)
                 subRows_[t][j] =
                     static_cast<float>(src[cfg_.counterIds[j]]);
@@ -207,16 +188,10 @@ BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
             }
         }
         acc.add(stats.instructions, stats.cycles,
-                power_.intervalEnergyNj(deltaAll_, stats.cycles,
+                power_.intervalEnergyNj(delta, stats.cycles,
                                         block_mode));
     }
     return totals;
-}
-
-uint64_t
-BlockReplayer::modeSwitches() const
-{
-    return core_.counters().value(Ctr::ModeSwitches);
 }
 
 namespace {
@@ -225,7 +200,9 @@ namespace {
  * Premise check of the deferred high-performance prefix: the telemetry
  * view (@p row, @p cycles) of interval @p t, as the replayer or the
  * memo produces it, is bit-equal to the reference's HighPerf record,
- * which the predictor consumed in its place.
+ * which the predictor consumed in its place. The recorder and the
+ * replayer share IntervalReplay, so only a reference recorded under
+ * another BuildConfig can fail it.
  */
 void
 checkAgainstRecord(const TraceRecord &reference, size_t t,
@@ -451,10 +428,8 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
     for (size_t b = 0; b < blocks; ++b)
         result.confusion.add(predictions[b] != 0, labels[b] != 0);
     result.pgos = result.confusion.pgos();
-    const uint64_t window = sla.windowPredictions(
-        cfg.core.clockGhz * 1e9 *
-            static_cast<double>(cfg.core.retireWidth),
-        predictor.granularity());
+    const uint64_t window =
+        sla.windowPredictions(cfg.core, predictor.granularity());
     result.rsv = rsvForTrace(predictions, labels, window);
     return result;
 }

@@ -66,6 +66,43 @@ class GatePredictor
     virtual std::unique_ptr<GatePredictor> clone() const = 0;
 };
 
+/**
+ * The controller's block front end (Sec. 4.1): sum the selected record
+ * columns over a block's sub-interval rows and divide by the block's
+ * cycles. Native predictors pass size_t columns, firmware packages
+ * their stored uint32_t ones.
+ */
+template <typename Col>
+std::vector<float>
+blockFeatures(const std::vector<const float *> &rows,
+              const std::vector<float> &cycles,
+              const std::vector<Col> &columns)
+{
+    std::vector<float> agg(columns.size(), 0.0f);
+    double total = 0.0;
+    for (size_t t = 0; t < rows.size(); ++t) {
+        for (size_t j = 0; j < columns.size(); ++j)
+            agg[j] += rows[t][columns[j]];
+        total += cycles[t];
+    }
+    const float inv =
+        total > 0.0 ? static_cast<float>(1.0 / total) : 0.0f;
+    for (auto &v : agg)
+        v *= inv;
+    return agg;
+}
+
+/**
+ * Input sanitation of z-scaled model inputs (always on): faulted
+ * telemetry can hand the model NaN/Inf or values far outside the
+ * trained distribution. A non-finite value vetoes the decision (false:
+ * the caller fails safe to high-performance mode) and counts
+ * controller.sanitize_vetoes; finite values beyond a generous z-score
+ * envelope no healthy snapshot reaches are clamped to it and counted
+ * in controller.sanitized_inputs.
+ */
+bool sanitizeScaled(std::vector<float> &scaled);
+
 /** One mode's scaler+model slot. */
 struct ScaledModel
 {
@@ -145,7 +182,8 @@ class SrchPredictor : public GatePredictor
  * caller picks each block's cluster mode (the applied decision) and
  * receives the controller's telemetry view of the finished block;
  * ground-truth deltas feed energy/performance accounting regardless
- * of injected telemetry faults, exactly as in the batch loop.
+ * of injected telemetry faults, exactly as in the batch loop. Each
+ * sub-interval is one IntervalReplay::step(), the recorder's replay.
  *
  * Determinism: fault draws are keyed by the workload's stable
  * identity mixed with the sub-interval index (traceKey()), so a given
@@ -200,18 +238,15 @@ class BlockReplayer
     uint64_t traceKey() const { return traceKey_; }
 
     /** Cumulative cluster mode switches of the simulated core. */
-    uint64_t modeSwitches() const;
+    uint64_t modeSwitches() const { return replay_.modeSwitches(); }
 
   private:
     BuildConfig cfg_;
     size_t k_;
     bool faultsOn_;
     uint64_t traceKey_;
-    ClusteredCore core_;
+    IntervalReplay replay_;
     PowerModel power_;
-    TraceGenerator gen_;
-    std::vector<uint64_t> prev_;
-    std::vector<uint64_t> deltaAll_;
     std::vector<uint64_t> view_;
     std::vector<std::vector<float>> subRows_;
     std::vector<const float *> rowPtrs_;

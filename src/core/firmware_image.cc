@@ -1,7 +1,6 @@
 #include "core/firmware_image.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/journal.hh"
@@ -251,49 +250,16 @@ VmPredictor::decide(const std::vector<const float *> &sub_rows,
                     const std::vector<float> &sub_cycles,
                     CoreMode mode)
 {
-    // Aggregate + cycle-normalize the block, as the telemetry
-    // convergence point does before handing data to firmware.
-    std::vector<float> agg(package_.columns.size(), 0.0f);
-    double cycles = 0.0;
-    for (size_t t = 0; t < sub_rows.size(); ++t) {
-        for (size_t j = 0; j < agg.size(); ++j)
-            agg[j] += sub_rows[t][package_.columns[j]];
-        cycles += sub_cycles[t];
-    }
-    const float inv =
-        cycles > 0.0 ? static_cast<float>(1.0 / cycles) : 0.0f;
-    for (auto &v : agg)
-        v *= inv;
-
+    // The same front end as DualModelPredictor: the firmware path
+    // sees the identical (possibly faulted) telemetry view.
     const FirmwareSlot &slot =
         mode == CoreMode::HighPerf ? package_.high : package_.low;
+    const std::vector<float> agg =
+        blockFeatures(sub_rows, sub_cycles, package_.columns);
     std::vector<float> scaled(agg.size());
     slot.scaler.applyRow(agg.data(), scaled.data());
-
-    // Same input sanitation as DualModelPredictor: the firmware path
-    // sees the identical faulted telemetry view.
-    constexpr float kMaxAbsZ = 24.0f;
-    size_t clamped = 0;
-    for (auto &z : scaled) {
-        if (!std::isfinite(z)) {
-            obs::StatRegistry::instance()
-                .counter("controller.sanitize_vetoes")
-                .add();
-            return false;
-        }
-        if (z > kMaxAbsZ) {
-            z = kMaxAbsZ;
-            ++clamped;
-        } else if (z < -kMaxAbsZ) {
-            z = -kMaxAbsZ;
-            ++clamped;
-        }
-    }
-    if (clamped > 0) {
-        obs::StatRegistry::instance()
-            .counter("controller.sanitized_inputs")
-            .add(clamped);
-    }
+    if (!sanitizeScaled(scaled))
+        return false;
 
     if (package_.fixedPoint) {
         // The uc runs the int8 tables; the sanitized features snap to

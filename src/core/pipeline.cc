@@ -31,6 +31,21 @@ charstarCounterIds()
     return ids;
 }
 
+std::vector<uint16_t>
+defaultCounterIds()
+{
+    return {
+        CounterRegistry::index(Ctr::InstRetired),
+        CounterRegistry::index(Ctr::StallCount),
+        CounterRegistry::index(Ctr::L1dMiss),
+        CounterRegistry::index(Ctr::LoadLatSum),
+        CounterRegistry::index(Ctr::MshrOccSum),
+        CounterRegistry::index(Ctr::UopsStalledOnDep),
+        CounterRegistry::index(Ctr::UopsReady),
+        CounterRegistry::index(Ctr::SqOccSum),
+    };
+}
+
 std::vector<size_t>
 CounterPlan::pfColumns(size_t r) const
 {
@@ -201,15 +216,6 @@ trainDual(const std::vector<TraceRecord> &records,
 
 namespace {
 
-/** RSV window for a granularity at this core's peak throughput. */
-uint64_t
-rsvWindowFor(const ExperimentContext &ctx, uint64_t granularity)
-{
-    const double peak_ips = ctx.build.core.clockGhz * 1e9 *
-        static_cast<double>(ctx.build.core.retireWidth);
-    return ctx.sla.windowPredictions(peak_ips, granularity);
-}
-
 NamedPredictor
 wrapDual(std::string name, TrainedDual dual,
          std::vector<size_t> columns, uint64_t granularity)
@@ -244,7 +250,8 @@ makeBestRf(const ExperimentContext &ctx, double p_sla, uint64_t seed)
     opts.granularityInstr = 40000;
     opts.pSla = p_sla;
     opts.columns = ctx.plan.pfColumns(12);
-    opts.rsvWindow = rsvWindowFor(ctx, opts.granularityInstr);
+    opts.rsvWindow =
+        ctx.sla.windowPredictions(ctx.build.core, opts.granularityInstr);
     opts.seed = seed;
 
     TrainedDual dual =
@@ -260,7 +267,8 @@ makeBestMlp(const ExperimentContext &ctx, double p_sla, uint64_t seed)
     opts.granularityInstr = 50000;
     opts.pSla = p_sla;
     opts.columns = ctx.plan.pfColumns(12);
-    opts.rsvWindow = rsvWindowFor(ctx, opts.granularityInstr);
+    opts.rsvWindow =
+        ctx.sla.windowPredictions(ctx.build.core, opts.granularityInstr);
     opts.seed = seed;
 
     const int epochs = ctx.scale.mlpEpochs;
@@ -285,7 +293,8 @@ makeCharstar(const ExperimentContext &ctx, double p_sla, uint64_t seed)
     opts.granularityInstr = 20000;
     opts.pSla = p_sla;
     opts.columns = ctx.plan.charstarColumns();
-    opts.rsvWindow = rsvWindowFor(ctx, opts.granularityInstr);
+    opts.rsvWindow =
+        ctx.sla.windowPredictions(ctx.build.core, opts.granularityInstr);
     opts.seed = seed;
     // CHARSTAR predates the blindspot work: no sensitivity
     // calibration beyond the default threshold.
@@ -399,7 +408,8 @@ makeAppSpecificRf(const ExperimentContext &ctx,
     opts.granularityInstr = 40000;
     opts.pSla = p_sla;
     opts.columns = ctx.plan.pfColumns(12);
-    opts.rsvWindow = rsvWindowFor(ctx, opts.granularityInstr);
+    opts.rsvWindow =
+        ctx.sla.windowPredictions(ctx.build.core, opts.granularityInstr);
     opts.seed = seed;
 
     TrainedDual dual;

@@ -28,6 +28,15 @@ namespace psca {
 std::vector<uint16_t> charstarCounterIds();
 
 /**
+ * The 8-counter plan of the small recordings: retired instructions,
+ * stalls, L1D misses and the load-latency, MSHR, dependency-stall,
+ * ready-uop and store-queue occupancy sums. `psca run/train/flash/
+ * serve`, the online service's tests, the examples and the quick
+ * benches record with it; their models read columns 0..7.
+ */
+std::vector<uint16_t> defaultCounterIds();
+
+/**
  * Counter layout of the main recordings: the PF ranking's top
  * counters followed by any expert counters not already present.
  */

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 
+#include "sim/config.hh"
+
 namespace psca {
 
 /** An SLA contract. */
@@ -37,6 +39,16 @@ struct SlaSpec
         const double w = peak_ips * tSlaSeconds /
             static_cast<double>(granularity_instr);
         return w < 1.0 ? 1 : static_cast<uint64_t>(w);
+    }
+
+    /** The window at @p core's peak rate (clock x retire width). */
+    uint64_t
+    windowPredictions(const CoreConfig &core,
+                      uint64_t granularity_instr) const
+    {
+        return windowPredictions(
+            core.clockGhz * 1e9 * static_cast<double>(core.retireWidth),
+            granularity_instr);
     }
 };
 

@@ -61,6 +61,14 @@ blockEnergyNj(const TraceRecord &ref, size_t block, size_t k, bool gated)
     return sum;
 }
 
+/** Count one lifecycle event in the outcome and its serve.* counter. */
+void
+tally(uint64_t &field, const char *stat)
+{
+    ++field;
+    obs::StatRegistry::instance().counter(stat).add();
+}
+
 } // namespace
 
 const char *
@@ -146,13 +154,9 @@ Service::transition(ServeState to, const std::string &reason)
                       serveStateName(from) + "->" +
                       serveStateName(to) + " " + reason,
                   to == ServeState::RolledBack);
-    if (cfg_.lifecycle) {
-        obs::StatRegistry::instance()
-            .counter("serve.transitions")
-            .add();
-        obs::StatRegistry::instance().gauge("serve.state").set(
-            static_cast<double>(static_cast<uint8_t>(to)));
-    }
+    obs::StatRegistry::instance().counter("serve.transitions").add();
+    obs::StatRegistry::instance().gauge("serve.state").set(
+        static_cast<double>(static_cast<uint8_t>(to)));
     updateHealthView();
 }
 
@@ -188,10 +192,9 @@ Service::loadActivePredictor()
     lastTrips_ = 0;
     drift_.setReference(activePkg_.high.scaler, activePkg_.low.scaler,
                         activePkg_.columns.size());
-    if (cfg_.lifecycle)
-        obs::StatRegistry::instance()
-            .gauge("serve.active_version")
-            .set(static_cast<double>(ring_.activeVersion()));
+    obs::StatRegistry::instance()
+        .gauge("serve.active_version")
+        .set(static_cast<double>(ring_.activeVersion()));
     updateHealthView();
 }
 
@@ -232,26 +235,6 @@ Service::enterSegment(size_t idx)
     seg_ = std::move(rt);
     segIdx_ = idx;
     segBlocksDone_ = 0;
-}
-
-std::vector<float>
-Service::aggregateRow(const std::vector<const float *> &rows,
-                      const std::vector<float> &cycles) const
-{
-    // Same aggregate + cycle-normalize as DualModelPredictor::decide,
-    // so the drift detector watches exactly the model's input row.
-    std::vector<float> agg(activePkg_.columns.size(), 0.0f);
-    double total = 0.0;
-    for (size_t t = 0; t < rows.size(); ++t) {
-        for (size_t j = 0; j < agg.size(); ++j)
-            agg[j] += rows[t][activePkg_.columns[j]];
-        total += cycles[t];
-    }
-    const float inv =
-        total > 0.0 ? static_cast<float>(1.0 / total) : 0.0f;
-    for (auto &v : agg)
-        v *= inv;
-    return agg;
 }
 
 void
@@ -314,11 +297,7 @@ Service::stepBlock()
                 corrupt.fires(outcome_.shadowsScored))
             {
                 shadow_nj = std::nan("");
-                ++outcome_.shadowCorruptions;
-                if (cfg_.lifecycle)
-                    obs::StatRegistry::instance()
-                        .counter("serve.shadow_corruptions")
-                        .add();
+                tally(outcome_.shadowCorruptions, "serve.shadow_corruptions");
             }
             abActiveEnergy_ +=
                 blockEnergyNj(seg_->ref, target, k_, active_raw);
@@ -343,10 +322,9 @@ Service::stepBlock()
                 mixSeeds(outcome_.promotions, probationBlocks_)))
         {
             probationTrips_ += static_cast<uint64_t>(regress.param(1.0));
-            if (cfg_.lifecycle)
-                obs::StatRegistry::instance()
-                    .counter("serve.probation_injected_trips")
-                    .add();
+            obs::StatRegistry::instance()
+                .counter("serve.probation_injected_trips")
+                .add();
         }
         if (probationBlocks_ >= cfg_.probationIntervals)
             evaluateProbation();
@@ -354,30 +332,24 @@ Service::stepBlock()
 
     // Drift detection runs on every block; the verdict only acts in
     // HEALTHY outside the cooldown, but windows keep their cadence
-    // in every state so the block->window mapping is state-free.
-    drift_.observe(aggregateRow(rows, cycles), mode, trips_delta);
+    // in every state so the block->window mapping is state-free. The
+    // input is the predictors' own front end, so the detector watches
+    // exactly the active model's input row.
+    drift_.observe(blockFeatures(rows, cycles, activePkg_.columns), mode,
+                   trips_delta);
     if (drift_.windowComplete()) {
         const DriftVerdict v = drift_.takeWindow();
         lastMaxZ_ = v.maxAbsMeanZ;
-        if (cfg_.lifecycle) {
-            obs::StatRegistry::instance()
-                .counter("serve.drift_windows")
-                .add();
-            obs::StatRegistry::instance()
-                .gauge("drift.max_abs_mean_z")
-                .set(v.maxAbsMeanZ);
-            obs::StatRegistry::instance()
-                .gauge("drift.trip_rate")
-                .set(v.tripRate);
-        }
+        obs::StatRegistry::instance().counter("serve.drift_windows").add();
+        obs::StatRegistry::instance()
+            .gauge("drift.max_abs_mean_z")
+            .set(v.maxAbsMeanZ);
+        obs::StatRegistry::instance().gauge("drift.trip_rate").set(
+            v.tripRate);
         if (v.drifted && cfg_.lifecycle &&
             state_ == ServeState::Healthy && cooldown_ == 0)
         {
-            ++outcome_.driftsDetected;
-            if (cfg_.lifecycle)
-                obs::StatRegistry::instance()
-                    .counter("serve.drifts_detected")
-                    .add();
+            tally(outcome_.driftsDetected, "serve.drifts_detected");
             transition(ServeState::Drifting,
                        v.reason + " (feature " +
                            std::to_string(v.worstFeature) +
@@ -387,11 +359,7 @@ Service::stepBlock()
                        "retraining on " + seg_->workload.name);
             const FaultSite &rfail = FAULT_SITE("serve.retrain_fail");
             if (rfail.enabled() && rfail.fires(outcome_.retrains)) {
-                ++outcome_.retrainFailures;
-                if (cfg_.lifecycle)
-                    obs::StatRegistry::instance()
-                        .counter("serve.retrain_failures")
-                        .add();
+                tally(outcome_.retrainFailures, "serve.retrain_failures");
                 cooldown_ = cfg_.cooldownBlocks;
                 transition(ServeState::Healthy,
                            "retrain failed; keeping fw v" +
@@ -401,11 +369,7 @@ Service::stepBlock()
                     *seg_, "serve-fw-v" +
                                std::to_string(ring_.latestVersion() +
                                               1));
-                ++outcome_.retrains;
-                if (cfg_.lifecycle)
-                    obs::StatRegistry::instance()
-                        .counter("serve.retrains")
-                        .add();
+                tally(outcome_.retrains, "serve.retrains");
                 shadowPkg_ =
                     std::make_unique<FirmwarePackage>(std::move(pkg));
                 shadowVm_ =
@@ -451,11 +415,7 @@ Service::evaluateShadowGate()
         ")";
 
     if (!wins) {
-        ++outcome_.rejections;
-        if (cfg_.lifecycle)
-            obs::StatRegistry::instance()
-                .counter("serve.rejections")
-                .add();
+        tally(outcome_.rejections, "serve.rejections");
         shadowVm_.reset();
         shadowPkg_.reset();
         cooldown_ = cfg_.cooldownBlocks;
@@ -472,20 +432,14 @@ Service::evaluateShadowGate()
     shadowVm_.reset();
     shadowPkg_.reset();
     if (v == 0) {
-        ++outcome_.swapFailures;
-        if (cfg_.lifecycle)
-            obs::StatRegistry::instance()
-                .counter("serve.swap_failures")
-                .add();
+        tally(outcome_.swapFailures, "serve.swap_failures");
         cooldown_ = cfg_.cooldownBlocks;
         transition(ServeState::Healthy,
                    "swap failed; keeping fw v" +
                        std::to_string(promotedFrom_) + " " + score);
         return;
     }
-    ++outcome_.promotions;
-    if (cfg_.lifecycle)
-        obs::StatRegistry::instance().counter("serve.promotions").add();
+    tally(outcome_.promotions, "serve.promotions");
     lastPromoteBlock_ = outcome_.blocks;
     loadActivePredictor();
     probationBlocks_ = 0;
@@ -520,9 +474,7 @@ Service::evaluateProbation()
     }
 
     const uint32_t bad = ring_.activeVersion();
-    ++outcome_.rollbacks;
-    if (cfg_.lifecycle)
-        obs::StatRegistry::instance().counter("serve.rollbacks").add();
+    tally(outcome_.rollbacks, "serve.rollbacks");
     PSCA_ASSERT(ring_.rollbackTo(promotedFrom_),
                 "serve: rollback target lost from the ring");
     lastRollbackBlock_ = outcome_.blocks;
@@ -553,14 +505,11 @@ Service::finishRun()
         ? (adaptive_.ppw() / ref_ppw - 1.0) * 100.0
         : 0.0;
 
-    if (cfg_.lifecycle) {
-        auto &reg = obs::StatRegistry::instance();
-        reg.gauge("serve.blocks").set(
-            static_cast<double>(outcome_.blocks));
-        reg.gauge("serve.ppw_gain_pct").set(outcome_.ppwGainPct);
-        reg.gauge("serve.active_version").set(
-            static_cast<double>(outcome_.activeVersion));
-    }
+    auto &reg = obs::StatRegistry::instance();
+    reg.gauge("serve.blocks").set(static_cast<double>(outcome_.blocks));
+    reg.gauge("serve.ppw_gain_pct").set(outcome_.ppwGainPct);
+    reg.gauge("serve.active_version").set(
+        static_cast<double>(outcome_.activeVersion));
 
     // The deterministic lifecycle artifact: one line per transition,
     // no timestamps, so two runs with the same seed and env diff

@@ -67,8 +67,9 @@ const char *serveStateName(ServeState s);
 struct ServeConfig
 {
     /** Lifecycle management on/off (PSCA_SERVE in `psca serve`).
-     *  Off = the loop runs the bootstrap firmware forever; no serve
-     *  stats. */
+     *  It gates only the drift verdict: off = no verdict acts, so the
+     *  loop runs the bootstrap firmware forever while the drift.* and
+     *  serve.* stats still move. */
     bool lifecycle = true;
     size_t driftWindow = 12;        //!< blocks per drift verdict
     double driftZ = 3.0;            //!< feature mean-shift threshold
@@ -157,9 +158,6 @@ class Service
     void evaluateShadowGate();
     void evaluateProbation();
     void finishRun();
-    std::vector<float> aggregateRow(
-        const std::vector<const float *> &rows,
-        const std::vector<float> &cycles) const;
     void updateHealthView();
 
     ServeConfig cfg_;

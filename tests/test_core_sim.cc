@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/builder.hh"
 #include "sim/core.hh"
 #include "trace/generator.hh"
 
@@ -32,20 +33,14 @@ kernelWorkload(KernelParams kp, uint64_t seed = 42)
     return w;
 }
 
-/** Run warmup + measurement in one mode; return IPC. */
+/** IPC of a 150k-instruction interval after a 60k warmup. */
 double
-ipcOf(const Workload &w, CoreMode mode, uint64_t warm = 60000,
-      uint64_t measure = 150000)
+ipcOf(const Workload &w, CoreMode mode)
 {
-    ClusteredCore core;
-    core.reset();
-    core.setMode(mode);
-    TraceGenerator gen(w);
-    core.run(gen, warm);
-    const uint64_t c0 = core.currentCycle();
-    core.run(gen, measure);
-    return static_cast<double>(measure) /
-        static_cast<double>(core.currentCycle() - c0);
+    BuildConfig cfg;
+    cfg.warmupInstr = 60000;
+    cfg.intervalInstr = 150000;
+    return IntervalReplay(w, cfg, mode).step().ipc();
 }
 
 struct RatioCase

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 
 #include "core/firmware_image.hh"
 #include "core/guardrail.hh"
 #include "core/pipeline.hh"
+#include "obs/stats.hh"
 
 using namespace psca;
 
@@ -128,6 +130,57 @@ TEST(FirmwarePackage, VmDecisionsMatchNativeClosedLoop)
     EXPECT_DOUBLE_EQ(a.lowResidency, b.lowResidency);
     EXPECT_NEAR(a.ppwGainPct, b.ppwGainPct, 1e-9);
     EXPECT_GT(vm.vmOpsExecuted(), 0u);
+}
+
+namespace {
+
+uint64_t
+counterValue(const char *name)
+{
+    const obs::Counter *c = obs::StatRegistry::instance().findCounter(name);
+    return c ? c->value() : 0;
+}
+
+} // namespace
+
+TEST(FirmwarePackage, VmAndNativeSanitizeAlike)
+{
+    const BuildConfig cfg = smallConfig();
+    const TraceRecord rec =
+        recordTrace(mixedWorkload(3, 300000), cfg, 0, 0);
+    TrainedDual dual = trainSmallRf({rec}, cfg);
+    const std::vector<size_t> cols{0, 1, 2, 3, 4, 5};
+    DualModelPredictor native(dual.high, dual.low, cols, 20000, "rf");
+    VmPredictor vm(packageFromDual(native, cols));
+
+    // A recorded block with a NaN counter (must veto) or a 1e30
+    // outlier (must clamp, not veto) in its first interval.
+    const std::vector<float> cycles{rec.cyclesLow[0], rec.cyclesLow[1]};
+    for (const float bad : {std::nanf(""), 1e30f}) {
+        std::vector<float> row(rec.rowLow(0),
+                               rec.rowLow(0) + rec.numCounters);
+        row[2] = bad;
+        const std::vector<const float *> block{row.data(), rec.rowLow(1)};
+        for (const CoreMode mode : {CoreMode::HighPerf, CoreMode::LowPower}) {
+            bool decision[2];
+            uint64_t vetoes[2], clamped[2];
+            GatePredictor *predictors[2] = {&native, &vm};
+            for (int p = 0; p < 2; ++p) {
+                const uint64_t v0 = counterValue("controller.sanitize_vetoes");
+                const uint64_t c0 =
+                    counterValue("controller.sanitized_inputs");
+                decision[p] = predictors[p]->decide(block, cycles, mode);
+                vetoes[p] = counterValue("controller.sanitize_vetoes") - v0;
+                clamped[p] =
+                    counterValue("controller.sanitized_inputs") - c0;
+            }
+            EXPECT_EQ(decision[0], decision[1]);
+            EXPECT_EQ(vetoes[0], vetoes[1]);
+            EXPECT_EQ(clamped[0], clamped[1]);
+            EXPECT_EQ(vetoes[0], std::isnan(bad) ? 1u : 0u);
+            EXPECT_GE(clamped[0], std::isnan(bad) ? 0u : 1u);
+        }
+    }
 }
 
 TEST(FirmwarePackage, LoadRejectsGarbage)

@@ -6,9 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/builder.hh"
 #include "power/power_model.hh"
-#include "sim/core.hh"
-#include "trace/corpus.hh"
 
 using namespace psca;
 
@@ -35,20 +34,13 @@ kernelWorkload(KernelParams kp)
 double
 powerOf(const Workload &w, CoreMode mode)
 {
-    ClusteredCore core;
-    core.reset();
-    core.setMode(mode);
-    PowerModel pm;
-    TraceGenerator gen(w);
-    core.run(gen, 60000);
-    const auto before = core.counters().raw();
-    const uint64_t c0 = core.currentCycle();
-    core.run(gen, 150000);
-    const auto after = core.counters().raw();
-    std::vector<uint64_t> delta(after.size());
-    for (size_t i = 0; i < delta.size(); ++i)
-        delta[i] = after[i] - before[i];
-    return pm.intervalPowerWatts(delta, core.currentCycle() - c0, mode);
+    BuildConfig cfg;
+    cfg.warmupInstr = 60000;
+    cfg.intervalInstr = 150000;
+    IntervalReplay replay(w, cfg, mode);
+    const IntervalStats stats = replay.step();
+    return PowerModel().intervalPowerWatts(replay.delta(), stats.cycles,
+                                           mode);
 }
 
 } // namespace

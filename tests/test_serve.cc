@@ -35,6 +35,7 @@
 #include "common/journal.hh"
 #include "common/serialize.hh"
 #include "obs/http.hh"
+#include "obs/stats.hh"
 #include "serve/drift.hh"
 #include "serve/ring.hh"
 #include "serve/service.hh"
@@ -143,16 +144,7 @@ testBuildConfig()
     BuildConfig cfg;
     cfg.intervalInstr = 10000;
     cfg.warmupInstr = 20000;
-    cfg.counterIds = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::StallCount),
-        CounterRegistry::index(Ctr::L1dMiss),
-        CounterRegistry::index(Ctr::LoadLatSum),
-        CounterRegistry::index(Ctr::MshrOccSum),
-        CounterRegistry::index(Ctr::UopsStalledOnDep),
-        CounterRegistry::index(Ctr::UopsReady),
-        CounterRegistry::index(Ctr::SqOccSum),
-    };
+    cfg.counterIds = defaultCounterIds();
     return cfg;
 }
 
@@ -163,7 +155,6 @@ testServeConfig(const std::string &dir)
     cfg.dir = dir;
     cfg.seed = 5;
     cfg.granularityInstr = 20000;
-    cfg.columns = {0, 1, 2, 3, 4, 5, 6, 7};
     cfg.forestTrees = 4;
     cfg.forestDepth = 4;
     cfg.driftWindow = 6;
@@ -657,6 +648,7 @@ TEST_F(ServiceTest, DisabledLifecycleServesBootstrapForever)
     const std::string dir = freshDir("svc_disabled");
     ServeConfig cfg = testServeConfig(dir);
     cfg.lifecycle = false;
+    obs::StatRegistry::instance().reset();
     Service service(cfg, testBuildConfig(), shiftSchedule());
     const ServeOutcome &out = service.run();
 
@@ -665,4 +657,19 @@ TEST_F(ServiceTest, DisabledLifecycleServesBootstrapForever)
     EXPECT_EQ(out.rollbacks, 0u);
     EXPECT_EQ(out.activeVersion, 1u);
     EXPECT_GT(out.blocks, 0u);
+
+    // The switch gates only the verdict: no state transition is
+    // logged, but the drift windows and gauges still move.
+    EXPECT_FALSE(lifecycleContains(out, "->"));
+    const obs::Counter *windows =
+        obs::StatRegistry::instance().findCounter("serve.drift_windows");
+    ASSERT_NE(windows, nullptr);
+    EXPECT_GT(windows->value(), 0u);
+    double max_z = 0.0;
+    obs::StatRegistry::instance().forEachGauge(
+        [&max_z](const std::string &name, double v) {
+            if (name == "drift.max_abs_mean_z")
+                max_z = v;
+        });
+    EXPECT_GT(max_z, 0.0);
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/builder.hh"
 #include "sim/core.hh"
 #include "trace/generator.hh"
 
@@ -34,16 +35,13 @@ kernelWorkload(KernelParams kp)
 }
 
 double
-ipcWith(const CoreConfig &cfg, const Workload &w, CoreMode mode)
+ipcWith(const CoreConfig &core, const Workload &w, CoreMode mode)
 {
-    ClusteredCore core(cfg);
-    core.reset();
-    core.setMode(mode);
-    TraceGenerator gen(w);
-    core.run(gen, 60000);
-    const uint64_t c0 = core.currentCycle();
-    core.run(gen, 150000);
-    return 150000.0 / static_cast<double>(core.currentCycle() - c0);
+    BuildConfig cfg;
+    cfg.warmupInstr = 60000;
+    cfg.intervalInstr = 150000;
+    cfg.core = core;
+    return IntervalReplay(w, cfg, mode).step().ipc();
 }
 
 } // namespace

@@ -71,22 +71,6 @@ using namespace psca;
 
 namespace {
 
-const std::vector<uint16_t> &
-defaultCounterIds()
-{
-    static const std::vector<uint16_t> ids = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::StallCount),
-        CounterRegistry::index(Ctr::L1dMiss),
-        CounterRegistry::index(Ctr::LoadLatSum),
-        CounterRegistry::index(Ctr::MshrOccSum),
-        CounterRegistry::index(Ctr::UopsStalledOnDep),
-        CounterRegistry::index(Ctr::UopsReady),
-        CounterRegistry::index(Ctr::SqOccSum),
-    };
-    return ids;
-}
-
 const std::vector<size_t> kAllColumns{0, 1, 2, 3, 4, 5, 6, 7};
 
 int
@@ -250,35 +234,21 @@ cmdRun(int argc, char **argv)
                 static_cast<unsigned long>(w.lengthInstr),
                 coreModeName(mode));
 
-    ClusteredCore core(cfg.core);
-    core.reset();
-    core.setMode(mode);
-    PowerModel power(cfg.power, cfg.core.clockGhz);
-    TraceGenerator gen(w);
-    core.run(gen, cfg.warmupInstr);
-
+    IntervalReplay replay(w, cfg, mode);
+    const PowerModel power(cfg.power, cfg.core.clockGhz);
     std::printf("%-8s %-8s %-8s %-10s %-10s\n", "intvl", "IPC",
                 "watts", "l1d-mpki", "stall/cyc");
-    auto prev = core.counters().raw();
-    uint64_t remaining = w.lengthInstr;
-    int interval = 0;
     PpwAccumulator acc;
-    while (remaining >= cfg.intervalInstr) {
-        const IntervalStats stats = core.run(gen, cfg.intervalInstr);
-        remaining -= cfg.intervalInstr;
-        const auto &now = core.counters().raw();
-        std::vector<uint64_t> delta(now.size());
-        for (size_t i = 0; i < now.size(); ++i)
-            delta[i] = now[i] - prev[i];
-        prev = now;
-        const double watts =
-            power.intervalPowerWatts(delta, stats.cycles, mode);
+    for (uint64_t t = 0; t < w.lengthInstr / cfg.intervalInstr; ++t) {
+        const IntervalStats stats = replay.step();
+        const std::vector<uint64_t> &delta = replay.delta();
         acc.add(stats.instructions, stats.cycles,
                 power.intervalEnergyNj(delta, stats.cycles, mode));
-        if (interval % 4 == 0) {
+        if (t % 4 == 0) {
             std::printf(
-                "%-8d %-8.2f %-8.2f %-10.2f %-10.3f\n", interval,
-                stats.ipc(), watts,
+                "%-8d %-8.2f %-8.2f %-10.2f %-10.3f\n",
+                static_cast<int>(t), stats.ipc(),
+                power.intervalPowerWatts(delta, stats.cycles, mode),
                 1000.0 *
                     static_cast<double>(
                         delta[CounterRegistry::index(Ctr::L1dMiss)]) /
@@ -287,7 +257,6 @@ cmdRun(int argc, char **argv)
                     delta[CounterRegistry::index(Ctr::StallCount)]) /
                     static_cast<double>(stats.cycles));
         }
-        ++interval;
     }
     std::printf("\nsummary: IPC %.2f, %.2f W, PPW %.3g inst/J\n",
                 acc.ipc(),
