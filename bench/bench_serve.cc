@@ -18,6 +18,7 @@
 
 #include <filesystem>
 
+#include "common/journal.hh"
 #include "serve/service.hh"
 #include "trace/genome.hh"
 

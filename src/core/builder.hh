@@ -135,9 +135,6 @@ std::vector<TraceRecord> recordCorpus(
     const std::vector<uint32_t> &app_ids, const BuildConfig &cfg,
     const std::string &cache_tag);
 
-/** Directory used for record caches ($PSCA_CACHE_DIR or psca_cache). */
-std::string cacheDirectory();
-
 /** Feature/label assembly options. */
 struct AssemblyOptions
 {

@@ -44,10 +44,18 @@ writeCode(BinaryWriter &out, const std::vector<UcInst> &code)
     }
 }
 
-std::vector<UcInst>
-readCode(BinaryReader &in)
+/** Bytes writeCode() lays down per instruction. */
+constexpr uint64_t kInstBytes = sizeof(UcOpcode) + 3 * sizeof(uint16_t) +
+    sizeof(float) + 2 * sizeof(int32_t);
+
+/** False when the length prefix claims more than the file holds. */
+bool
+readCode(BinaryReader &in, std::vector<UcInst> &code)
 {
-    std::vector<UcInst> code(in.get<uint64_t>());
+    const auto n = in.get<uint64_t>();
+    if (n > in.remaining() / kInstBytes)
+        return false;
+    code.resize(n);
     for (UcInst &inst : code) {
         inst.op = in.get<UcOpcode>();
         inst.dst = in.get<uint16_t>();
@@ -57,7 +65,7 @@ readCode(BinaryReader &in)
         inst.ia = in.get<int32_t>();
         inst.ib = in.get<int32_t>();
     }
-    return code;
+    return true;
 }
 
 void
@@ -73,11 +81,11 @@ writeSlot(BinaryWriter &out, const FirmwareSlot &slot)
     out.put(slot.quantOps);
 }
 
-FirmwareSlot
-readSlot(BinaryReader &in)
+bool
+readSlot(BinaryReader &in, FirmwareSlot &slot)
 {
-    FirmwareSlot slot;
-    slot.program.code = readCode(in);
+    if (!readCode(in, slot.program.code))
+        return false;
     slot.program.mem = in.getVector<float>();
     slot.program.numInputs = in.get<uint16_t>();
     slot.scaler.mean = in.getVector<float>();
@@ -85,7 +93,26 @@ readSlot(BinaryReader &in)
     slot.threshold = in.get<float>();
     slot.quantPayload = in.getString();
     slot.quantOps = in.get<uint32_t>();
-    return slot;
+    return true;
+}
+
+/** One sealed read of an image into @p pkg (DESIGN.md §10). */
+SealedRead
+readPackage(const std::string &path, FirmwarePackage &pkg,
+            std::optional<uint64_t> expect_sum)
+{
+    return readSealedFile(
+        path, kMagic, kFwVersion,
+        [&](BinaryReader &in) -> const char * {
+            pkg.name = in.getString();
+            pkg.granularityInstr = in.get<uint64_t>();
+            pkg.columns = in.getVector<uint32_t>();
+            pkg.fixedPoint = in.get<uint8_t>() != 0;
+            if (!readSlot(in, pkg.high) || !readSlot(in, pkg.low))
+                return "code longer than the file";
+            return nullptr;
+        },
+        expect_sum);
 }
 
 /** Compile whichever supported model class the slot holds. */
@@ -108,14 +135,14 @@ compileAny(const Model &model)
 void
 FirmwarePackage::write(BinaryWriter &out) const
 {
-    writeFileHeader(out, kMagic, kFwVersion);
-    out.putString(name);
-    out.put(granularityInstr);
-    out.putVector(columns);
-    out.put<uint8_t>(fixedPoint ? 1 : 0);
-    writeSlot(out, high);
-    writeSlot(out, low);
-    out.putChecksumTrailer();
+    writeSealed(out, kMagic, kFwVersion, [&] {
+        out.putString(name);
+        out.put(granularityInstr);
+        out.putVector(columns);
+        out.put<uint8_t>(fixedPoint ? 1 : 0);
+        writeSlot(out, high);
+        writeSlot(out, low);
+    });
 }
 
 void
@@ -131,19 +158,11 @@ FirmwarePackage::save(const std::string &path) const
 }
 
 bool
-FirmwarePackage::tryLoad(const std::string &path, FirmwarePackage &out)
+FirmwarePackage::tryLoad(const std::string &path, FirmwarePackage &out,
+                         std::optional<uint64_t> expect_sum)
 {
-    BinaryReader in(path);
-    if (readFileHeader(in, kMagic, kFwVersion) != HeaderCheck::Ok)
-        return false;
     FirmwarePackage pkg;
-    pkg.name = in.getString();
-    pkg.granularityInstr = in.get<uint64_t>();
-    pkg.columns = in.getVector<uint32_t>();
-    pkg.fixedPoint = in.get<uint8_t>() != 0;
-    pkg.high = readSlot(in);
-    pkg.low = readSlot(in);
-    if (!in.good() || !in.verifyChecksumTrailer())
+    if (readPackage(path, pkg, expect_sum).status != SealedStatus::Ok)
         return false;
     out = std::move(pkg);
     return true;
@@ -152,19 +171,19 @@ FirmwarePackage::tryLoad(const std::string &path, FirmwarePackage &out)
 FirmwarePackage
 FirmwarePackage::load(const std::string &path)
 {
-    BinaryReader in(path);
-    const HeaderCheck hdr = readFileHeader(in, kMagic, kFwVersion);
-    if (hdr == HeaderCheck::BadVersion)
-        fatal("firmware image '", path,
-              "': version mismatch (stale or future format)");
-    if (hdr != HeaderCheck::Ok)
-        fatal("'", path, "' is not a psca firmware image");
     // A firmware image is flashed, not rebuilt: unlike the caches
     // there is no fallback here, so any corruption is fatal. The
     // serve layer's rollback ring uses tryLoad() instead — it can
     // fall back to an earlier version.
     FirmwarePackage pkg;
-    if (!tryLoad(path, pkg))
+    const SealedRead read = readPackage(path, pkg, std::nullopt);
+    if (read.header == HeaderCheck::BadVersion)
+        fatal("firmware image '", path,
+              "': version mismatch (stale or future format)");
+    if (read.status == SealedStatus::Missing ||
+        read.header != HeaderCheck::Ok)
+        fatal("'", path, "' is not a psca firmware image");
+    if (read.status != SealedStatus::Ok)
         fatal("firmware image '", path,
               "' is truncated or failed checksum");
     return pkg;

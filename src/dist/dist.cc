@@ -123,9 +123,7 @@ maybeInitFromEnv()
 
     const std::string addr_spec =
         env::stringOr("PSCA_DIST_ADDR", "auto");
-    const std::string addr_file =
-        env::stringOr("PSCA_CACHE_DIR", "psca_cache") +
-        std::string("/dist_addr");
+    const std::string addr_file = cacheDirectory() + "/dist_addr";
     const double connect_s =
         env::doubleOr("PSCA_DIST_CONNECT_S", 60.0, 0.1, 86400.0);
 

@@ -207,7 +207,9 @@ DecisionTree::deserialize(BinaryReader &in)
     tree->cfg_.featureSubset = in.get<uint64_t>();
     tree->cfg_.seed = in.get<uint64_t>();
     const uint64_t n = in.get<uint64_t>();
-    tree->nodes_.reserve(n);
+    // A checkpoint is parsed before its checksum is known: bound the
+    // reservation by the bytes left (18 encoded bytes per node).
+    tree->nodes_.reserve(std::min<uint64_t>(n, in.remaining() / 18));
     for (uint64_t i = 0; i < n && in.good(); ++i) {
         Node nd;
         nd.feature = in.get<int16_t>();

@@ -17,15 +17,14 @@
  * Entries are one file per key, written atomically (temp + rename),
  * safe under concurrent writers at any PSCA_THREADS.
  *
- * PSCA_SIM_MEMO=0 disables the cache; PSCA_CACHE_DIR relocates it
- * (same knob the corpus cache uses).
+ * PSCA_SIM_MEMO=0 disables the cache; it lives under cacheDirectory()
+ * (common/journal.hh), beside the corpus cache and the journal.
  *
- * Integrity: files carry the standard (magic, version) header and an
- * FNV-1a checksum trailer. A file that fails any check is quarantined
- * (renamed to <path>.quarantined) and the simulation reruns — a
- * corrupt cache can degrade build time, never results. Transient IO
- * errors (fault site persist.io_error) are retried with bounded
- * exponential backoff before falling back to resimulation.
+ * Integrity: entries are sealed files (DESIGN.md §10, "Sealed
+ * files"); one that fails a check is quarantined and the simulation
+ * reruns — a corrupt cache can degrade build time, never results.
+ * Transient IO errors (fault site persist.io_error) are retried with
+ * bounded exponential backoff before falling back to resimulation.
  */
 
 #ifndef PSCA_SIM_MEMO_HH
@@ -61,7 +60,7 @@ uint64_t coreConfigHash(const CoreConfig &cfg);
  */
 using MemoIntervals = std::vector<std::vector<uint64_t>>;
 
-/** Process-wide memo cache over PSCA_CACHE_DIR. */
+/** Process-wide memo cache under cacheDirectory(). */
 class SimMemo
 {
   public:
@@ -85,10 +84,6 @@ class SimMemo
 
   private:
     SimMemo();
-
-    /** One read attempt: validate header, payload, and checksum. */
-    bool readMemoFile(const std::string &path, const MemoKey &key,
-                      uint64_t iokey, MemoIntervals &out) const;
 
     std::string dir_;
     bool enabled_ = true;

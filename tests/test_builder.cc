@@ -8,8 +8,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 
 #include "core/builder.hh"
+#include "obs/stats.hh"
 
 using namespace psca;
 
@@ -46,6 +49,41 @@ kernelWorkload(KernelParams kp, uint64_t len, const char *name)
     w.lengthInstr = len;
     w.name = name;
     return w;
+}
+
+/** Exact equality of two record lists, float bits included. */
+void
+expectSameRecords(const std::vector<TraceRecord> &a,
+                  const std::vector<TraceRecord> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    auto bits = [](const std::vector<float> &v) {
+        return std::string(reinterpret_cast<const char *>(v.data()),
+                           v.size() * sizeof(float));
+    };
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].name, b[i].name);
+        EXPECT_EQ(a[i].appId, b[i].appId);
+        EXPECT_EQ(a[i].traceId, b[i].traceId);
+        EXPECT_EQ(a[i].numCounters, b[i].numCounters);
+        EXPECT_EQ(bits(a[i].deltaHigh), bits(b[i].deltaHigh));
+        EXPECT_EQ(bits(a[i].deltaLow), bits(b[i].deltaLow));
+        EXPECT_EQ(bits(a[i].cyclesHigh), bits(b[i].cyclesHigh));
+        EXPECT_EQ(bits(a[i].cyclesLow), bits(b[i].cyclesLow));
+        EXPECT_EQ(bits(a[i].energyHighNj), bits(b[i].energyHighNj));
+        EXPECT_EQ(bits(a[i].energyLowNj), bits(b[i].energyLowNj));
+    }
+}
+
+/** Overwrite the bytes at @p offset of @p path in place. */
+void
+patchFile(const std::string &path, std::streamoff offset,
+          const void *bytes, size_t n)
+{
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(offset);
+    f.write(static_cast<const char *>(bytes),
+            static_cast<std::streamsize>(n));
 }
 
 } // namespace
@@ -193,6 +231,64 @@ TEST(Builder, CacheRoundTrip)
         EXPECT_EQ(first[i].name, second[i].name);
         EXPECT_EQ(first[i].cyclesHigh, second[i].cyclesHigh);
         EXPECT_EQ(first[i].deltaLow, second[i].deltaLow);
+    }
+    unsetenv("PSCA_CACHE_DIR");
+}
+
+TEST(Builder, DamagedCacheIsQuarantinedAndReRecorded)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = "/tmp/psca_test_cache_damage";
+    setenv("PSCA_CACHE_DIR", dir.c_str(), 1);
+    fs::remove_all(dir);
+
+    const BuildConfig cfg = smallConfig();
+    std::vector<Workload> ws{
+        kernelWorkload({.kind = KernelKind::Ilp, .chains = 4}, 60000,
+                       "damage_a"),
+        kernelWorkload({.kind = KernelKind::FpSerial, .fp = true},
+                       60000, "damage_b")};
+    const auto first = recordCorpus(ws, {0, 1}, cfg, "damage");
+    std::string cache;
+    for (const auto &e : fs::directory_iterator(dir))
+        if (e.path().filename().string().starts_with("damage_"))
+            cache = e.path().string();
+    ASSERT_FALSE(cache.empty());
+    const auto size = static_cast<std::streamoff>(fs::file_size(cache));
+
+    const std::vector<std::pair<const char *, std::function<void()>>>
+        damages{
+            {"flipped payload byte",
+             [&] {
+                 std::ifstream in(cache, std::ios::binary);
+                 in.seekg(size / 2);
+                 char b = static_cast<char>(in.get() ^ 0x5a);
+                 in.close();
+                 patchFile(cache, size / 2, &b, 1);
+             }},
+            {"truncated",
+             [&] {
+                 fs::resize_file(cache,
+                                 static_cast<uintmax_t>(size - 3));
+             }},
+            {"rewritten version",
+             [&] {
+                 const uint32_t version = 3;
+                 patchFile(cache, 8, &version, sizeof(version));
+             }},
+        };
+    auto &quarantined =
+        obs::StatRegistry::instance().counter("record.cache_quarantined");
+    for (const auto &[what, damage] : damages) {
+        damage();
+        const uint64_t before = quarantined.value();
+        const auto again = recordCorpus(ws, {0, 1}, cfg, "damage");
+        EXPECT_EQ(quarantined.value(), before + 1) << what;
+        EXPECT_TRUE(fs::exists(cache + ".quarantined")) << what;
+        EXPECT_EQ(static_cast<std::streamoff>(fs::file_size(cache)), size)
+            << what;
+        expectSameRecords(first, again);
+        fs::remove(cache + ".quarantined");
     }
     unsetenv("PSCA_CACHE_DIR");
 }

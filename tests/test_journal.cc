@@ -293,15 +293,35 @@ TEST(Journal, TamperedCheckpointIsQuarantinedAndRecomputed)
         f.seekp(16);
         f.put(b);
     }
+    // Unit 4: a same-key checkpoint with another payload and a valid
+    // trailer of its own, as a stale run with different results
+    // would leave. Only the journaled checksum can reject it.
+    const uint64_t scope_h = Journal::scopeHash("test.units");
+    const std::string stale = Journal(dir, true, true).unitPath(
+        scope_h, 7, 4);
+    {
+        Journal other(scratchDir("tamper_other"), true, true);
+        checkpointedMap<uint64_t>(
+            other, "test.units", 7, 8,
+            [](BinaryWriter &w, const uint64_t &v) { w.put(v); },
+            [](BinaryReader &in) { return in.get<uint64_t>(); },
+            [](size_t i) { return unitValue(i) + 1; });
+        fs::copy_file(other.unitPath(scope_h, 7, 4), stale,
+                      fs::copy_options::overwrite_existing);
+    }
+    // Unit 5: one byte appended after the trailer.
+    const std::string appended = Journal(dir, true, true).unitPath(
+        scope_h, 7, 5);
+    std::ofstream(appended, std::ios::binary | std::ios::app) << 'x';
     Journal journal(dir, true, true);
     const std::vector<uint64_t> out = runUnits(journal, 8);
     for (size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], unitValue(i)) << "unit " << i;
     const JournalStats st = journal.stats();
-    EXPECT_EQ(st.verifyFailures, 1u);
-    EXPECT_EQ(st.unitsExecuted, 1u);
-    EXPECT_EQ(st.unitsSkipped, 7u);
-    EXPECT_GE(countFilesContaining(dir, ".quarantined"), 1u);
+    EXPECT_EQ(st.verifyFailures, 3u);
+    EXPECT_EQ(st.unitsExecuted, 3u);
+    EXPECT_EQ(st.unitsSkipped, 5u);
+    EXPECT_GE(countFilesContaining(dir, ".quarantined"), 3u);
 }
 
 TEST(Journal, TornTailIsTruncatedEntriesSurvive)
