@@ -55,6 +55,10 @@
  *   net.dup_result            a worker delivers one Result frame
  *                             twice (the coordinator dedupes by unit
  *                             index, first write wins)
+ *   dist.worker_crash         a worker SIGKILLs itself right after it
+ *                             is assigned a non-empty batch (keyed by
+ *                             scope and first unit; the coordinator
+ *                             reassigns the batch)
  *   serve.retrain_fail        a background retrain dies before
  *                             producing a candidate (keyed by retrain
  *                             ordinal; the service cools down on the

@@ -142,7 +142,7 @@ BlockReplayer::BlockReplayer(const Workload &workload,
       replay_(workload, cfg, CoreMode::HighPerf),
       power_(cfg.power, cfg.core.clockGhz),
       subRows_(k, std::vector<float>(cfg.counterIds.size())),
-      subCycles_(k), carryRow_(cfg.counterIds.size(), 0.0f)
+      subCycles_(k), adds_(k), carryRow_(cfg.counterIds.size(), 0.0f)
 {
     rowPtrs_.reserve(k_);
     for (const std::vector<float> &row : subRows_)
@@ -187,11 +187,128 @@ BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
                 carryCycles_ = subCycles_[t];
             }
         }
-        acc.add(stats.instructions, stats.cycles,
-                power_.intervalEnergyNj(delta, stats.cycles,
-                                        block_mode));
+        IntervalAdd &add = adds_[t];
+        add = {stats.instructions, stats.cycles,
+               power_.intervalEnergyNj(delta, stats.cycles, block_mode)};
+        acc.add(add.instructions, add.cycles, add.energyNj);
     }
     return totals;
+}
+
+PassReplayer::PassReplayer(const Workload &workload,
+                           const BuildConfig &cfg, size_t k)
+    : workload_(workload), cfg_(cfg), k_(k), nodes_(1), rowPtrs_(k),
+      subCycles_(k)
+{}
+
+void
+PassReplayer::startPass()
+{
+    // Same condition as BlockReplayer::faultsOn_: an armed site makes
+    // the view depend on more than the schedule.
+    bypass_ = FaultRegistry::instance().anyEnabled() ||
+        !SimMemo::instance().enabled();
+    live_.reset();
+    path_.clear();
+    cursor_ = 0;
+}
+
+void
+PassReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
+{
+    const uint32_t next = live_ || bypass_
+        ? kNone
+        : nodes_[cursor_].child[static_cast<size_t>(mode)];
+    if (next == kNone) {
+        simulate(mode, acc);
+        return;
+    }
+    const Node &node = nodes_[next];
+    for (const BlockReplayer::IntervalAdd &a : node.adds)
+        acc.add(a.instructions, a.cycles, a.energyNj);
+    showNode(node);
+    cursor_ = next;
+    path_.push_back(next);
+    obs::StatRegistry::instance()
+        .counter("replay.trie_served_blocks")
+        .add();
+}
+
+namespace {
+
+template <typename T>
+bool
+sameBits(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+} // namespace
+
+void
+PassReplayer::simulate(CoreMode mode, PpwAccumulator &acc)
+{
+    obs::ScopedPhase phase("block_replay");
+    auto &reg = obs::StatRegistry::instance();
+    if (!live_) {
+        // Catch up along the served path. Its adds already reached
+        // @p acc, so the replay accounts into a scratch accumulator;
+        // every block must reproduce its node bit for bit.
+        live_ = std::make_unique<BlockReplayer>(workload_, cfg_, k_);
+        PpwAccumulator scratch;
+        for (size_t b = 0; b < path_.size(); ++b) {
+            const Node &node = nodes_[path_[b]];
+            live_->runBlock(node.mode, scratch);
+            const Node replayed = liveNode(node.mode);
+            PSCA_ASSERT(sameBits(replayed.rows, node.rows) &&
+                            sameBits(replayed.cycles, node.cycles) &&
+                            sameBits(replayed.adds, node.adds),
+                        "block ", b, " of a pass over '", workload_.name,
+                        "' differs from its schedule-trie node");
+        }
+        if (!path_.empty())
+            reg.counter("replay.trie_catchup_blocks").add(path_.size());
+    }
+    live_->runBlock(mode, acc);
+
+    if (bypass_ || cursor_ == kNone || nodes() >= kMaxNodes) {
+        // Not recorded: the rest of this pass stays live.
+        cursor_ = kNone;
+        rowPtrs_ = live_->rowPtrs();
+        subCycles_ = live_->subCycles();
+        return;
+    }
+    const auto idx = static_cast<uint32_t>(nodes_.size());
+    nodes_[cursor_].child[static_cast<size_t>(mode)] = idx;
+    nodes_.push_back(liveNode(mode));
+    cursor_ = idx;
+    showNode(nodes_.back());
+    reg.gauge("replay.trie_nodes").set(static_cast<double>(nodes()));
+}
+
+PassReplayer::Node
+PassReplayer::liveNode(CoreMode mode) const
+{
+    Node node;
+    node.mode = mode;
+    node.rows.reserve(k_ * cfg_.counterIds.size());
+    for (const std::vector<float> &row : live_->subRows())
+        node.rows.insert(node.rows.end(), row.begin(), row.end());
+    node.cycles = live_->subCycles();
+    node.adds = live_->lastAdds();
+    return node;
+}
+
+void
+PassReplayer::showNode(const Node &node)
+{
+    // Node rows are separate heap blocks, so growing nodes_ leaves
+    // these pointers valid.
+    const size_t n_ctr = cfg_.counterIds.size();
+    for (size_t t = 0; t < k_; ++t)
+        rowPtrs_[t] = node.rows.data() + t * n_ctr;
+    subCycles_ = node.cycles;
 }
 
 namespace {

@@ -178,19 +178,23 @@ class SrchPredictor : public GatePredictor
 /**
  * Replays one workload block by block for closed-loop control: the
  * per-block simulate / snapshot / fault-inject / account machinery
- * that runClosedLoop() and the serve loop (src/serve) share. The
- * caller picks each block's cluster mode (the applied decision) and
- * receives the controller's telemetry view of the finished block;
- * ground-truth deltas feed energy/performance accounting regardless
- * of injected telemetry faults, exactly as in the batch loop. Each
- * sub-interval is one IntervalReplay::step(), the recorder's replay.
+ * that runClosedLoop() and, through PassReplayer, the serve loop
+ * (src/serve) share. The caller picks each block's cluster mode (the
+ * applied decision) and receives the controller's telemetry view of
+ * the finished block; ground-truth deltas feed energy/performance
+ * accounting regardless of injected telemetry faults, exactly as in
+ * the batch loop. Each sub-interval is one IntervalReplay::step(),
+ * the recorder's replay.
  *
  * Determinism: fault draws are keyed by the workload's stable
  * identity mixed with the sub-interval index (traceKey()), so a given
  * PSCA_FAULTS + PSCA_FAULT_SEED produces a bit-identical fault
  * sequence at any PSCA_THREADS, and per-interval PpwAccumulator adds
  * happen in the same order as before the extraction, so accumulated
- * float sums are bit-identical too.
+ * float sums are bit-identical too. With no fault site armed a block's
+ * view and adds are a pure function of the mode schedule from the
+ * start of the replay, which is what lets PassReplayer store and
+ * serve them.
  */
 class BlockReplayer
 {
@@ -200,6 +204,14 @@ class BlockReplayer
     {
         uint64_t instructions = 0;
         uint64_t cycles = 0;
+    };
+
+    /** The arguments of one PpwAccumulator::add(). */
+    struct IntervalAdd
+    {
+        uint64_t instructions = 0;
+        uint64_t cycles = 0;
+        double energyNj = 0.0;
     };
 
     /**
@@ -234,6 +246,9 @@ class BlockReplayer
         return rowPtrs_;
     }
 
+    /** The last block's per-interval accumulator adds, in order. */
+    const std::vector<IntervalAdd> &lastAdds() const { return adds_; }
+
     /** Stable fault-stream identity of this workload. */
     uint64_t traceKey() const { return traceKey_; }
 
@@ -251,9 +266,88 @@ class BlockReplayer
     std::vector<std::vector<float>> subRows_;
     std::vector<const float *> rowPtrs_;
     std::vector<float> subCycles_;
+    std::vector<IntervalAdd> adds_;
     std::vector<float> carryRow_;
     float carryCycles_ = 0.0f;
     uint64_t block_ = 0;
+};
+
+/**
+ * Repeated passes over one workload, served from an in-memory
+ * schedule trie (DESIGN.md §9). Each pass replays the trace from the
+ * top on a fresh core, so a block's telemetry view and accounting are
+ * a pure function of the mode path since the pass start. A trie node
+ * holds one block's result after its path: the k telemetry rows, the
+ * sub-interval cycles and the k PpwAccumulator adds.
+ *
+ * While the applied mode's child exists the block is served: its adds
+ * are replayed into the caller's accumulator in their original order,
+ * so the sums are bit-identical to a replay. On the first miss of a
+ * pass a BlockReplayer is built and caught up along the served path
+ * (each block checked bit-equal to its node), then runs live and
+ * appends the pass's new nodes. Served blocks simulate nothing, so
+ * the sim.* counters still count only real simulation.
+ *
+ * An armed fault site (a faulted view is not a function of the
+ * schedule) or PSCA_SIM_MEMO=0 bypasses the trie: every pass is then
+ * a plain BlockReplayer replay. The trie lives as long as the object
+ * and stops growing at kMaxNodes nodes.
+ */
+class PassReplayer
+{
+  public:
+    /** Node cap: about 0.3 KB each at k=2 and eight counters. */
+    static constexpr size_t kMaxNodes = 8192;
+
+    /**
+     * @param k Sub-intervals per block (granularity / interval).
+     */
+    PassReplayer(const Workload &workload, const BuildConfig &cfg,
+                 size_t k);
+
+    /** Begin a pass from the top of the trace on a fresh core. */
+    void startPass();
+
+    /** Serve or simulate the pass's next block in @p mode. */
+    void runBlock(CoreMode mode, PpwAccumulator &acc);
+
+    /** Telemetry view of the last block, as BlockReplayer's. */
+    const std::vector<const float *> &rowPtrs() const
+    {
+        return rowPtrs_;
+    }
+    const std::vector<float> &subCycles() const { return subCycles_; }
+
+    /** Nodes in the trie (the pass-start root excluded). */
+    size_t nodes() const { return nodes_.size() - 1; }
+
+  private:
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    struct Node
+    {
+        uint32_t child[2] = {kNone, kNone}; //!< by CoreMode
+        CoreMode mode = CoreMode::HighPerf;
+        std::vector<float> rows; //!< k x counters, row-major
+        std::vector<float> cycles;
+        std::vector<BlockReplayer::IntervalAdd> adds;
+    };
+
+    void simulate(CoreMode mode, PpwAccumulator &acc);
+    /** The live replayer's last block, run in @p mode, as a node. */
+    Node liveNode(CoreMode mode) const;
+    void showNode(const Node &node);
+
+    Workload workload_;
+    BuildConfig cfg_;
+    size_t k_;
+    bool bypass_ = false;
+    std::vector<Node> nodes_;    //!< [0] is the pass-start root
+    std::vector<uint32_t> path_; //!< nodes served this pass
+    uint32_t cursor_ = 0;        //!< node of the last block
+    std::unique_ptr<BlockReplayer> live_;
+    std::vector<const float *> rowPtrs_;
+    std::vector<float> subCycles_;
 };
 
 /** Outcome of one closed-loop adaptive run. */

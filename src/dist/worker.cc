@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -16,6 +17,7 @@
 #include <thread>
 
 #include "common/env.hh"
+#include "common/fault.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -530,6 +532,12 @@ Worker::runScope(
                     lastWhy_ = "bad assign payload";
                     return Step::Lost;
                 }
+                // dist.worker_crash: die by SIGKILL holding the whole
+                // batch, before any of it runs.
+                const FaultSite &crash = FAULT_SITE("dist.worker_crash");
+                if (!units.empty() && crash.enabled() &&
+                    crash.fires(mixSeeds(scope_key, units.front())))
+                    std::raise(SIGKILL);
                 if (run_batch(units) == Batch::Lost)
                     return Step::Lost;
             } else if (reply.type == Msg::Wait) {

@@ -92,8 +92,8 @@ serveStateName(ServeState s)
 }
 
 /** Per-segment runtime: the dual-mode reference record (ground truth
- *  and A/B energy estimates), its block labels, and the live
- *  replayer of the current pass. */
+ *  and A/B energy estimates), its block labels, and the replayer of
+ *  its passes, whose schedule trie is freed with the segment. */
 struct Service::SegmentRt
 {
     size_t index = 0;
@@ -101,7 +101,7 @@ struct Service::SegmentRt
     TraceRecord ref;
     std::vector<uint8_t> labels;
     size_t passBlocks = 0;
-    std::unique_ptr<BlockReplayer> replayer;
+    std::unique_ptr<PassReplayer> replayer;
     uint64_t passBlockIdx = 0; //!< block within the current pass
 };
 
@@ -232,6 +232,7 @@ Service::enterSegment(size_t idx)
     rt->passBlocks = rt->ref.numIntervals() / k_;
     PSCA_ASSERT(rt->passBlocks >= 3,
                 "serve: workload too short for the closed loop");
+    rt->replayer = std::make_unique<PassReplayer>(s.workload, build_, k_);
     seg_ = std::move(rt);
     segIdx_ = idx;
     segBlocksDone_ = 0;
@@ -243,10 +244,10 @@ Service::stepBlock()
     // Fresh pass: replay the segment's trace from the top with a new
     // core, and clear in-flight decisions (they referenced blocks of
     // the finished pass).
-    if (!seg_->replayer || seg_->passBlockIdx >= seg_->passBlocks) {
-        seg_->replayer = std::make_unique<BlockReplayer>(
-            seg_->workload, build_, k_);
+    if (seg_->passBlockIdx >= seg_->passBlocks)
         seg_->passBlockIdx = 0;
+    if (seg_->passBlockIdx == 0) {
+        seg_->replayer->startPass();
         pending_[0] = pending_[1] = pending_[2] = 0;
     }
 

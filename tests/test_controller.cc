@@ -5,7 +5,8 @@
  * golden tables pinning every result field bit for bit across gate
  * schedules, so the deferred high-performance prefix (served from the
  * reference record, settled from the memo) cannot drift from a full
- * replay.
+ * replay; and the serve loop's schedule trie (PassReplayer), whose
+ * served, caught-up and live blocks must equal a fresh replay's.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -734,4 +736,163 @@ TEST(ClosedLoopExactMemoOff, MatchesGolden)
                           : 1);
         },
         ::testing::ExitedWithCode(0), "");
+}
+
+namespace {
+
+/** One pass's telemetry views, flattened, and its accounting. */
+struct PassRun
+{
+    std::vector<float> views; //!< every block's rows, then its cycles
+    PpwAccumulator acc;
+};
+
+template <typename Replayer>
+PassRun
+runPass(Replayer &replayer, const std::vector<CoreMode> &schedule)
+{
+    const size_t n_ctr = smallConfig().counterIds.size();
+    PassRun run;
+    for (const CoreMode mode : schedule) {
+        replayer.runBlock(mode, run.acc);
+        for (const float *row : replayer.rowPtrs())
+            run.views.insert(run.views.end(), row, row + n_ctr);
+        run.views.insert(run.views.end(), replayer.subCycles().begin(),
+                         replayer.subCycles().end());
+    }
+    return run;
+}
+
+/** Bit-equality of every view and of the accumulator totals. */
+void
+expectSameRun(const PassRun &got, const PassRun &want)
+{
+    ASSERT_EQ(got.views.size(), want.views.size());
+    EXPECT_EQ(std::memcmp(got.views.data(), want.views.data(),
+                          got.views.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(got.acc.instructions(), want.acc.instructions());
+    EXPECT_EQ(got.acc.cycles(), want.acc.cycles());
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.acc.energyNj()),
+              std::bit_cast<uint64_t>(want.acc.energyNj()));
+}
+
+/** What a fresh BlockReplayer produces on @p schedule. */
+PassRun
+freshRun(const Workload &w, const std::vector<CoreMode> &schedule)
+{
+    BlockReplayer replayer(w, smallConfig(), 2);
+    return runPass(replayer, schedule);
+}
+
+/** A ten-block schedule that gates blocks [from, to). */
+std::vector<CoreMode>
+gatedSchedule(size_t from, size_t to)
+{
+    std::vector<CoreMode> s(10, CoreMode::HighPerf);
+    for (size_t b = from; b < to; ++b)
+        s[b] = CoreMode::LowPower;
+    return s;
+}
+
+class PassTrie : public ::testing::Test
+{
+  protected:
+    void TearDown() override { FaultRegistry::instance().configure(""); }
+
+    const Workload w_ = twoPhaseWorkload(200000); // 10 blocks of 2
+    PassReplayer trie_{w_, smallConfig(), 2};
+};
+
+} // namespace
+
+TEST_F(PassTrie, RepeatedPassSimulatesNothing)
+{
+    const std::vector<CoreMode> s = gatedSchedule(3, 7);
+    trie_.startPass();
+    expectSameRun(runPass(trie_, s), freshRun(w_, s));
+    EXPECT_EQ(trie_.nodes(), s.size());
+
+    const uint64_t intervals0 = counterValue("sim.intervals");
+    const uint64_t served0 = counterValue("replay.trie_served_blocks");
+    trie_.startPass();
+    const PassRun again = runPass(trie_, s);
+    EXPECT_EQ(counterValue("sim.intervals"), intervals0);
+    EXPECT_EQ(counterValue("replay.trie_served_blocks") - served0,
+              s.size());
+    EXPECT_EQ(trie_.nodes(), s.size());
+    expectSameRun(again, freshRun(w_, s));
+}
+
+TEST_F(PassTrie, DivergentPassCatchesUpAndGoesLive)
+{
+    const std::vector<CoreMode> first = gatedSchedule(2, 5);
+    const std::vector<CoreMode> second = gatedSchedule(2, 8);
+    trie_.startPass();
+    runPass(trie_, first);
+
+    // The second pass shares blocks 0-4 with the first: served, then
+    // caught up at the miss on block 5, then live to the end, at the
+    // cost of one full replay.
+    uint64_t intervals0 = counterValue("sim.intervals");
+    freshRun(w_, second);
+    const uint64_t full_replay = counterValue("sim.intervals") - intervals0;
+    const uint64_t served0 = counterValue("replay.trie_served_blocks");
+    const uint64_t caught0 = counterValue("replay.trie_catchup_blocks");
+    intervals0 = counterValue("sim.intervals");
+    trie_.startPass();
+    const PassRun diverged = runPass(trie_, second);
+    EXPECT_EQ(counterValue("sim.intervals") - intervals0, full_replay);
+    EXPECT_EQ(counterValue("replay.trie_served_blocks") - served0, 5u);
+    EXPECT_EQ(counterValue("replay.trie_catchup_blocks") - caught0, 5u);
+    EXPECT_EQ(trie_.nodes(), 15u);
+    expectSameRun(diverged, freshRun(w_, second));
+
+    // Both paths, and a third that leaves the second one at block 7,
+    // now match fresh replays whether served, caught up or live.
+    for (const auto &s : {first, second, gatedSchedule(2, 7), first}) {
+        trie_.startPass();
+        expectSameRun(runPass(trie_, s), freshRun(w_, s));
+    }
+    EXPECT_EQ(trie_.nodes(), 18u);
+}
+
+TEST_F(PassTrie, ArmedFaultSiteBypassesTrie)
+{
+    // A site the replay never reaches still marks views as
+    // fault-dependent: no pass is stored or served.
+    FaultRegistry::instance().configure("persist.memo_corrupt:1", 7);
+    const std::vector<CoreMode> s = gatedSchedule(4, 6);
+    const uint64_t served0 = counterValue("replay.trie_served_blocks");
+    for (int pass = 0; pass < 2; ++pass) {
+        const uint64_t intervals0 = counterValue("sim.intervals");
+        trie_.startPass();
+        runPass(trie_, s);
+        EXPECT_GT(counterValue("sim.intervals"), intervals0);
+    }
+    EXPECT_EQ(counterValue("replay.trie_served_blocks"), served0);
+    EXPECT_EQ(trie_.nodes(), 0u);
+    FaultRegistry::instance().configure("");
+    trie_.startPass();
+    expectSameRun(runPass(trie_, s), freshRun(w_, s));
+    EXPECT_EQ(trie_.nodes(), s.size());
+}
+
+TEST(PassTrieDeathTest, CatchUpThatDiffersFromItsNodeStops)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            const Workload w = twoPhaseWorkload(200000);
+            PassReplayer trie(w, smallConfig(), 2);
+            trie.startPass();
+            runPass(trie, gatedSchedule(0, 0));
+            trie.startPass();
+            // Arming a site mid-pass, which callers must not do,
+            // builds the catch-up replayer with noisy telemetry: the
+            // blocks served before the miss no longer match.
+            FaultRegistry::instance().configure("telemetry.noise:1", 3);
+            runPass(trie, gatedSchedule(5, 10));
+        },
+        "differs from its schedule-trie node");
 }

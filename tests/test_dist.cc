@@ -385,38 +385,27 @@ TEST(DistFleet, WorkerKilledMidCampaignIsReassigned)
     setenv("PSCA_CACHE_DIR", dir.c_str(), 1);
     setenv("PSCA_REPORT_DIR", dir.c_str(), 1);
     constexpr int kWorkers = 3;
+    // Worker 1 SIGKILLs itself the moment it parses its first
+    // non-empty assignment, before running any of it: it dies holding
+    // units, which the coordinator must hand to the survivors.
+    using Env = std::vector<std::pair<std::string, std::string>>;
+    const Env crash_env = {{"PSCA_FAULTS", "dist.worker_crash:1"}};
     const pid_t coord = forkFleetChild("coordinator", dir, kWorkers, 0);
     std::vector<pid_t> workers;
     for (int i = 1; i <= kWorkers; ++i)
-        workers.push_back(forkFleetChild("worker", dir, kWorkers, i));
-
-    // SIGKILL the first worker as soon as the first result lands in
-    // the coordinator's journal: with batch assignment (up to
-    // PSCA_THREADS units per worker) it still holds assigned units,
-    // which the coordinator must hand to the survivors.
-    const std::string journal_path = dir + "/journal.psj";
-    bool killed = false;
-    for (int spins = 0; spins < 120000; ++spins) {
-        if (Journal::countEntries(journal_path) >= 1) {
-            kill(workers[0], SIGKILL);
-            killed = true;
-            break;
-        }
-        int status = 0;
-        if (waitpid(coord, &status, WNOHANG) == coord) {
-            ADD_FAILURE() << "coordinator exited before first result";
-            break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_TRUE(killed);
+        workers.push_back(forkFleetChild("worker", dir, kWorkers, i,
+                                         i == 1 ? crash_env : Env{}));
 
     int status = 0;
+    ASSERT_EQ(waitpid(workers[0], &status, 0), workers[0]);
+    const bool killed = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+    ASSERT_TRUE(killed);
+
     ASSERT_EQ(waitpid(coord, &status, 0), coord);
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);
-    for (pid_t w : workers)
-        waitpid(w, &status, 0); // killed one included; others exit 0
+    for (size_t i = 1; i < workers.size(); ++i)
+        waitpid(workers[i], &status, 0); // the survivors exit 0
 
     expectArtifactsIdentical(dir, ref_dir);
 

@@ -6,9 +6,10 @@
  * detector's z-statistics and trip-rate trending, the full lifecycle
  * cycle HEALTHY -> DRIFTING -> RETRAINING -> SHADOWING -> PROMOTING
  * -> HEALTHY on a planted distribution shift, same-seed determinism
- * of the lifecycle transition sequence, fail-safe behaviour under
- * every serve.* fault site, and the /health + /events?since HTTP
- * surface.
+ * of the lifecycle transition sequence, the schedule trie's
+ * byte-identity to a run that replays every pass, fail-safe
+ * behaviour under every serve.* fault site, and the /health +
+ * /events?since HTTP surface.
  *
  * Fork discipline (same as test_runner.cc): children _exit() and the
  * parent never touches the ThreadPool/SimMemo/Journal singletons from
@@ -24,10 +25,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <bit>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +43,7 @@
 #include "serve/drift.hh"
 #include "serve/ring.hh"
 #include "serve/service.hh"
+#include "sim/memo.hh"
 #include "trace/genome.hh"
 
 using namespace psca;
@@ -65,6 +70,64 @@ readAll(const std::string &path)
     std::ostringstream s;
     s << f.rdbuf();
     return s.str();
+}
+
+/**
+ * Every ServeOutcome field as text, ppwGainPct by its bit pattern, so
+ * parseOutcome() restores an exact copy.
+ */
+std::string
+outcomeText(const ServeOutcome &o)
+{
+    std::ostringstream s;
+    s << o.blocks << ' ' << o.driftsDetected << ' ' << o.retrains << ' '
+      << o.retrainFailures << ' ' << o.shadowsScored << ' '
+      << o.promotions << ' ' << o.rejections << ' ' << o.rollbacks
+      << ' ' << o.swapFailures << ' ' << o.shadowCorruptions << ' '
+      << o.activeVersion << ' ' << std::bit_cast<uint64_t>(o.ppwGainPct)
+      << '\n';
+    for (const std::string &line : o.lifecycle)
+        s << line << '\n';
+    return s.str();
+}
+
+ServeOutcome
+parseOutcome(const std::string &text)
+{
+    std::istringstream s(text);
+    ServeOutcome o;
+    uint64_t ppw_bits = 0;
+    s >> o.blocks >> o.driftsDetected >> o.retrains >>
+        o.retrainFailures >> o.shadowsScored >> o.promotions >>
+        o.rejections >> o.rollbacks >> o.swapFailures >>
+        o.shadowCorruptions >> o.activeVersion >> ppw_bits;
+    o.ppwGainPct = std::bit_cast<double>(ppw_bits);
+    std::string line;
+    std::getline(s, line);
+    while (std::getline(s, line))
+        o.lifecycle.push_back(line);
+    return o;
+}
+
+/** The ring's files (images and manifest) by name, with their bytes. */
+std::map<std::string, std::string>
+ringFiles(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        const std::string name = e.path().filename().string();
+        if (name.starts_with("fw.v") || name == "ring.manifest")
+            files[name] = readAll(e.path().string());
+    }
+    return files;
+}
+
+uint64_t
+trieServedBlocks()
+{
+    return obs::StatRegistry::instance()
+        .counter("replay.trie_served_blocks")
+        .value();
 }
 
 /** A small valid firmware package; @p tag varies the image bytes. */
@@ -553,6 +616,60 @@ TEST_F(ServiceTest, SameSeedRunsAreByteIdentical)
     EXPECT_EQ(
         readAll(a.ring().imagePath(out_a.activeVersion)),
         readAll(b.ring().imagePath(out_b.activeVersion)));
+}
+
+TEST_F(ServiceTest, ScheduleTrieMatchesMemoOffRun)
+{
+    // The memo singleton latches PSCA_SIM_MEMO at first use, so the
+    // run with the memo off, which replays every pass, goes to a
+    // fresh process. That process re-executes this test with another
+    // pid, so the directory it writes to is named without one.
+    const std::string dir_off =
+        std::filesystem::temp_directory_path().string() +
+        "/psca_serve_test_trie_memo_off";
+    const std::string dir_on = freshDir("svc_trie_on");
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            setenv("PSCA_SIM_MEMO", "0", 1);
+            std::filesystem::remove_all(dir_off);
+            std::filesystem::create_directories(dir_off);
+            Service off(testServeConfig(dir_off), testBuildConfig(),
+                        shiftSchedule());
+            std::ofstream(dir_off + "/outcome.txt")
+                << outcomeText(off.run());
+            std::exit(!SimMemo::instance().enabled() &&
+                              trieServedBlocks() == 0
+                          ? 0
+                          : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+
+    const uint64_t served0 = trieServedBlocks();
+    Service on(testServeConfig(dir_on), testBuildConfig(),
+               shiftSchedule());
+    const ServeOutcome a = on.run();
+    EXPECT_GT(trieServedBlocks() - served0, 0u);
+
+    const ServeOutcome b = parseOutcome(readAll(dir_off + "/outcome.txt"));
+    EXPECT_EQ(a.blocks, b.blocks);
+    EXPECT_EQ(a.driftsDetected, b.driftsDetected);
+    EXPECT_EQ(a.retrains, b.retrains);
+    EXPECT_EQ(a.retrainFailures, b.retrainFailures);
+    EXPECT_EQ(a.shadowsScored, b.shadowsScored);
+    EXPECT_EQ(a.promotions, b.promotions);
+    EXPECT_EQ(a.rejections, b.rejections);
+    EXPECT_EQ(a.rollbacks, b.rollbacks);
+    EXPECT_EQ(a.swapFailures, b.swapFailures);
+    EXPECT_EQ(a.shadowCorruptions, b.shadowCorruptions);
+    EXPECT_EQ(a.activeVersion, b.activeVersion);
+    EXPECT_EQ(a.ppwGainPct, b.ppwGainPct);
+    EXPECT_EQ(a.lifecycle, b.lifecycle);
+    EXPECT_EQ(readAll(dir_on + "/lifecycle.txt"),
+              readAll(dir_off + "/lifecycle.txt"));
+    const auto ring = ringFiles(dir_on);
+    EXPECT_TRUE(ring.count("ring.manifest"));
+    EXPECT_EQ(ring, ringFiles(dir_off));
 }
 
 TEST_F(ServiceTest, RetrainFailureFailsSafeToActiveFirmware)
