@@ -98,12 +98,6 @@ class IntervalReplay
     void setMode(CoreMode mode) { core_.setMode(mode); }
     CoreMode mode() const { return core_.mode(); }
 
-    /** Cumulative cluster mode switches of the simulated core. */
-    uint64_t modeSwitches() const
-    {
-        return core_.counters().value(Ctr::ModeSwitches);
-    }
-
   private:
     uint64_t intervalInstr_;
     ClusteredCore core_;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <optional>
 
 #include "common/fault.hh"
 #include "obs/phase.hh"
@@ -127,6 +126,14 @@ SrchPredictor::opsPerInference() const
                     low_->opsPerInference());
 }
 
+/** Stable fault-stream identity of @p workload. */
+static uint64_t
+traceKeyOf(const Workload &workload)
+{
+    return mixSeeds(workload.genome.seed,
+                    mixSeeds(workload.inputSeed, workload.traceIndex));
+}
+
 BlockReplayer::BlockReplayer(const Workload &workload,
                              const BuildConfig &cfg, size_t k)
     : cfg_(cfg), k_(k),
@@ -136,9 +143,7 @@ BlockReplayer::BlockReplayer(const Workload &workload,
       // workload's deterministic identity mixed with the sub-interval
       // index, so fault sequences are identical at any thread count.
       faultsOn_(FaultRegistry::instance().anyEnabled()),
-      traceKey_(mixSeeds(
-          workload.genome.seed,
-          mixSeeds(workload.inputSeed, workload.traceIndex))),
+      traceKey_(traceKeyOf(workload)),
       replay_(workload, cfg, CoreMode::HighPerf),
       power_(cfg.power, cfg.core.clockGhz),
       subRows_(k, std::vector<float>(cfg.counterIds.size())),
@@ -149,19 +154,16 @@ BlockReplayer::BlockReplayer(const Workload &workload,
         rowPtrs_.push_back(row.data());
 }
 
-BlockReplayer::BlockStats
+void
 BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
 {
     auto &reg = obs::StatRegistry::instance();
     replay_.setMode(mode);
     const CoreMode block_mode = replay_.mode();
     const uint64_t b = block_++;
-    BlockStats totals;
 
     for (size_t t = 0; t < k_; ++t) {
         const IntervalStats stats = replay_.step();
-        totals.instructions += stats.instructions;
-        totals.cycles += stats.cycles;
         const std::vector<uint64_t> &delta = replay_.delta();
         bool dropped = false;
         if (faultsOn_) {
@@ -192,18 +194,26 @@ BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
                power_.intervalEnergyNj(delta, stats.cycles, block_mode)};
         acc.add(add.instructions, add.cycles, add.energyNj);
     }
-    return totals;
 }
 
 PassReplayer::PassReplayer(const Workload &workload,
+                           const TraceRecord &reference,
                            const BuildConfig &cfg, size_t k)
-    : workload_(workload), cfg_(cfg), k_(k), nodes_(1), rowPtrs_(k),
+    : workload_(workload), ref_(reference), cfg_(cfg), k_(k),
+      traceKey_(traceKeyOf(workload)), nodes_(1), rowPtrs_(k),
       subCycles_(k)
-{}
+{
+    PSCA_ASSERT(reference.numCounters == cfg.counterIds.size(),
+                "reference '", reference.name, "' has ",
+                reference.numCounters, " counters, the config ",
+                cfg.counterIds.size());
+}
 
 void
 PassReplayer::startPass()
 {
+    PSCA_ASSERT(owed_ == 0, "a pass over '", workload_.name,
+                "' ended with unsettled adds");
     // Same condition as BlockReplayer::faultsOn_: an armed site makes
     // the view depend on more than the schedule.
     bypass_ = FaultRegistry::instance().anyEnabled() ||
@@ -216,17 +226,30 @@ PassReplayer::startPass()
 void
 PassReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
 {
-    const uint32_t next = live_ || bypass_
-        ? kNone
-        : nodes_[cursor_].child[static_cast<size_t>(mode)];
+    uint32_t next = kNone;
+    if (!live_ && !bypass_) {
+        next = nodes_[cursor_].child[static_cast<size_t>(mode)];
+        // A rowless node is on the spine, which reaches as far as the
+        // record: its blocks are served before any replay ran them.
+        if (next == kNone && mode == CoreMode::HighPerf &&
+            nodes_[cursor_].rows.empty() && nodes() < kMaxNodes &&
+            (path_.size() + 1) * k_ <= ref_.numIntervals())
+        {
+            next = addChild(mode, Node{});
+        }
+    }
     if (next == kNone) {
         simulate(mode, acc);
         return;
     }
     const Node &node = nodes_[next];
+    // Known spine adds are a prefix of the spine, so owed blocks come
+    // after every block whose adds already reached @p acc.
+    if (node.adds.empty())
+        ++owed_;
     for (const BlockReplayer::IntervalAdd &a : node.adds)
         acc.add(a.instructions, a.cycles, a.energyNj);
-    showNode(node);
+    showNode(path_.size(), node);
     cursor_ = next;
     path_.push_back(next);
     obs::StatRegistry::instance()
@@ -234,149 +257,157 @@ PassReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
         .add();
 }
 
-namespace {
-
-template <typename T>
-bool
-sameBits(const std::vector<T> &a, const std::vector<T> &b)
+void
+PassReplayer::settle(PpwAccumulator &acc)
 {
-    return a.size() == b.size() &&
-        std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+    if (owed_ == 0 || settleFromMemo(acc))
+        return;
+    // A memo miss: the catch-up pays the owed adds. The pass goes on
+    // served, so the replayer is not kept.
+    obs::ScopedPhase phase("block_replay");
+    catchUp(acc);
+    live_.reset();
 }
-
-} // namespace
 
 void
 PassReplayer::simulate(CoreMode mode, PpwAccumulator &acc)
 {
     obs::ScopedPhase phase("block_replay");
-    auto &reg = obs::StatRegistry::instance();
-    if (!live_) {
-        // Catch up along the served path. Its adds already reached
-        // @p acc, so the replay accounts into a scratch accumulator;
-        // every block must reproduce its node bit for bit.
-        live_ = std::make_unique<BlockReplayer>(workload_, cfg_, k_);
-        PpwAccumulator scratch;
-        for (size_t b = 0; b < path_.size(); ++b) {
-            const Node &node = nodes_[path_[b]];
-            live_->runBlock(node.mode, scratch);
-            const Node replayed = liveNode(node.mode);
-            PSCA_ASSERT(sameBits(replayed.rows, node.rows) &&
-                            sameBits(replayed.cycles, node.cycles) &&
-                            sameBits(replayed.adds, node.adds),
-                        "block ", b, " of a pass over '", workload_.name,
-                        "' differs from its schedule-trie node");
-        }
-        if (!path_.empty())
-            reg.counter("replay.trie_catchup_blocks").add(path_.size());
-    }
+    if (!live_)
+        catchUp(acc);
     live_->runBlock(mode, acc);
-
+    rowPtrs_ = live_->rowPtrs();
+    subCycles_ = live_->subCycles();
     if (bypass_ || cursor_ == kNone || nodes() >= kMaxNodes) {
-        // Not recorded: the rest of this pass stays live.
-        cursor_ = kNone;
-        rowPtrs_ = live_->rowPtrs();
-        subCycles_ = live_->subCycles();
+        cursor_ = kNone; // not recorded: the rest of the pass stays live
         return;
     }
-    const auto idx = static_cast<uint32_t>(nodes_.size());
-    nodes_[cursor_].child[static_cast<size_t>(mode)] = idx;
-    nodes_.push_back(liveNode(mode));
-    cursor_ = idx;
-    showNode(nodes_.back());
-    reg.gauge("replay.trie_nodes").set(static_cast<double>(nodes()));
-}
-
-PassReplayer::Node
-PassReplayer::liveNode(CoreMode mode) const
-{
     Node node;
-    node.mode = mode;
-    node.rows.reserve(k_ * cfg_.counterIds.size());
-    for (const std::vector<float> &row : live_->subRows())
-        node.rows.insert(node.rows.end(), row.begin(), row.end());
-    node.cycles = live_->subCycles();
+    for (const float *row : rowPtrs_)
+        node.rows.insert(node.rows.end(), row,
+                         row + cfg_.counterIds.size());
+    node.cycles = subCycles_;
     node.adds = live_->lastAdds();
-    return node;
+    cursor_ = addChild(mode, std::move(node));
 }
 
 void
-PassReplayer::showNode(const Node &node)
+PassReplayer::catchUp(PpwAccumulator &acc)
 {
-    // Node rows are separate heap blocks, so growing nodes_ leaves
-    // these pointers valid.
-    const size_t n_ctr = cfg_.counterIds.size();
-    for (size_t t = 0; t < k_; ++t)
-        rowPtrs_[t] = node.rows.data() + t * n_ctr;
-    subCycles_ = node.cycles;
+    live_ = std::make_unique<BlockReplayer>(workload_, cfg_, k_);
+    PpwAccumulator scratch;
+    const size_t paid = path_.size() - owed_;
+    for (size_t b = 0; b < path_.size(); ++b) {
+        Node &node = nodes_[path_[b]];
+        live_->runBlock(node.mode, b < paid ? scratch : acc);
+        confirm(b, node, live_->rowPtrs(), live_->subCycles(),
+                live_->lastAdds());
+    }
+    owed_ = 0;
+    if (!path_.empty()) {
+        obs::StatRegistry::instance()
+            .counter("replay.trie_catchup_blocks")
+            .add(path_.size());
+    }
 }
 
-namespace {
-
-/**
- * Premise check of the deferred high-performance prefix: the telemetry
- * view (@p row, @p cycles) of interval @p t, as the replayer or the
- * memo produces it, is bit-equal to the reference's HighPerf record,
- * which the predictor consumed in its place. The recorder and the
- * replayer share IntervalReplay, so only a reference recorded under
- * another BuildConfig can fail it.
- */
-void
-checkAgainstRecord(const TraceRecord &reference, size_t t,
-                   const float *row, float cycles)
-{
-    PSCA_ASSERT(cycles == reference.cyclesHigh[t] &&
-                    std::memcmp(row, reference.rowHigh(t),
-                                reference.numCounters * sizeof(float)) ==
-                        0,
-                "interval ", t, " of '", reference.name,
-                "' differs from its reference record: the reference "
-                "was not recorded under this BuildConfig");
-}
-
-/**
- * Settle the accounting of a loop that never gated from the memo's
- * full-width HighPerf deltas: per interval exactly the add that
- * BlockReplayer::runBlock() would make, in the same order.
- *
- * @param n Intervals to settle (whole blocks).
- * @return false on a memo miss (or with the memo disabled); @p acc is
- *         then untouched.
- */
 bool
-settleFromMemo(const Workload &workload, const TraceRecord &reference,
-               const BuildConfig &cfg, size_t n, PpwAccumulator &acc)
+PassReplayer::settleFromMemo(PpwAccumulator &acc)
 {
-    const SimMemo &memo = SimMemo::instance();
-    if (!memo.enabled())
-        return false;
-    const MemoKey key{memoTraceHash(workload, cfg),
-                      coreConfigHash(cfg.core), CoreMode::HighPerf};
+    // Per interval exactly the add BlockReplayer::runBlock() would
+    // make, from the memo's full-width HighPerf deltas.
+    const MemoKey key{memoTraceHash(workload_, cfg_),
+                      coreConfigHash(cfg_.core), CoreMode::HighPerf};
     MemoIntervals intervals;
-    if (!memo.lookup(key, intervals) ||
-        intervals.size() != reference.numIntervals())
+    if (!SimMemo::instance().lookup(key, intervals) ||
+        intervals.size() != ref_.numIntervals())
     {
         return false;
     }
 
-    const PowerModel power(cfg.power, cfg.core.clockGhz);
+    const PowerModel power(cfg_.power, cfg_.core.clockGhz);
     const uint16_t cycles_idx = CounterRegistry::index(Ctr::Cycles);
-    std::vector<float> row(cfg.counterIds.size());
-    for (size_t t = 0; t < n; ++t) {
-        const std::vector<uint64_t> &delta = intervals[t];
-        const uint64_t cyc = delta[cycles_idx];
-        for (size_t j = 0; j < row.size(); ++j)
-            row[j] = static_cast<float>(delta[cfg.counterIds[j]]);
-        checkAgainstRecord(reference, t, row.data(),
-                           static_cast<float>(cyc));
-        acc.add(cfg.intervalInstr, cyc,
-                power.intervalEnergyNj(delta, cyc, CoreMode::HighPerf));
+    const size_t n_ctr = cfg_.counterIds.size();
+    std::vector<float> rows(k_ * n_ctr), cycles(k_);
+    std::vector<const float *> row_ptrs(k_);
+    std::vector<BlockReplayer::IntervalAdd> adds(k_);
+    for (size_t b = path_.size() - owed_; b < path_.size(); ++b) {
+        for (size_t t = 0; t < k_; ++t) {
+            const std::vector<uint64_t> &delta = intervals[b * k_ + t];
+            const uint64_t cyc = delta[cycles_idx];
+            row_ptrs[t] = rows.data() + t * n_ctr;
+            for (size_t j = 0; j < n_ctr; ++j)
+                rows[t * n_ctr + j] =
+                    static_cast<float>(delta[cfg_.counterIds[j]]);
+            cycles[t] = static_cast<float>(cyc);
+            adds[t] = {cfg_.intervalInstr, cyc,
+                       power.intervalEnergyNj(delta, cyc,
+                                              CoreMode::HighPerf)};
+            acc.add(adds[t].instructions, adds[t].cycles,
+                    adds[t].energyNj);
+        }
+        confirm(b, nodes_[path_[b]], row_ptrs, cycles, adds);
     }
-    obs::StatRegistry::instance().counter("memo.closed_loop_settles").add();
+    owed_ = 0;
+    obs::StatRegistry::instance().counter("replay.memo_settles").add();
     return true;
 }
 
-} // namespace
+void
+PassReplayer::confirm(size_t b, Node &node,
+                      const std::vector<const float *> &rows,
+                      const std::vector<float> &cycles,
+                      const std::vector<BlockReplayer::IntervalAdd> &adds)
+{
+    // With one IntervalReplay behind the recorder and the replayer, a
+    // spine block can only differ from the record if the reference was
+    // recorded under another BuildConfig.
+    showNode(b, node);
+    bool same =
+        std::memcmp(cycles.data(), subCycles_.data(),
+                    k_ * sizeof(float)) == 0 &&
+        (node.adds.empty() ||
+         std::memcmp(adds.data(), node.adds.data(),
+                     k_ * sizeof(adds[0])) == 0);
+    for (size_t t = 0; t < k_; ++t)
+        same = same &&
+            std::memcmp(rows[t], rowPtrs_[t],
+                        cfg_.counterIds.size() * sizeof(float)) == 0;
+    PSCA_ASSERT(same, "block ", b, " of a pass over '", workload_.name,
+                "' differs from its schedule-trie node",
+                node.rows.empty()
+                    ? ", the reference record: the reference was not "
+                      "recorded under this BuildConfig"
+                    : "");
+    if (node.adds.empty())
+        node.adds = adds;
+}
+
+uint32_t
+PassReplayer::addChild(CoreMode mode, Node node)
+{
+    const auto idx = static_cast<uint32_t>(nodes_.size());
+    nodes_[cursor_].child[static_cast<size_t>(mode)] = idx;
+    node.mode = mode;
+    nodes_.push_back(std::move(node));
+    obs::StatRegistry::instance().counter("replay.trie_nodes_added").add();
+    return idx;
+}
+
+void
+PassReplayer::showNode(size_t b, const Node &node)
+{
+    // Node rows are separate heap blocks, so growing nodes_ leaves
+    // these pointers valid. A spine node shows the record.
+    const size_t n_ctr = cfg_.counterIds.size();
+    for (size_t t = 0; t < k_; ++t) {
+        const bool spine = node.rows.empty();
+        rowPtrs_[t] = spine ? ref_.rowHigh(b * k_ + t)
+                            : node.rows.data() + t * n_ctr;
+        subCycles_[t] = spine ? ref_.cyclesHigh[b * k_ + t]
+                              : node.cycles[t];
+    }
+}
 
 ClosedLoopResult
 simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
@@ -385,10 +416,6 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
 {
     PSCA_ASSERT(predictor.granularity() % cfg.intervalInstr == 0,
                 "granularity must be a multiple of the interval");
-    PSCA_ASSERT(reference.numCounters == cfg.counterIds.size(),
-                "reference '", reference.name, "' has ",
-                reference.numCounters, " counters, the config ",
-                cfg.counterIds.size());
     const size_t k = predictor.granularity() / cfg.intervalInstr;
     const size_t blocks = reference.numIntervals() / k;
 
@@ -429,30 +456,12 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
     // at block b+2).
     std::vector<uint8_t> pending(blocks + 2, 0);
 
-    // Deferred high-performance prefix (DESIGN.md §9): until the first
-    // LowPower block the core would replay exactly the reference's
-    // HighPerf run, so the predictor reads those blocks from the
-    // record and the replayer is built only when the loop first
-    // gates. It then replays the served blocks in HighPerf, in order
-    // (PpwAccumulator sums stay bit-identical), before going live.
-    // Armed fault sites corrupt the live view, so they build it at
-    // block 0.
-    std::optional<BlockReplayer> replayer;
-    auto start_replayer = [&](size_t catch_up) {
-        replayer.emplace(workload, cfg, k);
-        for (size_t b = 0; b < catch_up; ++b) {
-            replayer->runBlock(CoreMode::HighPerf, adaptive);
-            for (size_t t = 0; t < k; ++t)
-                checkAgainstRecord(reference, b * k + t,
-                                   replayer->subRows()[t].data(),
-                                   replayer->subCycles()[t]);
-        }
-    };
-    if (FaultRegistry::instance().anyEnabled())
-        start_replayer(0);
-    std::vector<const float *> record_rows(k);
-    std::vector<float> record_cycles(k);
-    size_t served = 0;
+    // One pass of the replay walker (DESIGN.md §9): until the first
+    // LowPower block the predictor reads the reference's HighPerf rows
+    // (the trie's spine), and a loop that never gates settles from the
+    // memo without a core.
+    PassReplayer walker(workload, reference, cfg, k);
+    walker.startPass();
 
     for (size_t b = 0; b < blocks; ++b) {
         const CoreMode block_mode = pending[b]
@@ -460,35 +469,20 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
             : CoreMode::HighPerf;
         predictions[b] = pending[b];
         low_blocks += pending[b];
-
-        if (!replayer && block_mode == CoreMode::LowPower)
-            start_replayer(b);
-        const std::vector<const float *> *row_ptrs = &record_rows;
-        const std::vector<float> *sub_cycles = &record_cycles;
-        if (replayer) {
-            replayer->runBlock(block_mode, adaptive);
-            row_ptrs = &replayer->rowPtrs();
-            sub_cycles = &replayer->subCycles();
-        } else {
-            for (size_t t = 0; t < k; ++t) {
-                record_rows[t] = reference.rowHigh(b * k + t);
-                record_cycles[t] = reference.cyclesHigh[b * k + t];
-            }
-            ++served;
-        }
+        result.modeSwitches += pending[b] != (b ? pending[b - 1] : 0);
+        walker.runBlock(block_mode, adaptive);
 
         // Microcontroller inference for block b+2. A deadline miss
         // (injected, or deterministic-on-overrun when the site's
         // param >= 1 and the model's static ops exceed the budget)
         // means the result arrives too late to matter: the
         // controller carries the most recently scheduled decision
-        // forward instead of consuming a stale or partial one. An
-        // armed site means the replayer exists from block 0.
+        // forward instead of consuming a stale or partial one.
         bool deadline_missed = false;
         if (miss_site.enabled()) {
             deadline_missed = miss_site.param(0.0) >= 1.0
                 ? predictor.opsPerInference() > ops_budget
-                : miss_site.fires(mixSeeds(replayer->traceKey(), b));
+                : miss_site.fires(mixSeeds(walker.traceKey(), b));
         }
         if (deadline_missed) {
             reg.counter("controller.deadline_misses").add();
@@ -498,8 +492,8 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
             continue;
         }
         const auto decide_start = std::chrono::steady_clock::now();
-        const bool gate =
-            predictor.decide(*row_ptrs, *sub_cycles, block_mode);
+        const bool gate = predictor.decide(
+            walker.rowPtrs(), walker.subCycles(), block_mode);
         decision_lat.add(obs::elapsedNs(decide_start));
         ops_hist.add(predictor.opsPerInference());
         (gate ? gate_ctr : stay_ctr).add();
@@ -508,15 +502,7 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
         if (b + 2 < pending.size())
             pending[b + 2] = gate ? 1 : 0;
     }
-    reg.counter("sim.closed_loop_deferred_blocks").add(served);
-
-    // A loop that never gated settles from the memo; on a miss it
-    // replays in HighPerf after all.
-    if (!replayer &&
-        !settleFromMemo(workload, reference, cfg, blocks * k, adaptive))
-    {
-        start_replayer(blocks);
-    }
+    walker.settle(adaptive);
 
     // Reference (non-adaptive high-performance) totals.
     PpwAccumulator high_only;
@@ -539,8 +525,6 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
         : 100.0;
     result.lowResidency = static_cast<double>(low_blocks) /
         static_cast<double>(blocks);
-    // A settled loop ran HighPerf throughout: no switches.
-    result.modeSwitches = replayer ? replayer->modeSwitches() : 0;
 
     for (size_t b = 0; b < blocks; ++b)
         result.confusion.add(predictions[b] != 0, labels[b] != 0);

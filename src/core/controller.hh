@@ -178,8 +178,8 @@ class SrchPredictor : public GatePredictor
 /**
  * Replays one workload block by block for closed-loop control: the
  * per-block simulate / snapshot / fault-inject / account machinery
- * that runClosedLoop() and, through PassReplayer, the serve loop
- * (src/serve) share. The caller picks each block's cluster mode (the
+ * behind PassReplayer, the walker of runClosedLoop() and of the serve
+ * loop (src/serve). The caller picks each block's cluster mode (the
  * applied decision) and receives the controller's telemetry view of
  * the finished block; ground-truth deltas feed energy/performance
  * accounting regardless of injected telemetry faults, exactly as in
@@ -187,11 +187,9 @@ class SrchPredictor : public GatePredictor
  * the recorder's replay.
  *
  * Determinism: fault draws are keyed by the workload's stable
- * identity mixed with the sub-interval index (traceKey()), so a given
+ * identity mixed with the sub-interval index, so a given
  * PSCA_FAULTS + PSCA_FAULT_SEED produces a bit-identical fault
- * sequence at any PSCA_THREADS, and per-interval PpwAccumulator adds
- * happen in the same order as before the extraction, so accumulated
- * float sums are bit-identical too. With no fault site armed a block's
+ * sequence at any PSCA_THREADS. With no fault site armed a block's
  * view and adds are a pure function of the mode schedule from the
  * start of the replay, which is what lets PassReplayer store and
  * serve them.
@@ -199,13 +197,6 @@ class SrchPredictor : public GatePredictor
 class BlockReplayer
 {
   public:
-    /** Totals of one replayed block. */
-    struct BlockStats
-    {
-        uint64_t instructions = 0;
-        uint64_t cycles = 0;
-    };
-
     /** The arguments of one PpwAccumulator::add(). */
     struct IntervalAdd
     {
@@ -228,7 +219,7 @@ class BlockReplayer
      * (fault-injected) telemetry view lands in subRows()/subCycles();
      * per-interval energy/perf accounting accumulates into @p acc.
      */
-    BlockStats runBlock(CoreMode mode, PpwAccumulator &acc);
+    void runBlock(CoreMode mode, PpwAccumulator &acc);
 
     /** Telemetry view of the last block's sub-intervals. */
     const std::vector<std::vector<float>> &subRows() const
@@ -249,12 +240,6 @@ class BlockReplayer
     /** The last block's per-interval accumulator adds, in order. */
     const std::vector<IntervalAdd> &lastAdds() const { return adds_; }
 
-    /** Stable fault-stream identity of this workload. */
-    uint64_t traceKey() const { return traceKey_; }
-
-    /** Cumulative cluster mode switches of the simulated core. */
-    uint64_t modeSwitches() const { return replay_.modeSwitches(); }
-
   private:
     BuildConfig cfg_;
     size_t k_;
@@ -273,25 +258,24 @@ class BlockReplayer
 };
 
 /**
- * Repeated passes over one workload, served from an in-memory
- * schedule trie (DESIGN.md §9). Each pass replays the trace from the
- * top on a fresh core, so a block's telemetry view and accounting are
- * a pure function of the mode path since the pass start. A trie node
- * holds one block's result after its path: the k telemetry rows, the
- * sub-interval cycles and the k PpwAccumulator adds.
+ * The closed-loop replay walker (DESIGN.md §9): passes over one
+ * workload, each from the top of the trace on a fresh core, served
+ * from an in-memory schedule trie. A block's view and accounting are a
+ * pure function of the mode path since the pass start, so a node holds
+ * one block's result after its path: the k telemetry rows and cycles
+ * and the k PpwAccumulator adds. The all-HighPerf spine is the
+ * reference record: its nodes hold no rows, and no adds until a replay
+ * or the memo computed them; until then a served spine block owes them.
  *
- * While the applied mode's child exists the block is served: its adds
- * are replayed into the caller's accumulator in their original order,
- * so the sums are bit-identical to a replay. On the first miss of a
- * pass a BlockReplayer is built and caught up along the served path
- * (each block checked bit-equal to its node), then runs live and
- * appends the pass's new nodes. Served blocks simulate nothing, so
- * the sim.* counters still count only real simulation.
- *
- * An armed fault site (a faulted view is not a function of the
- * schedule) or PSCA_SIM_MEMO=0 bypasses the trie: every pass is then
- * a plain BlockReplayer replay. The trie lives as long as the object
- * and stops growing at kMaxNodes nodes.
+ * A served block's adds are replayed into the caller's accumulator in
+ * their original order, so the sums are bit-identical to a replay. On
+ * the first miss of a pass a BlockReplayer catches up along the served
+ * path, each block checked bit-equal to its node (the one premise
+ * check) and owed adds paid, then runs live and appends nodes. Served
+ * blocks simulate nothing, so sim.* counts only real simulation. An
+ * armed fault site (a faulted view is not a function of the schedule)
+ * or PSCA_SIM_MEMO=0 bypasses the trie: a plain replay from block 0.
+ * The trie lives as long as the object and stops at kMaxNodes nodes.
  */
 class PassReplayer
 {
@@ -300,16 +284,25 @@ class PassReplayer
     static constexpr size_t kMaxNodes = 8192;
 
     /**
+     * @param reference The workload's record under @p cfg (the spine);
+     *        it must outlive the walker.
      * @param k Sub-intervals per block (granularity / interval).
      */
-    PassReplayer(const Workload &workload, const BuildConfig &cfg,
-                 size_t k);
+    PassReplayer(const Workload &workload, const TraceRecord &reference,
+                 const BuildConfig &cfg, size_t k);
 
-    /** Begin a pass from the top of the trace on a fresh core. */
+    /** Begin a pass on a fresh core; the last one must be settled. */
     void startPass();
 
     /** Serve or simulate the pass's next block in @p mode. */
     void runBlock(CoreMode mode, PpwAccumulator &acc);
+
+    /**
+     * Pay the pass's owed adds into @p acc, in block order: from the
+     * sim memo's HighPerf entry, or on a miss by the catch-up replay.
+     * Call it before reading @p acc; the pass may go on afterwards.
+     */
+    void settle(PpwAccumulator &acc);
 
     /** Telemetry view of the last block, as BlockReplayer's. */
     const std::vector<const float *> &rowPtrs() const
@@ -321,6 +314,9 @@ class PassReplayer
     /** Nodes in the trie (the pass-start root excluded). */
     size_t nodes() const { return nodes_.size() - 1; }
 
+    /** Stable fault-stream identity of this workload. */
+    uint64_t traceKey() const { return traceKey_; }
+
   private:
     static constexpr uint32_t kNone = UINT32_MAX;
 
@@ -328,20 +324,33 @@ class PassReplayer
     {
         uint32_t child[2] = {kNone, kNone}; //!< by CoreMode
         CoreMode mode = CoreMode::HighPerf;
-        std::vector<float> rows; //!< k x counters, row-major
+        std::vector<float> rows; //!< k x counters; none on the spine
         std::vector<float> cycles;
-        std::vector<BlockReplayer::IntervalAdd> adds;
+        std::vector<BlockReplayer::IntervalAdd> adds; //!< none while owed
     };
 
     void simulate(CoreMode mode, PpwAccumulator &acc);
-    /** The live replayer's last block, run in @p mode, as a node. */
-    Node liveNode(CoreMode mode) const;
-    void showNode(const Node &node);
+    /** Replay the served path live, paying owed adds into @p acc. */
+    void catchUp(PpwAccumulator &acc);
+    bool settleFromMemo(PpwAccumulator &acc); //!< false on a miss
+    /**
+     * The premise check: block @p b, replayed or from the memo, equals
+     * what the pass showed for it. An owed @p node takes @p adds.
+     */
+    void confirm(size_t b, Node &node,
+                 const std::vector<const float *> &rows,
+                 const std::vector<float> &cycles,
+                 const std::vector<BlockReplayer::IntervalAdd> &adds);
+    uint32_t addChild(CoreMode mode, Node node);
+    void showNode(size_t b, const Node &node);
 
     Workload workload_;
+    const TraceRecord &ref_;
     BuildConfig cfg_;
     size_t k_;
+    uint64_t traceKey_;
     bool bypass_ = false;
+    size_t owed_ = 0;            //!< trailing path_ blocks owing adds
     std::vector<Node> nodes_;    //!< [0] is the pass-start root
     std::vector<uint32_t> path_; //!< nodes served this pass
     uint32_t cursor_ = 0;        //!< node of the last block
@@ -377,10 +386,10 @@ struct ClosedLoopResult
  *        non-adaptive baseline for PPW).
  * @param predictor The adaptation model pair.
  * @param cfg Recording configuration. It must be the reference's:
- *        until the loop first gates, the predictor reads the
- *        reference's high-performance rows instead of a replay, and a
- *        loop that never gates settles from the memo (DESIGN.md §9);
- *        a mismatch found there is fatal.
+ *        the loop is one PassReplayer pass, so until it first gates
+ *        the predictor reads the reference's high-performance rows,
+ *        and a loop that never gates settles from the memo
+ *        (DESIGN.md §9); a mismatch found there is fatal.
  * @param sla SLA used for labels and RSV windows.
  */
 ClosedLoopResult runClosedLoop(const Workload &workload,

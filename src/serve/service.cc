@@ -93,7 +93,8 @@ serveStateName(ServeState s)
 
 /** Per-segment runtime: the dual-mode reference record (ground truth
  *  and A/B energy estimates), its block labels, and the replayer of
- *  its passes, whose schedule trie is freed with the segment. */
+ *  its passes, whose schedule trie has the record as its spine and is
+ *  freed with the segment. */
 struct Service::SegmentRt
 {
     size_t index = 0;
@@ -222,6 +223,8 @@ void
 Service::enterSegment(size_t idx)
 {
     const ServeSegment &s = schedule_[idx];
+    if (seg_)
+        seg_->replayer->settle(adaptive_);
     auto rt = std::make_unique<SegmentRt>();
     rt->index = idx;
     rt->workload = s.workload;
@@ -232,7 +235,8 @@ Service::enterSegment(size_t idx)
     rt->passBlocks = rt->ref.numIntervals() / k_;
     PSCA_ASSERT(rt->passBlocks >= 3,
                 "serve: workload too short for the closed loop");
-    rt->replayer = std::make_unique<PassReplayer>(s.workload, build_, k_);
+    rt->replayer =
+        std::make_unique<PassReplayer>(s.workload, rt->ref, build_, k_);
     seg_ = std::move(rt);
     segIdx_ = idx;
     segBlocksDone_ = 0;
@@ -241,12 +245,13 @@ Service::enterSegment(size_t idx)
 void
 Service::stepBlock()
 {
-    // Fresh pass: replay the segment's trace from the top with a new
-    // core, and clear in-flight decisions (they referenced blocks of
-    // the finished pass).
+    // Fresh pass: settle the finished one's accounting, replay the
+    // segment's trace from the top with a new core, and clear in-flight
+    // decisions (they referenced blocks of the finished pass).
     if (seg_->passBlockIdx >= seg_->passBlocks)
         seg_->passBlockIdx = 0;
     if (seg_->passBlockIdx == 0) {
+        seg_->replayer->settle(adaptive_);
         seg_->replayer->startPass();
         pending_[0] = pending_[1] = pending_[2] = 0;
     }
@@ -501,6 +506,8 @@ void
 Service::finishRun()
 {
     outcome_.activeVersion = ring_.activeVersion();
+    if (seg_)
+        seg_->replayer->settle(adaptive_);
     const double ref_ppw = referenceHigh_.ppw();
     outcome_.ppwGainPct = ref_ppw > 0.0
         ? (adaptive_.ppw() / ref_ppw - 1.0) * 100.0

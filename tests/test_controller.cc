@@ -3,14 +3,15 @@
  * Tests for the closed adaptation loop using oracle and constant
  * predictors: residency, PPW sign, prediction/label alignment; and
  * golden tables pinning every result field bit for bit across gate
- * schedules, so the deferred high-performance prefix (served from the
- * reference record, settled from the memo) cannot drift from a full
- * replay; and the serve loop's schedule trie (PassReplayer), whose
- * served, caught-up and live blocks must equal a fresh replay's.
+ * schedules, so the replay walker's spine (served from the reference
+ * record, settled from the memo) cannot drift from a full replay; and
+ * the walker's schedule trie (PassReplayer), whose served, settled,
+ * caught-up and live blocks must equal a fresh replay's.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
 
 #include "common/fault.hh"
 #include "core/controller.hh"
@@ -607,6 +609,26 @@ counterValue(const char *name)
     return obs::StatRegistry::instance().counter(name).value();
 }
 
+/** Where the sim memo keeps @p w's HighPerf intervals under @p cfg. */
+std::filesystem::path
+highPerfMemoPath(const Workload &w, const BuildConfig &cfg)
+{
+    return SimMemo::instance().pathFor(
+        {memoTraceHash(w, cfg), coreConfigHash(cfg.core),
+         CoreMode::HighPerf});
+}
+
+/** Remove the quarantined copies of the memo file @p path. */
+void
+dropQuarantined(const std::filesystem::path &path)
+{
+    namespace fs = std::filesystem;
+    const std::string prefix = path.filename().string() + ".quarantined";
+    for (const auto &e : fs::directory_iterator(path.parent_path()))
+        if (e.path().filename().string().starts_with(prefix))
+            fs::remove(e.path());
+}
+
 class ClosedLoopExact : public ::testing::Test
 {
   protected:
@@ -659,16 +681,14 @@ TEST(ClosedLoopExactDeathTest, ForeignCoreConfigTripsPremiseCheck)
 
 TEST_F(ClosedLoopExact, MatchesGolden)
 {
-    const uint64_t settles0 = counterValue("memo.closed_loop_settles");
-    const uint64_t served0 =
-        counterValue("sim.closed_loop_deferred_blocks");
+    const uint64_t settles0 = counterValue("replay.memo_settles");
+    const uint64_t served0 = counterValue("replay.trie_served_blocks");
     EXPECT_EQ(goldenMismatches(runTable(ws_, refs_, exactConfig())), 0u);
     // Never and OnlyUnapplied settle on every category; the random
     // schedule may add more.
-    EXPECT_GE(counterValue("memo.closed_loop_settles") - settles0,
+    EXPECT_GE(counterValue("replay.memo_settles") - settles0,
               2 * std::size(kCategories));
-    EXPECT_GT(counterValue("sim.closed_loop_deferred_blocks") - served0,
-              0u);
+    EXPECT_GT(counterValue("replay.trie_served_blocks") - served0, 0u);
 }
 
 TEST_F(ClosedLoopExact, MatchesGoldenAfterMemoCorruption)
@@ -677,44 +697,37 @@ TEST_F(ClosedLoopExact, MatchesGoldenAfterMemoCorruption)
     const BuildConfig cfg = exactConfig();
     std::vector<fs::path> paths;
     for (const Workload &w : ws_) {
-        const MemoKey key{memoTraceHash(w, cfg), coreConfigHash(cfg.core),
-                          CoreMode::HighPerf};
-        paths.emplace_back(SimMemo::instance().pathFor(key));
+        paths.push_back(highPerfMemoPath(w, cfg));
         ASSERT_TRUE(fs::exists(paths.back())) << paths.back();
         std::ofstream(paths.back(), std::ios::binary | std::ios::trunc)
             << "not a memo file";
     }
     const uint64_t quarantined0 = counterValue("memo.quarantined");
-    const uint64_t settles0 = counterValue("memo.closed_loop_settles");
+    const uint64_t settles0 = counterValue("replay.memo_settles");
     // Every settle misses and replays in HighPerf instead.
     EXPECT_EQ(goldenMismatches(runTable(ws_, refs_, cfg)), 0u);
     EXPECT_EQ(counterValue("memo.quarantined") - quarantined0,
               std::size(kCategories));
-    EXPECT_EQ(counterValue("memo.closed_loop_settles"), settles0);
+    EXPECT_EQ(counterValue("replay.memo_settles"), settles0);
     // Drop the quarantined bytes; re-recording restores the entries.
-    for (const fs::path &p : paths) {
-        const std::string prefix = p.filename().string() + ".quarantined";
-        for (const auto &e : fs::directory_iterator(p.parent_path()))
-            if (e.path().filename().string().starts_with(prefix))
-                fs::remove(e.path());
-    }
+    for (const fs::path &p : paths)
+        dropQuarantined(p);
     recordReferences(ws_, cfg);
 }
 
 TEST_F(ClosedLoopExact, MatchesGoldenWithFaultSiteArmed)
 {
-    // An armed site (here one the closed loop never reaches) builds
-    // the replayer at block 0: nothing served, nothing settled, and
-    // the memo is not even read.
+    // An armed site (here one the closed loop never reaches) bypasses
+    // the walker's trie: a plain replay from block 0, nothing served,
+    // nothing settled, and the memo is not even read.
     FaultRegistry::instance().configure("persist.memo_corrupt:1", 7);
     const uint64_t quarantined0 = counterValue("memo.quarantined");
-    const uint64_t settles0 = counterValue("memo.closed_loop_settles");
-    const uint64_t served0 =
-        counterValue("sim.closed_loop_deferred_blocks");
+    const uint64_t settles0 = counterValue("replay.memo_settles");
+    const uint64_t served0 = counterValue("replay.trie_served_blocks");
     EXPECT_EQ(goldenMismatches(runTable(ws_, refs_, exactConfig())), 0u);
     EXPECT_EQ(counterValue("memo.quarantined"), quarantined0);
-    EXPECT_EQ(counterValue("memo.closed_loop_settles"), settles0);
-    EXPECT_EQ(counterValue("sim.closed_loop_deferred_blocks"), served0);
+    EXPECT_EQ(counterValue("replay.memo_settles"), settles0);
+    EXPECT_EQ(counterValue("replay.trie_served_blocks"), served0);
 }
 
 TEST(ClosedLoopExactMemoOff, MatchesGolden)
@@ -729,9 +742,9 @@ TEST(ClosedLoopExactMemoOff, MatchesGolden)
             const auto ws = exactWorkloads();
             const auto refs = recordReferences(ws, cfg);
             const size_t bad = goldenMismatches(runTable(ws, refs, cfg));
-            const bool settled =
-                counterValue("memo.closed_loop_settles") != 0;
-            std::exit(bad == 0 && !settled && !SimMemo::instance().enabled()
+            const bool walked = counterValue("replay.memo_settles") != 0 ||
+                counterValue("replay.trie_served_blocks") != 0;
+            std::exit(bad == 0 && !walked && !SimMemo::instance().enabled()
                           ? 0
                           : 1);
         },
@@ -747,19 +760,30 @@ struct PassRun
     PpwAccumulator acc;
 };
 
+/**
+ * Run @p schedule; a walker settles before block @p settle_at and at
+ * the end of the pass.
+ */
 template <typename Replayer>
 PassRun
-runPass(Replayer &replayer, const std::vector<CoreMode> &schedule)
+runPass(Replayer &replayer, const std::vector<CoreMode> &schedule,
+        size_t settle_at = SIZE_MAX)
 {
     const size_t n_ctr = smallConfig().counterIds.size();
+    constexpr bool walker = std::is_same_v<Replayer, PassReplayer>;
     PassRun run;
-    for (const CoreMode mode : schedule) {
-        replayer.runBlock(mode, run.acc);
+    for (size_t b = 0; b < schedule.size(); ++b) {
+        if constexpr (walker)
+            if (b == settle_at)
+                replayer.settle(run.acc);
+        replayer.runBlock(schedule[b], run.acc);
         for (const float *row : replayer.rowPtrs())
             run.views.insert(run.views.end(), row, row + n_ctr);
         run.views.insert(run.views.end(), replayer.subCycles().begin(),
                          replayer.subCycles().end());
     }
+    if constexpr (walker)
+        replayer.settle(run.acc);
     return run;
 }
 
@@ -800,8 +824,26 @@ class PassTrie : public ::testing::Test
   protected:
     void TearDown() override { FaultRegistry::instance().configure(""); }
 
+    /** Sim-interval, served, caught-up and memo-settle deltas of f(). */
+    template <typename F>
+    std::array<uint64_t, 4>
+    costOf(F f)
+    {
+        const char *names[] = {"sim.intervals", "replay.trie_served_blocks",
+                               "replay.trie_catchup_blocks",
+                               "replay.memo_settles"};
+        std::array<uint64_t, 4> before, after;
+        for (size_t i = 0; i < 4; ++i)
+            before[i] = counterValue(names[i]);
+        f();
+        for (size_t i = 0; i < 4; ++i)
+            after[i] = counterValue(names[i]) - before[i];
+        return after;
+    }
+
     const Workload w_ = twoPhaseWorkload(200000); // 10 blocks of 2
-    PassReplayer trie_{w_, smallConfig(), 2};
+    const TraceRecord ref_ = recordTrace(w_, smallConfig(), 0, 0);
+    PassReplayer trie_{w_, ref_, smallConfig(), 2};
 };
 
 } // namespace
@@ -878,13 +920,139 @@ TEST_F(PassTrie, ArmedFaultSiteBypassesTrie)
     EXPECT_EQ(trie_.nodes(), s.size());
 }
 
+TEST_F(PassTrie, HighPerfPassSettlesFromMemo)
+{
+    // The whole pass is the spine: served from the record and settled
+    // from the memo, without a core.
+    const std::vector<CoreMode> s = gatedSchedule(0, 0);
+    PassRun run;
+    const auto cost = costOf([&] {
+        trie_.startPass();
+        run = runPass(trie_, s);
+    });
+    EXPECT_EQ(cost, (std::array<uint64_t, 4>{0, 10, 0, 1}));
+    EXPECT_EQ(trie_.nodes(), s.size());
+    expectSameRun(run, freshRun(w_, s));
+}
+
+TEST_F(PassTrie, CorruptMemoSettlesByReplay)
+{
+    const std::filesystem::path memo = highPerfMemoPath(w_, smallConfig());
+    ASSERT_TRUE(std::filesystem::exists(memo)) << memo;
+    std::ofstream(memo, std::ios::binary | std::ios::trunc)
+        << "not a memo file";
+    const std::vector<CoreMode> high = gatedSchedule(0, 0);
+    const uint64_t full = costOf([&] { freshRun(w_, high); })[0];
+
+    // The settle misses and the catch-up pays all ten blocks.
+    PassRun run;
+    auto cost = costOf([&] {
+        trie_.startPass();
+        run = runPass(trie_, high);
+    });
+    EXPECT_EQ(cost, (std::array<uint64_t, 4>{full, 10, 10, 0}));
+    expectSameRun(run, freshRun(w_, high));
+
+    // A mid-pass settle that misses replays blocks 0-2; the pass goes
+    // on served, and its first gate catches up blocks 0-5 again.
+    const std::vector<CoreMode> gated = gatedSchedule(6, 10);
+    const uint64_t first3 = costOf([&] {
+        freshRun(w_, std::vector<CoreMode>(3, CoreMode::HighPerf));
+    })[0];
+    PassReplayer walker(w_, ref_, smallConfig(), 2);
+    cost = costOf([&] {
+        walker.startPass();
+        run = runPass(walker, gated, 3);
+    });
+    EXPECT_EQ(cost, (std::array<uint64_t, 4>{first3 + full, 6, 3 + 6, 0}));
+    expectSameRun(run, freshRun(w_, gated));
+
+    dropQuarantined(memo);
+    recordTrace(w_, smallConfig(), 0, 0); // restores the memo entry
+}
+
+TEST_F(PassTrie, FirstGateCatchesUpItsServedPrefix)
+{
+    for (const size_t d : {0, 1, 4, 9}) {
+        const std::vector<CoreMode> s = gatedSchedule(d, 10);
+        const uint64_t full = costOf([&] { freshRun(w_, s); })[0];
+        PassReplayer walker(w_, ref_, smallConfig(), 2);
+        PassRun run;
+        const auto cost = costOf([&] {
+            walker.startPass();
+            run = runPass(walker, s);
+        });
+        EXPECT_EQ(cost, (std::array<uint64_t, 4>{full, d, d, 0})) << d;
+        expectSameRun(run, freshRun(w_, s));
+    }
+}
+
+TEST_F(PassTrie, SecondPassServesSpineAndLowPowerChild)
+{
+    const std::vector<CoreMode> gated = gatedSchedule(4, 10);
+    const std::vector<CoreMode> high = gatedSchedule(0, 0);
+    const std::vector<CoreMode> late = gatedSchedule(7, 10);
+    const uint64_t full = costOf([&] { freshRun(w_, gated); })[0];
+    // The first pass catches up the spine's blocks 0-3, the all-HighPerf
+    // one settles blocks 4-9 from the memo, and both are then served:
+    // the spine and its LowPower child at block 4.
+    const std::array<uint64_t, 4> costs[] = {
+        {full, 4, 4, 0}, {0, 10, 0, 1}, {0, 10, 0, 0}, {0, 10, 0, 0}};
+    const std::vector<CoreMode> passes[] = {gated, high, gated, high};
+    for (size_t p = 0; p < std::size(passes); ++p) {
+        PassRun run;
+        const auto cost = costOf([&] {
+            trie_.startPass();
+            run = runPass(trie_, passes[p]);
+        });
+        EXPECT_EQ(cost, costs[p]) << p;
+        expectSameRun(run, freshRun(w_, passes[p]));
+    }
+    // Leaving the spine at block 7 checks the memo's adds of blocks
+    // 4-6 against their replay.
+    PassRun run;
+    const auto cost = costOf([&] {
+        trie_.startPass();
+        run = runPass(trie_, late);
+    });
+    EXPECT_EQ(cost, (std::array<uint64_t, 4>{full, 7, 7, 0}));
+    expectSameRun(run, freshRun(w_, late));
+    EXPECT_EQ(trie_.nodes(), 10u + 6u + 3u);
+}
+
+TEST_F(PassTrie, SettleMidPassKeepsTheSums)
+{
+    // Service::run() can stop mid-pass, settle, and be called again.
+    const std::vector<CoreMode> high = gatedSchedule(0, 0);
+    PassRun run;
+    auto cost = costOf([&] {
+        trie_.startPass();
+        run = runPass(trie_, high, 4);
+    });
+    EXPECT_EQ(cost, (std::array<uint64_t, 4>{0, 10, 0, 2}));
+    expectSameRun(run, freshRun(w_, high));
+
+    // Settled blocks 0-2 replay into scratch at the gate, owed 3-5
+    // into the sums.
+    const std::vector<CoreMode> gated = gatedSchedule(6, 10);
+    const uint64_t full = costOf([&] { freshRun(w_, gated); })[0];
+    PassReplayer walker(w_, ref_, smallConfig(), 2);
+    cost = costOf([&] {
+        walker.startPass();
+        run = runPass(walker, gated, 3);
+    });
+    EXPECT_EQ(cost, (std::array<uint64_t, 4>{full, 6, 6, 1}));
+    expectSameRun(run, freshRun(w_, gated));
+}
+
 TEST(PassTrieDeathTest, CatchUpThatDiffersFromItsNodeStops)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH(
         {
             const Workload w = twoPhaseWorkload(200000);
-            PassReplayer trie(w, smallConfig(), 2);
+            const TraceRecord ref = recordTrace(w, smallConfig(), 0, 0);
+            PassReplayer trie(w, ref, smallConfig(), 2);
             trie.startPass();
             runPass(trie, gatedSchedule(0, 0));
             trie.startPass();

@@ -27,6 +27,7 @@
 
 #include <bit>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -51,6 +52,10 @@ using namespace psca::serve;
 
 namespace {
 
+/** Directories the running test made; ServeFixture removes them. */
+std::vector<std::string> g_testDirs;
+
+/** An empty temp directory, kept after the test only if it failed. */
 std::string
 freshDir(const std::string &name)
 {
@@ -60,6 +65,7 @@ freshDir(const std::string &name)
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
     std::filesystem::create_directories(dir);
+    g_testDirs.push_back(dir);
     return dir;
 }
 
@@ -255,6 +261,15 @@ class ServeFixture : public ::testing::Test
     void TearDown() override
     {
         FaultRegistry::instance().configure("", 1);
+        for (const std::string &dir : g_testDirs) {
+            if (HasFailure()) {
+                std::fprintf(stderr, "kept %s\n", dir.c_str());
+                continue;
+            }
+            std::error_code ec;
+            std::filesystem::remove_all(dir, ec);
+        }
+        g_testDirs.clear();
     }
 };
 
@@ -623,11 +638,11 @@ TEST_F(ServiceTest, ScheduleTrieMatchesMemoOffRun)
     // The memo singleton latches PSCA_SIM_MEMO at first use, so the
     // run with the memo off, which replays every pass, goes to a
     // fresh process. That process re-executes this test with another
-    // pid, so the directory it writes to is named without one.
+    // pid, so the directory it writes to is named without one, and it
+    // exits before this test makes its own.
     const std::string dir_off =
         std::filesystem::temp_directory_path().string() +
         "/psca_serve_test_trie_memo_off";
-    const std::string dir_on = freshDir("svc_trie_on");
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_EXIT(
         {
@@ -644,7 +659,9 @@ TEST_F(ServiceTest, ScheduleTrieMatchesMemoOffRun)
                           : 1);
         },
         ::testing::ExitedWithCode(0), "");
+    g_testDirs.push_back(dir_off);
 
+    const std::string dir_on = freshDir("svc_trie_on");
     const uint64_t served0 = trieServedBlocks();
     Service on(testServeConfig(dir_on), testBuildConfig(),
                shiftSchedule());
@@ -670,6 +687,51 @@ TEST_F(ServiceTest, ScheduleTrieMatchesMemoOffRun)
     const auto ring = ringFiles(dir_on);
     EXPECT_TRUE(ring.count("ring.manifest"));
     EXPECT_EQ(ring, ringFiles(dir_off));
+}
+
+TEST_F(ServiceTest, StopsAndShortSegmentsSettleLikeMemoOffRun)
+{
+    // A stop one block into a pass and a one-block segment both leave
+    // a pass on the walker's spine with owed accounting, which
+    // finishRun() and the next segment must settle. The PPW gain at
+    // every stop must equal a run that replays every pass (memo off,
+    // in a fresh process as above).
+    std::vector<ServeSegment> schedule = shiftSchedule();
+    schedule.insert(schedule.begin() + 1, {ilpWorkload(4, 400000), 1});
+    const auto gains = [&](const std::string &dir) {
+        Service service(testServeConfig(dir), testBuildConfig(), schedule);
+        std::string bits;
+        for (const uint64_t stop : {1, 26, 0})
+            bits += std::to_string(std::bit_cast<uint64_t>(
+                        service.run(stop).ppwGainPct)) +
+                " ";
+        return bits;
+    };
+    const std::string dir_off =
+        std::filesystem::temp_directory_path().string() +
+        "/psca_serve_test_settle_memo_off";
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            setenv("PSCA_SIM_MEMO", "0", 1);
+            std::filesystem::remove_all(dir_off);
+            std::filesystem::create_directories(dir_off);
+            std::ofstream(dir_off + "/gains.txt") << gains(dir_off);
+            std::exit(SimMemo::instance().enabled() ? 1 : 0);
+        },
+        ::testing::ExitedWithCode(0), "");
+    g_testDirs.push_back(dir_off);
+
+    const uint64_t settles0 = obs::StatRegistry::instance()
+                                  .counter("replay.memo_settles")
+                                  .value();
+    EXPECT_EQ(gains(freshDir("svc_settle_on")),
+              readAll(dir_off + "/gains.txt"));
+    EXPECT_GE(obs::StatRegistry::instance()
+                      .counter("replay.memo_settles")
+                      .value() -
+                  settles0,
+              2u);
 }
 
 TEST_F(ServiceTest, RetrainFailureFailsSafeToActiveFirmware)

@@ -28,6 +28,7 @@ import sys
 DEFAULT_IGNORE = [
     "runner.",   # journal skip/execute/retry accounting
     "memo.",     # simulation memo-cache traffic
+    "replay.",   # replay-walker serve/catch-up/settle accounting
     "record.",   # trace-record cache traffic
     "sim.",      # raw simulation work counters
     "fault.",    # fault-site fires track executed sites
