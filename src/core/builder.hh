@@ -41,6 +41,8 @@ struct BuildConfig
     std::vector<uint16_t> counterIds;
     CoreConfig core;
     PowerModelConfig power;
+
+    bool operator==(const BuildConfig &) const = default;
 };
 
 /** Dual-mode telemetry record of one trace. */

@@ -1,9 +1,11 @@
 #include "core/controller.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "common/fault.hh"
 #include "obs/phase.hh"
@@ -197,27 +199,32 @@ BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
 }
 
 PassReplayer::PassReplayer(const Workload &workload,
-                           const TraceRecord &reference,
                            const BuildConfig &cfg, size_t k)
-    : workload_(workload), ref_(reference), cfg_(cfg), k_(k),
-      traceKey_(traceKeyOf(workload)), nodes_(1), rowPtrs_(k),
-      subCycles_(k)
+    : workload_(workload), cfg_(cfg), k_(k),
+      traceKey_(traceKeyOf(workload)), nodes_(1), adds_(k),
+      rowPtrs_(k), subCycles_(k)
+{}
+
+bool
+PassReplayer::bypassed()
 {
-    PSCA_ASSERT(reference.numCounters == cfg.counterIds.size(),
-                "reference '", reference.name, "' has ",
-                reference.numCounters, " counters, the config ",
-                cfg.counterIds.size());
+    // Same condition as BlockReplayer::faultsOn_: an armed site makes
+    // the view depend on more than the schedule.
+    return FaultRegistry::instance().anyEnabled() ||
+        !SimMemo::instance().enabled();
 }
 
 void
-PassReplayer::startPass()
+PassReplayer::startPass(const TraceRecord &reference)
 {
     PSCA_ASSERT(owed_ == 0, "a pass over '", workload_.name,
                 "' ended with unsettled adds");
-    // Same condition as BlockReplayer::faultsOn_: an armed site makes
-    // the view depend on more than the schedule.
-    bypass_ = FaultRegistry::instance().anyEnabled() ||
-        !SimMemo::instance().enabled();
+    PSCA_ASSERT(reference.numCounters == cfg_.counterIds.size(),
+                "reference '", reference.name, "' has ",
+                reference.numCounters, " counters, the config ",
+                cfg_.counterIds.size());
+    ref_ = &reference;
+    bypass_ = bypassed();
     live_.reset();
     path_.clear();
     cursor_ = 0;
@@ -232,24 +239,26 @@ PassReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
         // A rowless node is on the spine, which reaches as far as the
         // record: its blocks are served before any replay ran them.
         if (next == kNone && mode == CoreMode::HighPerf &&
-            nodes_[cursor_].rows.empty() && nodes() < kMaxNodes &&
-            (path_.size() + 1) * k_ <= ref_.numIntervals())
+            nodes_[cursor_].rows == kNone && nodes() < kMaxNodes &&
+            (path_.size() + 1) * k_ <= ref_->numIntervals())
         {
-            next = addChild(mode, Node{});
+            next = addChild(mode, /*spine=*/true);
         }
     }
     if (next == kNone) {
         simulate(mode, acc);
         return;
     }
-    const Node &node = nodes_[next];
     // Known spine adds are a prefix of the spine, so owed blocks come
     // after every block whose adds already reached @p acc.
-    if (node.adds.empty())
+    if (nodes_[next].owed) {
         ++owed_;
-    for (const BlockReplayer::IntervalAdd &a : node.adds)
-        acc.add(a.instructions, a.cycles, a.energyNj);
-    showNode(path_.size(), node);
+    } else {
+        const Add *adds = addsOf(next);
+        for (size_t t = 0; t < k_; ++t)
+            acc.add(cfg_.intervalInstr, adds[t].cycles, adds[t].energyNj);
+    }
+    showNode(path_.size(), next);
     cursor_ = next;
     path_.push_back(next);
     obs::StatRegistry::instance()
@@ -270,6 +279,25 @@ PassReplayer::settle(PpwAccumulator &acc)
 }
 
 void
+PassReplayer::endPass(PpwAccumulator &acc)
+{
+    settle(acc);
+    live_.reset();
+    ref_ = nullptr;
+    nodes_.shrink_to_fit();
+    rows_.shrink_to_fit();
+    adds_.shrink_to_fit();
+}
+
+size_t
+PassReplayer::bytes() const
+{
+    return nodes_.capacity() * sizeof(Node) +
+        rows_.capacity() * sizeof(float) +
+        adds_.capacity() * sizeof(Add);
+}
+
+void
 PassReplayer::simulate(CoreMode mode, PpwAccumulator &acc)
 {
     obs::ScopedPhase phase("block_replay");
@@ -282,13 +310,11 @@ PassReplayer::simulate(CoreMode mode, PpwAccumulator &acc)
         cursor_ = kNone; // not recorded: the rest of the pass stays live
         return;
     }
-    Node node;
+    cursor_ = addChild(mode, /*spine=*/false);
+    float *rows = rowsOf(nodes_[cursor_]);
     for (const float *row : rowPtrs_)
-        node.rows.insert(node.rows.end(), row,
-                         row + cfg_.counterIds.size());
-    node.cycles = subCycles_;
-    node.adds = live_->lastAdds();
-    cursor_ = addChild(mode, std::move(node));
+        rows = std::copy_n(row, cfg_.counterIds.size(), rows);
+    storeAdds(cursor_, live_->lastAdds());
 }
 
 void
@@ -298,9 +324,8 @@ PassReplayer::catchUp(PpwAccumulator &acc)
     PpwAccumulator scratch;
     const size_t paid = path_.size() - owed_;
     for (size_t b = 0; b < path_.size(); ++b) {
-        Node &node = nodes_[path_[b]];
-        live_->runBlock(node.mode, b < paid ? scratch : acc);
-        confirm(b, node, live_->rowPtrs(), live_->subCycles(),
+        live_->runBlock(nodes_[path_[b]].mode, b < paid ? scratch : acc);
+        confirm(b, path_[b], live_->rowPtrs(), live_->subCycles(),
                 live_->lastAdds());
     }
     owed_ = 0;
@@ -316,11 +341,13 @@ PassReplayer::settleFromMemo(PpwAccumulator &acc)
 {
     // Per interval exactly the add BlockReplayer::runBlock() would
     // make, from the memo's full-width HighPerf deltas.
-    const MemoKey key{memoTraceHash(workload_, cfg_),
-                      coreConfigHash(cfg_.core), CoreMode::HighPerf};
+    if (!memoHash_)
+        memoHash_ = memoTraceHash(workload_, cfg_);
+    const MemoKey key{*memoHash_, coreConfigHash(cfg_.core),
+                      CoreMode::HighPerf};
     MemoIntervals intervals;
     if (!SimMemo::instance().lookup(key, intervals) ||
-        intervals.size() != ref_.numIntervals())
+        intervals.size() != ref_->numIntervals())
     {
         return false;
     }
@@ -346,7 +373,7 @@ PassReplayer::settleFromMemo(PpwAccumulator &acc)
             acc.add(adds[t].instructions, adds[t].cycles,
                     adds[t].energyNj);
         }
-        confirm(b, nodes_[path_[b]], row_ptrs, cycles, adds);
+        confirm(b, path_[b], row_ptrs, cycles, adds);
     }
     owed_ = 0;
     obs::StatRegistry::instance().counter("replay.memo_settles").add();
@@ -354,7 +381,7 @@ PassReplayer::settleFromMemo(PpwAccumulator &acc)
 }
 
 void
-PassReplayer::confirm(size_t b, Node &node,
+PassReplayer::confirm(size_t b, uint32_t node,
                       const std::vector<const float *> &rows,
                       const std::vector<float> &cycles,
                       const std::vector<BlockReplayer::IntervalAdd> &adds)
@@ -363,56 +390,86 @@ PassReplayer::confirm(size_t b, Node &node,
     // spine block can only differ from the record if the reference was
     // recorded under another BuildConfig.
     showNode(b, node);
-    bool same =
-        std::memcmp(cycles.data(), subCycles_.data(),
-                    k_ * sizeof(float)) == 0 &&
-        (node.adds.empty() ||
-         std::memcmp(adds.data(), node.adds.data(),
-                     k_ * sizeof(adds[0])) == 0);
-    for (size_t t = 0; t < k_; ++t)
+    Node &n = nodes_[node];
+    bool same = std::memcmp(cycles.data(), subCycles_.data(),
+                            k_ * sizeof(float)) == 0;
+    for (size_t t = 0; t < k_; ++t) {
         same = same &&
             std::memcmp(rows[t], rowPtrs_[t],
-                        cfg_.counterIds.size() * sizeof(float)) == 0;
+                        cfg_.counterIds.size() * sizeof(float)) == 0 &&
+            (n.owed ||
+             (adds[t].instructions == cfg_.intervalInstr &&
+              adds[t].cycles == addsOf(node)[t].cycles &&
+              std::bit_cast<uint64_t>(adds[t].energyNj) ==
+                  std::bit_cast<uint64_t>(addsOf(node)[t].energyNj)));
+    }
     PSCA_ASSERT(same, "block ", b, " of a pass over '", workload_.name,
                 "' differs from its schedule-trie node",
-                node.rows.empty()
+                n.rows == kNone
                     ? ", the reference record: the reference was not "
                       "recorded under this BuildConfig"
                     : "");
-    if (node.adds.empty())
-        node.adds = adds;
+    if (n.owed) {
+        storeAdds(node, adds);
+        n.owed = false;
+    }
+}
+
+void
+PassReplayer::storeAdds(uint32_t node,
+                        const std::vector<BlockReplayer::IntervalAdd> &adds)
+{
+    Add *out = addsOf(node);
+    for (size_t t = 0; t < k_; ++t) {
+        PSCA_ASSERT(adds[t].instructions == cfg_.intervalInstr,
+                    "an interval of '", workload_.name, "' retired ",
+                    adds[t].instructions, " instructions, not ",
+                    cfg_.intervalInstr);
+        out[t] = {adds[t].cycles, adds[t].energyNj};
+    }
 }
 
 uint32_t
-PassReplayer::addChild(CoreMode mode, Node node)
+PassReplayer::addChild(CoreMode mode, bool spine)
 {
     const auto idx = static_cast<uint32_t>(nodes_.size());
-    nodes_[cursor_].child[static_cast<size_t>(mode)] = idx;
+    Node node;
     node.mode = mode;
-    nodes_.push_back(std::move(node));
+    node.owed = spine;
+    if (!spine) {
+        const size_t block = k_ * cfg_.counterIds.size();
+        node.rows = static_cast<uint32_t>(rows_.size() / block);
+        rows_.resize(rows_.size() + block);
+    }
+    nodes_[cursor_].child[static_cast<size_t>(mode)] = idx;
+    nodes_.push_back(node);
+    adds_.resize(adds_.size() + k_);
     obs::StatRegistry::instance().counter("replay.trie_nodes_added").add();
     return idx;
 }
 
 void
-PassReplayer::showNode(size_t b, const Node &node)
+PassReplayer::showNode(size_t b, uint32_t node)
 {
-    // Node rows are separate heap blocks, so growing nodes_ leaves
-    // these pointers valid. A spine node shows the record.
+    // A spine node shows the record; an off-spine one its rows, and as
+    // cycles its adds' cycles, which is what BlockReplayer shows.
+    const Node &n = nodes_[node];
     const size_t n_ctr = cfg_.counterIds.size();
     for (size_t t = 0; t < k_; ++t) {
-        const bool spine = node.rows.empty();
-        rowPtrs_[t] = spine ? ref_.rowHigh(b * k_ + t)
-                            : node.rows.data() + t * n_ctr;
-        subCycles_[t] = spine ? ref_.cyclesHigh[b * k_ + t]
-                              : node.cycles[t];
+        if (n.rows == kNone) {
+            rowPtrs_[t] = ref_->rowHigh(b * k_ + t);
+            subCycles_[t] = ref_->cyclesHigh[b * k_ + t];
+        } else {
+            rowPtrs_[t] = rowsOf(n) + t * n_ctr;
+            subCycles_[t] = static_cast<float>(addsOf(node)[t].cycles);
+        }
     }
 }
 
 ClosedLoopResult
 simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
                    GatePredictor &predictor, const BuildConfig &cfg,
-                   const SlaSpec &sla)
+                   const SlaSpec &sla, PassReplayer *walker)
 {
     PSCA_ASSERT(predictor.granularity() % cfg.intervalInstr == 0,
                 "granularity must be a multiple of the interval");
@@ -460,8 +517,12 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
     // LowPower block the predictor reads the reference's HighPerf rows
     // (the trie's spine), and a loop that never gates settles from the
     // memo without a core.
-    PassReplayer walker(workload, reference, cfg, k);
-    walker.startPass();
+    std::optional<PassReplayer> own;
+    if (!walker)
+        walker = &own.emplace(workload, cfg, k);
+    PSCA_ASSERT(walker->k() == k, "a k=", walker->k(),
+                " walker cannot run a k=", k, " loop");
+    walker->startPass(reference);
 
     for (size_t b = 0; b < blocks; ++b) {
         const CoreMode block_mode = pending[b]
@@ -470,7 +531,7 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
         predictions[b] = pending[b];
         low_blocks += pending[b];
         result.modeSwitches += pending[b] != (b ? pending[b - 1] : 0);
-        walker.runBlock(block_mode, adaptive);
+        walker->runBlock(block_mode, adaptive);
 
         // Microcontroller inference for block b+2. A deadline miss
         // (injected, or deterministic-on-overrun when the site's
@@ -482,7 +543,7 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
         if (miss_site.enabled()) {
             deadline_missed = miss_site.param(0.0) >= 1.0
                 ? predictor.opsPerInference() > ops_budget
-                : miss_site.fires(mixSeeds(walker.traceKey(), b));
+                : miss_site.fires(mixSeeds(walker->traceKey(), b));
         }
         if (deadline_missed) {
             reg.counter("controller.deadline_misses").add();
@@ -493,7 +554,7 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
         }
         const auto decide_start = std::chrono::steady_clock::now();
         const bool gate = predictor.decide(
-            walker.rowPtrs(), walker.subCycles(), block_mode);
+            walker->rowPtrs(), walker->subCycles(), block_mode);
         decision_lat.add(obs::elapsedNs(decide_start));
         ops_hist.add(predictor.opsPerInference());
         (gate ? gate_ctr : stay_ctr).add();
@@ -502,7 +563,7 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
         if (b + 2 < pending.size())
             pending[b + 2] = gate ? 1 : 0;
     }
-    walker.settle(adaptive);
+    walker->endPass(adaptive);
 
     // Reference (non-adaptive high-performance) totals.
     PpwAccumulator high_only;

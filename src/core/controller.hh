@@ -18,6 +18,7 @@
 #define PSCA_CORE_CONTROLLER_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/builder.hh"
@@ -262,10 +263,11 @@ class BlockReplayer
  * workload, each from the top of the trace on a fresh core, served
  * from an in-memory schedule trie. A block's view and accounting are a
  * pure function of the mode path since the pass start, so a node holds
- * one block's result after its path: the k telemetry rows and cycles
- * and the k PpwAccumulator adds. The all-HighPerf spine is the
- * reference record: its nodes hold no rows, and no adds until a replay
- * or the memo computed them; until then a served spine block owes them.
+ * one block's result after its path: the k telemetry rows and the k
+ * PpwAccumulator adds, whose cycles are the view's cycles. The
+ * all-HighPerf spine is the pass's reference record: its nodes hold no
+ * rows, and no adds until a replay or the memo computed them; until
+ * then a served spine block owes them.
  *
  * A served block's adds are replayed into the caller's accumulator in
  * their original order, so the sums are bit-identical to a replay. On
@@ -275,24 +277,40 @@ class BlockReplayer
  * blocks simulate nothing, so sim.* counts only real simulation. An
  * armed fault site (a faulted view is not a function of the schedule)
  * or PSCA_SIM_MEMO=0 bypasses the trie: a plain replay from block 0.
- * The trie lives as long as the object and stops at kMaxNodes nodes.
+ * The trie lives as long as the object (an ExperimentContext's
+ * ReplayTable keeps it across suites) and stops at kMaxNodes nodes;
+ * the core lives for one pass.
  */
 class PassReplayer
 {
   public:
-    /** Node cap: about 0.3 KB each at k=2 and eight counters. */
+    /**
+     * Node cap per trie. A node costs 16 B plus k adds of 16 B and, off
+     * the spine, k rows of 4 B per counter: 112 B at k = 2 with the
+     * CLI's eight counters; 256 B at k = 2 and 496 B at k = 4 with the
+     * quick campaign's 26 (spine nodes 48 B and 80 B).
+     */
     static constexpr size_t kMaxNodes = 8192;
 
     /**
-     * @param reference The workload's record under @p cfg (the spine);
-     *        it must outlive the walker.
      * @param k Sub-intervals per block (granularity / interval).
      */
-    PassReplayer(const Workload &workload, const TraceRecord &reference,
-                 const BuildConfig &cfg, size_t k);
+    PassReplayer(const Workload &workload, const BuildConfig &cfg,
+                 size_t k);
 
-    /** Begin a pass on a fresh core; the last one must be settled. */
-    void startPass();
+    /**
+     * Whether passes begun now bypass the trie: a fault site is armed
+     * or PSCA_SIM_MEMO=0.
+     */
+    static bool bypassed();
+
+    /**
+     * Begin a pass on a fresh core; the last one must be settled.
+     *
+     * @param reference The workload's record under the config, the
+     *        pass's spine; it must outlive the pass.
+     */
+    void startPass(const TraceRecord &reference);
 
     /** Serve or simulate the pass's next block in @p mode. */
     void runBlock(CoreMode mode, PpwAccumulator &acc);
@@ -304,7 +322,16 @@ class PassReplayer
      */
     void settle(PpwAccumulator &acc);
 
-    /** Telemetry view of the last block, as BlockReplayer's. */
+    /**
+     * settle(), then free the pass's core and trim the trie's arenas
+     * to size: only the trie stays.
+     */
+    void endPass(PpwAccumulator &acc);
+
+    /**
+     * Telemetry view of the last block, as BlockReplayer's; valid until
+     * the next runBlock().
+     */
     const std::vector<const float *> &rowPtrs() const
     {
         return rowPtrs_;
@@ -314,8 +341,15 @@ class PassReplayer
     /** Nodes in the trie (the pass-start root excluded). */
     size_t nodes() const { return nodes_.size() - 1; }
 
+    /** Bytes the trie's arenas hold. */
+    size_t bytes() const;
+
     /** Stable fault-stream identity of this workload. */
     uint64_t traceKey() const { return traceKey_; }
+
+    const Workload &workload() const { return workload_; }
+    const BuildConfig &config() const { return cfg_; }
+    size_t k() const { return k_; }
 
   private:
     static constexpr uint32_t kNone = UINT32_MAX;
@@ -323,10 +357,16 @@ class PassReplayer
     struct Node
     {
         uint32_t child[2] = {kNone, kNone}; //!< by CoreMode
+        uint32_t rows = kNone; //!< row block in rows_; none on the spine
         CoreMode mode = CoreMode::HighPerf;
-        std::vector<float> rows; //!< k x counters; none on the spine
-        std::vector<float> cycles;
-        std::vector<BlockReplayer::IntervalAdd> adds; //!< none while owed
+        bool owed = false; //!< adds not computed yet (spine only)
+    };
+
+    /** A stored add; its instructions are always cfg.intervalInstr. */
+    struct Add
+    {
+        uint64_t cycles = 0;
+        double energyNj = 0.0;
     };
 
     void simulate(CoreMode mode, PpwAccumulator &acc);
@@ -335,23 +375,37 @@ class PassReplayer
     bool settleFromMemo(PpwAccumulator &acc); //!< false on a miss
     /**
      * The premise check: block @p b, replayed or from the memo, equals
-     * what the pass showed for it. An owed @p node takes @p adds.
+     * what the pass showed for it. An owed node takes @p adds.
      */
-    void confirm(size_t b, Node &node,
+    void confirm(size_t b, uint32_t node,
                  const std::vector<const float *> &rows,
                  const std::vector<float> &cycles,
                  const std::vector<BlockReplayer::IntervalAdd> &adds);
-    uint32_t addChild(CoreMode mode, Node node);
-    void showNode(size_t b, const Node &node);
+    void storeAdds(uint32_t node,
+                   const std::vector<BlockReplayer::IntervalAdd> &adds);
+    /** Append a child of the cursor; an off-spine one gets rows. */
+    uint32_t addChild(CoreMode mode, bool spine);
+    Add *addsOf(uint32_t node)
+    {
+        return adds_.data() + node * k_;
+    }
+    float *rowsOf(const Node &node)
+    {
+        return rows_.data() + node.rows * k_ * cfg_.counterIds.size();
+    }
+    void showNode(size_t b, uint32_t node);
 
     Workload workload_;
-    const TraceRecord &ref_;
     BuildConfig cfg_;
     size_t k_;
     uint64_t traceKey_;
+    std::optional<uint64_t> memoHash_; //!< memoTraceHash, on first use
+    const TraceRecord *ref_ = nullptr; //!< this pass's spine
     bool bypass_ = false;
     size_t owed_ = 0;            //!< trailing path_ blocks owing adds
     std::vector<Node> nodes_;    //!< [0] is the pass-start root
+    std::vector<float> rows_;    //!< k x counters per off-spine node
+    std::vector<Add> adds_;      //!< k per node
     std::vector<uint32_t> path_; //!< nodes served this pass
     uint32_t cursor_ = 0;        //!< node of the last block
     std::unique_ptr<BlockReplayer> live_;
@@ -404,12 +458,17 @@ ClosedLoopResult runClosedLoop(const Workload &workload,
  * histogram samples), so concurrent runs leave the same stats as
  * serial ones; evaluateSuite() exports each result afterwards in
  * trace order.
+ *
+ * @param walker The walker to run the loop's pass on, whose trie it
+ *        keeps; it must be this workload's under @p cfg at the
+ *        predictor's k. Null runs it on a walker of its own.
  */
 ClosedLoopResult simulateClosedLoop(const Workload &workload,
                                     const TraceRecord &reference,
                                     GatePredictor &predictor,
                                     const BuildConfig &cfg,
-                                    const SlaSpec &sla);
+                                    const SlaSpec &sla,
+                                    PassReplayer *walker = nullptr);
 
 /**
  * Publish one run's outcome to the stat registry: the prediction and

@@ -348,6 +348,49 @@ makeSrch(const ExperimentContext &ctx, double p_sla,
     return np;
 }
 
+ClosedLoopResult
+ReplayTable::simulate(size_t trace, const Workload &workload,
+                      const TraceRecord &reference,
+                      GatePredictor &predictor, const BuildConfig &cfg,
+                      const SlaSpec &sla)
+{
+    Slot *slot;
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        while (slots_.size() <= trace)
+            slots_.emplace_back(); // references to the others stay valid
+        slot = &slots_[trace];
+    }
+    const size_t k = predictor.granularity() / cfg.intervalInstr;
+    std::unique_lock<std::mutex> lock(slot->mu);
+    if (!slot->walker || slot->walker->workload() != workload ||
+        slot->walker->config() != cfg)
+    {
+        slot->walker = std::make_unique<PassReplayer>(workload, cfg, k);
+    }
+    if (slot->walker->k() != k) {
+        lock.unlock();
+        return simulateClosedLoop(workload, reference, predictor, cfg, sla);
+    }
+    return simulateClosedLoop(workload, reference, predictor, cfg, sla,
+                              slot->walker.get());
+}
+
+ReplayTable::Size
+ReplayTable::size() const
+{
+    const std::lock_guard<std::mutex> lock(mu_);
+    Size size;
+    for (const Slot &slot : slots_) {
+        const std::lock_guard<std::mutex> slot_lock(slot.mu);
+        if (slot.walker) {
+            ++size.tries;
+            size.bytes += slot.walker->bytes();
+        }
+    }
+    return size;
+}
+
 SuiteResult
 evaluateSuite(const ExperimentContext &ctx,
               const GatePredictor &predictor,
@@ -360,13 +403,18 @@ evaluateSuite(const ExperimentContext &ctx,
 
     // Each trace is a separate chip: its own core and a fresh
     // predictor clone, so the runs are independent and can fan out.
+    ReplayTable *table =
+        PassReplayer::bypassed() ? nullptr : ctx.replays.get();
     suite.perTrace = ThreadPool::instance().parallelMap<ClosedLoopResult>(
         trace_indices.size(), [&](size_t i) {
             const size_t idx = trace_indices[i];
             const std::unique_ptr<GatePredictor> own = predictor.clone();
-            return simulateClosedLoop(ctx.specWorkloadsList[idx],
-                                      ctx.spec[idx], *own, ctx.build,
-                                      sla);
+            if (!table)
+                return simulateClosedLoop(ctx.specWorkloadsList[idx],
+                                          ctx.spec[idx], *own, ctx.build,
+                                          sla);
+            return table->simulate(idx, ctx.specWorkloadsList[idx],
+                                   ctx.spec[idx], *own, ctx.build, sla);
         });
 
     // Fold and export in trace order: bit-identical at any
@@ -396,6 +444,11 @@ evaluateSuite(const ExperimentContext &ctx,
     reg.gauge("suite.pgos_pct").set(suite.pgosPct);
     reg.gauge("suite.perf_relative_pct").set(suite.perfRelativePct);
     reg.gauge("suite.low_residency_pct").set(suite.lowResidencyPct);
+    if (ctx.replays) {
+        const ReplayTable::Size size = ctx.replays->size();
+        reg.gauge("replay.table_tries").set(static_cast<double>(size.tries));
+        reg.gauge("replay.table_bytes").set(static_cast<double>(size.bytes));
+    }
     return suite;
 }
 

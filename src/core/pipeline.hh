@@ -12,7 +12,9 @@
 #ifndef PSCA_CORE_PIPELINE_HH
 #define PSCA_CORE_PIPELINE_HH
 
+#include <deque>
 #include <memory>
+#include <mutex>
 
 #include "core/builder.hh"
 #include "core/controller.hh"
@@ -65,6 +67,50 @@ CounterPlan makeCounterPlan(const std::vector<uint16_t> &pf_ranked);
 std::vector<uint16_t> runPfSelectionPass(const ScaleConfig &scale,
                                          const PfConfig &pf_cfg);
 
+/**
+ * The schedule tries an ExperimentContext keeps between evaluateSuite()
+ * calls (DESIGN.md §9): one slot per SPEC trace, holding the replay
+ * walker of the first block size k a loop ran the trace at. A later
+ * loop at that k is one more pass of the same walker, so a schedule an
+ * earlier loop took is served without a core; a loop at another k
+ * runs on a walker of its own, as a direct simulateClosedLoop() call
+ * does. A slot is used only while the trace's Workload and the
+ * context's BuildConfig equal, by value, those its walker was built
+ * for; a loop under others replaces it. Each slot is locked for its
+ * loop, so results and stats do not depend on which task came first.
+ */
+class ReplayTable
+{
+  public:
+    /**
+     * simulateClosedLoop() of spec trace @p trace, on its slot's walker
+     * when the slot admits the loop.
+     */
+    ClosedLoopResult simulate(size_t trace, const Workload &workload,
+                              const TraceRecord &reference,
+                              GatePredictor &predictor,
+                              const BuildConfig &cfg,
+                              const SlaSpec &sla);
+
+    /** Walkers kept, and the bytes of their tries. */
+    struct Size
+    {
+        size_t tries = 0;
+        size_t bytes = 0;
+    };
+    Size size() const;
+
+  private:
+    struct Slot
+    {
+        mutable std::mutex mu;
+        std::unique_ptr<PassReplayer> walker;
+    };
+
+    mutable std::mutex mu_; //!< guards the growth of slots_
+    std::deque<Slot> slots_;
+};
+
 /** Everything the standard experiments need from one setup call. */
 struct ExperimentContext
 {
@@ -76,6 +122,12 @@ struct ExperimentContext
     std::vector<TraceRecord> spec;
     std::vector<SpecApp> specApps;
     std::vector<Workload> specWorkloadsList; //!< parallel to spec
+    /**
+     * evaluateSuite()'s schedule tries. Armed fault sites and
+     * PSCA_SIM_MEMO=0 bypass it; null (a moved-from context) too.
+     */
+    std::unique_ptr<ReplayTable> replays =
+        std::make_unique<ReplayTable>();
 };
 
 /**
@@ -158,7 +210,9 @@ struct SuiteResult
  * Traces run concurrently on the thread pool, each on a
  * predictor.clone(); results, sums and registry exports follow
  * trace_indices order, so the outcome is the same at any
- * PSCA_THREADS. The predictor itself is never run.
+ * PSCA_THREADS. The predictor itself is never run. The loops run
+ * through ctx.replays, whose size lands in the replay.table_tries and
+ * replay.table_bytes gauges.
  */
 SuiteResult evaluateSuite(const ExperimentContext &ctx,
                           const GatePredictor &predictor,

@@ -37,6 +37,8 @@ struct PowerModelConfig
     double perFetchUop = 0.028;
     double perWrongPathUop = 0.09;
     double perModeSwitch = 35.0;
+
+    bool operator==(const PowerModelConfig &) const = default;
 };
 
 /** Computes interval power and performance-per-watt summaries. */

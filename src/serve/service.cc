@@ -236,7 +236,7 @@ Service::enterSegment(size_t idx)
     PSCA_ASSERT(rt->passBlocks >= 3,
                 "serve: workload too short for the closed loop");
     rt->replayer =
-        std::make_unique<PassReplayer>(s.workload, rt->ref, build_, k_);
+        std::make_unique<PassReplayer>(s.workload, build_, k_);
     seg_ = std::move(rt);
     segIdx_ = idx;
     segBlocksDone_ = 0;
@@ -252,7 +252,7 @@ Service::stepBlock()
         seg_->passBlockIdx = 0;
     if (seg_->passBlockIdx == 0) {
         seg_->replayer->settle(adaptive_);
-        seg_->replayer->startPass();
+        seg_->replayer->startPass(seg_->ref);
         pending_[0] = pending_[1] = pending_[2] = 0;
     }
 

@@ -35,6 +35,8 @@ struct CacheConfig
     uint32_t ways;
     uint32_t lineBytes = 64;
     uint32_t hitLatency;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Full core + memory-system configuration. */
@@ -86,6 +88,8 @@ struct CoreConfig
 
     // Clocking (used by the SLA window and budget maths, Sec. 5).
     double clockGhz = 2.0;
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 } // namespace psca

@@ -35,6 +35,8 @@ struct Workload
     uint64_t lengthInstr = 500000;
     /** Human-readable identity for reports. */
     std::string name;
+
+    bool operator==(const Workload &) const = default;
 };
 
 /** Deterministic micro-op stream for one workload trace. */

@@ -45,6 +45,8 @@ struct PhaseSpec
     double weight = 1.0;
     /** Mean phase length in instructions (log-normal around this). */
     double meanLenInstr = 60e3;
+
+    bool operator==(const PhaseSpec &) const = default;
 };
 
 /** A complete application description. */
@@ -55,6 +57,8 @@ struct AppGenome
     /** App-identity seed; fixes the phase schedule family. */
     uint64_t seed = 0;
     std::vector<PhaseSpec> phases;
+
+    bool operator==(const AppGenome &) const = default;
 };
 
 /**

@@ -69,6 +69,8 @@ struct KernelParams
     bool fp = false;
     /** Access stride (Stream/Stencil). */
     uint32_t strideBytes = 8;
+
+    bool operator==(const KernelParams &) const = default;
 };
 
 /**

@@ -843,7 +843,7 @@ class PassTrie : public ::testing::Test
 
     const Workload w_ = twoPhaseWorkload(200000); // 10 blocks of 2
     const TraceRecord ref_ = recordTrace(w_, smallConfig(), 0, 0);
-    PassReplayer trie_{w_, ref_, smallConfig(), 2};
+    PassReplayer trie_{w_, smallConfig(), 2};
 };
 
 } // namespace
@@ -851,13 +851,13 @@ class PassTrie : public ::testing::Test
 TEST_F(PassTrie, RepeatedPassSimulatesNothing)
 {
     const std::vector<CoreMode> s = gatedSchedule(3, 7);
-    trie_.startPass();
+    trie_.startPass(ref_);
     expectSameRun(runPass(trie_, s), freshRun(w_, s));
     EXPECT_EQ(trie_.nodes(), s.size());
 
     const uint64_t intervals0 = counterValue("sim.intervals");
     const uint64_t served0 = counterValue("replay.trie_served_blocks");
-    trie_.startPass();
+    trie_.startPass(ref_);
     const PassRun again = runPass(trie_, s);
     EXPECT_EQ(counterValue("sim.intervals"), intervals0);
     EXPECT_EQ(counterValue("replay.trie_served_blocks") - served0,
@@ -870,7 +870,7 @@ TEST_F(PassTrie, DivergentPassCatchesUpAndGoesLive)
 {
     const std::vector<CoreMode> first = gatedSchedule(2, 5);
     const std::vector<CoreMode> second = gatedSchedule(2, 8);
-    trie_.startPass();
+    trie_.startPass(ref_);
     runPass(trie_, first);
 
     // The second pass shares blocks 0-4 with the first: served, then
@@ -882,7 +882,7 @@ TEST_F(PassTrie, DivergentPassCatchesUpAndGoesLive)
     const uint64_t served0 = counterValue("replay.trie_served_blocks");
     const uint64_t caught0 = counterValue("replay.trie_catchup_blocks");
     intervals0 = counterValue("sim.intervals");
-    trie_.startPass();
+    trie_.startPass(ref_);
     const PassRun diverged = runPass(trie_, second);
     EXPECT_EQ(counterValue("sim.intervals") - intervals0, full_replay);
     EXPECT_EQ(counterValue("replay.trie_served_blocks") - served0, 5u);
@@ -893,7 +893,7 @@ TEST_F(PassTrie, DivergentPassCatchesUpAndGoesLive)
     // Both paths, and a third that leaves the second one at block 7,
     // now match fresh replays whether served, caught up or live.
     for (const auto &s : {first, second, gatedSchedule(2, 7), first}) {
-        trie_.startPass();
+        trie_.startPass(ref_);
         expectSameRun(runPass(trie_, s), freshRun(w_, s));
     }
     EXPECT_EQ(trie_.nodes(), 18u);
@@ -908,14 +908,14 @@ TEST_F(PassTrie, ArmedFaultSiteBypassesTrie)
     const uint64_t served0 = counterValue("replay.trie_served_blocks");
     for (int pass = 0; pass < 2; ++pass) {
         const uint64_t intervals0 = counterValue("sim.intervals");
-        trie_.startPass();
+        trie_.startPass(ref_);
         runPass(trie_, s);
         EXPECT_GT(counterValue("sim.intervals"), intervals0);
     }
     EXPECT_EQ(counterValue("replay.trie_served_blocks"), served0);
     EXPECT_EQ(trie_.nodes(), 0u);
     FaultRegistry::instance().configure("");
-    trie_.startPass();
+    trie_.startPass(ref_);
     expectSameRun(runPass(trie_, s), freshRun(w_, s));
     EXPECT_EQ(trie_.nodes(), s.size());
 }
@@ -927,7 +927,7 @@ TEST_F(PassTrie, HighPerfPassSettlesFromMemo)
     const std::vector<CoreMode> s = gatedSchedule(0, 0);
     PassRun run;
     const auto cost = costOf([&] {
-        trie_.startPass();
+        trie_.startPass(ref_);
         run = runPass(trie_, s);
     });
     EXPECT_EQ(cost, (std::array<uint64_t, 4>{0, 10, 0, 1}));
@@ -947,7 +947,7 @@ TEST_F(PassTrie, CorruptMemoSettlesByReplay)
     // The settle misses and the catch-up pays all ten blocks.
     PassRun run;
     auto cost = costOf([&] {
-        trie_.startPass();
+        trie_.startPass(ref_);
         run = runPass(trie_, high);
     });
     EXPECT_EQ(cost, (std::array<uint64_t, 4>{full, 10, 10, 0}));
@@ -959,9 +959,9 @@ TEST_F(PassTrie, CorruptMemoSettlesByReplay)
     const uint64_t first3 = costOf([&] {
         freshRun(w_, std::vector<CoreMode>(3, CoreMode::HighPerf));
     })[0];
-    PassReplayer walker(w_, ref_, smallConfig(), 2);
+    PassReplayer walker(w_, smallConfig(), 2);
     cost = costOf([&] {
-        walker.startPass();
+        walker.startPass(ref_);
         run = runPass(walker, gated, 3);
     });
     EXPECT_EQ(cost, (std::array<uint64_t, 4>{first3 + full, 6, 3 + 6, 0}));
@@ -976,10 +976,10 @@ TEST_F(PassTrie, FirstGateCatchesUpItsServedPrefix)
     for (const size_t d : {0, 1, 4, 9}) {
         const std::vector<CoreMode> s = gatedSchedule(d, 10);
         const uint64_t full = costOf([&] { freshRun(w_, s); })[0];
-        PassReplayer walker(w_, ref_, smallConfig(), 2);
+        PassReplayer walker(w_, smallConfig(), 2);
         PassRun run;
         const auto cost = costOf([&] {
-            walker.startPass();
+            walker.startPass(ref_);
             run = runPass(walker, s);
         });
         EXPECT_EQ(cost, (std::array<uint64_t, 4>{full, d, d, 0})) << d;
@@ -1002,7 +1002,7 @@ TEST_F(PassTrie, SecondPassServesSpineAndLowPowerChild)
     for (size_t p = 0; p < std::size(passes); ++p) {
         PassRun run;
         const auto cost = costOf([&] {
-            trie_.startPass();
+            trie_.startPass(ref_);
             run = runPass(trie_, passes[p]);
         });
         EXPECT_EQ(cost, costs[p]) << p;
@@ -1012,7 +1012,7 @@ TEST_F(PassTrie, SecondPassServesSpineAndLowPowerChild)
     // 4-6 against their replay.
     PassRun run;
     const auto cost = costOf([&] {
-        trie_.startPass();
+        trie_.startPass(ref_);
         run = runPass(trie_, late);
     });
     EXPECT_EQ(cost, (std::array<uint64_t, 4>{full, 7, 7, 0}));
@@ -1026,7 +1026,7 @@ TEST_F(PassTrie, SettleMidPassKeepsTheSums)
     const std::vector<CoreMode> high = gatedSchedule(0, 0);
     PassRun run;
     auto cost = costOf([&] {
-        trie_.startPass();
+        trie_.startPass(ref_);
         run = runPass(trie_, high, 4);
     });
     EXPECT_EQ(cost, (std::array<uint64_t, 4>{0, 10, 0, 2}));
@@ -1036,13 +1036,51 @@ TEST_F(PassTrie, SettleMidPassKeepsTheSums)
     // into the sums.
     const std::vector<CoreMode> gated = gatedSchedule(6, 10);
     const uint64_t full = costOf([&] { freshRun(w_, gated); })[0];
-    PassReplayer walker(w_, ref_, smallConfig(), 2);
+    PassReplayer walker(w_, smallConfig(), 2);
     cost = costOf([&] {
-        walker.startPass();
+        walker.startPass(ref_);
         run = runPass(walker, gated, 3);
     });
     EXPECT_EQ(cost, (std::array<uint64_t, 4>{full, 6, 6, 1}));
     expectSameRun(run, freshRun(w_, gated));
+}
+
+TEST(PassTrieCap, BlocksPastTheCapRunLiveUnrecorded)
+{
+    // 50-instruction intervals make one pass longer than the cap.
+    BuildConfig cfg = smallConfig();
+    cfg.intervalInstr = 50;
+    constexpr size_t kBlocks = PassReplayer::kMaxNodes + 800;
+    const Workload w = twoPhaseWorkload(kBlocks * 2 * cfg.intervalInstr);
+    // An all-LowPower pass never reads the spine, so a record with no
+    // intervals stands in for the reference; a real one's memo entries
+    // would hold 18k full-width intervals per mode.
+    TraceRecord ref;
+    ref.numCounters = static_cast<uint16_t>(cfg.counterIds.size());
+    const std::vector<CoreMode> s(kBlocks, CoreMode::LowPower);
+    uint64_t intervals0 = counterValue("sim.intervals");
+    BlockReplayer fresh(w, cfg, 2);
+    const PassRun want = runPass(fresh, s);
+    const uint64_t full = counterValue("sim.intervals") - intervals0;
+
+    // The first pass records kMaxNodes blocks and runs the rest live;
+    // the second serves the recorded ones, then catches them up and
+    // runs the rest live again.
+    PassReplayer walker(w, cfg, 2);
+    for (const uint64_t served : {size_t{0}, PassReplayer::kMaxNodes}) {
+        intervals0 = counterValue("sim.intervals");
+        const uint64_t added0 = counterValue("replay.trie_nodes_added");
+        const uint64_t served0 = counterValue("replay.trie_served_blocks");
+        walker.startPass(ref);
+        const PassRun got = runPass(walker, s);
+        EXPECT_EQ(counterValue("sim.intervals") - intervals0, full);
+        EXPECT_EQ(counterValue("replay.trie_nodes_added") - added0,
+                  PassReplayer::kMaxNodes - served);
+        EXPECT_EQ(counterValue("replay.trie_served_blocks") - served0,
+                  served);
+        EXPECT_EQ(walker.nodes(), PassReplayer::kMaxNodes);
+        expectSameRun(got, want);
+    }
 }
 
 TEST(PassTrieDeathTest, CatchUpThatDiffersFromItsNodeStops)
@@ -1052,10 +1090,10 @@ TEST(PassTrieDeathTest, CatchUpThatDiffersFromItsNodeStops)
         {
             const Workload w = twoPhaseWorkload(200000);
             const TraceRecord ref = recordTrace(w, smallConfig(), 0, 0);
-            PassReplayer trie(w, ref, smallConfig(), 2);
-            trie.startPass();
+            PassReplayer trie(w, smallConfig(), 2);
+            trie.startPass(ref);
             runPass(trie, gatedSchedule(0, 0));
-            trie.startPass();
+            trie.startPass(ref);
             // Arming a site mid-pass, which callers must not do,
             // builds the catch-up replayer with noisy telemetry: the
             // blocks served before the miss no longer match.

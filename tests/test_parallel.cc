@@ -16,6 +16,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "common/fault.hh"
@@ -406,15 +407,16 @@ suiteBytes(const SuiteResult &s)
     return bytes;
 }
 
-/** The controller.* counters and gauges, by name. */
+/** The counters and gauges under one of @p prefixes, by name. */
 std::map<std::string, double>
-controllerStats()
+statsUnder(std::initializer_list<const char *> prefixes)
 {
     std::map<std::string, double> stats;
     const auto &reg = obs::StatRegistry::instance();
-    const auto keep = [&stats](const std::string &name, double v) {
-        if (name.rfind("controller.", 0) == 0)
-            stats[name] = v;
+    const auto keep = [&](const std::string &name, double v) {
+        for (const char *prefix : prefixes)
+            if (name.rfind(prefix, 0) == 0)
+                stats[name] = v;
     };
     reg.forEachCounter([&](const std::string &name, uint64_t v) {
         keep(name, static_cast<double>(v));
@@ -423,21 +425,45 @@ controllerStats()
     return stats;
 }
 
-} // namespace
-
-TEST(BitIdentity, ClosedLoopSuiteEqualAcrossThreadCounts)
+/** The controller.* counters and gauges, by name. */
+std::map<std::string, double>
+controllerStats()
 {
-    const ExperimentContext ctx = suiteContext();
+    return statsUnder({"controller."});
+}
+
+/**
+ * The replay.* and sim.* counters and gauges: how much was simulated,
+ * served and kept. sim.replay_ns is a time, so it is left out.
+ */
+std::map<std::string, double>
+replayStats()
+{
+    auto stats = statsUnder({"replay.", "sim."});
+    stats.erase("sim.replay_ns");
+    return stats;
+}
+
+/** A dual RF on the suite corpus's six columns. */
+DualModelPredictor
+suiteRf(const ExperimentContext &ctx, uint64_t granularity)
+{
     const std::vector<size_t> columns{0, 1, 2, 3, 4, 5};
     DualTrainOptions opts;
-    opts.granularityInstr = 20000;
+    opts.granularityInstr = granularity;
     opts.columns = columns;
     opts.rsvWindow = 64;
     const TrainedDual dual =
         trainDual(ctx.spec, ctx.build, opts, forestFactory(4, 6));
-    const DualModelPredictor rf(dual.high, dual.low, columns, 20000,
-                                "rf");
+    return DualModelPredictor(dual.high, dual.low, columns, granularity,
+                              "rf");
+}
 
+/** SRCH at 20k on the suite corpus's six columns. */
+SrchPredictor
+suiteSrch(const ExperimentContext &ctx)
+{
+    const std::vector<size_t> columns{0, 1, 2, 3, 4, 5};
     std::shared_ptr<SrchModel> srch[2];
     for (int m = 0; m < 2; ++m) {
         AssemblyOptions asm_opts;
@@ -449,8 +475,23 @@ TEST(BitIdentity, ClosedLoopSuiteEqualAcrossThreadCounts)
             assembleDataset(ctx.spec, asm_opts, ctx.build.intervalInstr),
             2, LogRegConfig{});
     }
-    const SrchPredictor srch_pred(srch[0], srch[1], columns, 20000,
-                                  "srch");
+    return SrchPredictor(srch[0], srch[1], columns, 20000, "srch");
+}
+
+uint64_t
+counterValue(const char *name)
+{
+    return obs::StatRegistry::instance().counter(name).value();
+}
+
+} // namespace
+
+TEST(BitIdentity, ClosedLoopSuiteEqualAcrossThreadCounts)
+{
+    ExperimentContext ctx = suiteContext();
+    const std::vector<size_t> columns{0, 1, 2, 3, 4, 5};
+    const DualModelPredictor rf = suiteRf(ctx, 20000);
+    const SrchPredictor srch_pred = suiteSrch(ctx);
     const VmPredictor vm(packageFromDual(rf, columns));
     // A hair-trigger guardrail, so its per-run state matters.
     GuardrailConfig rail_cfg;
@@ -482,6 +523,9 @@ TEST(BitIdentity, ClosedLoopSuiteEqualAcrossThreadCounts)
         auto run = [&](int threads) {
             ThreadPool::configure(threads);
             reg.reset();
+            // A fresh table: each run simulates, none is served from
+            // the run before it.
+            ctx.replays = std::make_unique<ReplayTable>();
             const SuiteResult suite =
                 evaluateSuite(ctx, kind.predictor, traces, 0.9);
             return std::make_pair(suiteBytes(suite), controllerStats());
@@ -503,4 +547,124 @@ TEST(BitIdentity, ClosedLoopSuiteEqualAcrossThreadCounts)
     }
     faults.configure("", fault_seed);
     ThreadPool::configure(1);
+}
+
+TEST(ReplayTableSuite, RepeatedSuiteIsServedWhole)
+{
+    const ExperimentContext ctx = suiteContext();
+    const DualModelPredictor rf = suiteRf(ctx, 20000);
+    const std::vector<size_t> traces{3, 1};
+    uint64_t intervals0 = counterValue("sim.intervals");
+    const SuiteResult first = evaluateSuite(ctx, rf, traces, 0.9);
+    ASSERT_GT(counterValue("sim.intervals"), intervals0);
+    EXPECT_EQ(ctx.replays->size().tries, traces.size());
+
+    intervals0 = counterValue("sim.intervals");
+    const SuiteResult again = evaluateSuite(ctx, rf, traces, 0.9);
+    EXPECT_EQ(counterValue("sim.intervals"), intervals0);
+    EXPECT_EQ(suiteBytes(again), suiteBytes(first));
+}
+
+TEST(ReplayTableSuite, OtherBlockSizeRunsOnItsOwnWalker)
+{
+    // The table keeps the first k a trace ran at (20k here): the 40k
+    // suites both simulate what they gate, as direct loops would.
+    const ExperimentContext ctx = suiteContext();
+    const DualModelPredictor rf20 = suiteRf(ctx, 20000);
+    const DualModelPredictor rf40 = suiteRf(ctx, 40000);
+    const std::vector<size_t> traces{0, 1, 2, 3};
+    evaluateSuite(ctx, rf20, traces, 0.9);
+    const size_t bytes = ctx.replays->size().bytes;
+
+    uint64_t intervals[2];
+    SuiteResult suites[2];
+    for (int i = 0; i < 2; ++i) {
+        const uint64_t intervals0 = counterValue("sim.intervals");
+        suites[i] = evaluateSuite(ctx, rf40, traces, 0.9);
+        intervals[i] = counterValue("sim.intervals") - intervals0;
+    }
+    EXPECT_GT(intervals[0], 0u);
+    EXPECT_EQ(intervals[1], intervals[0]);
+    EXPECT_EQ(suiteBytes(suites[1]), suiteBytes(suites[0]));
+    EXPECT_EQ(ctx.replays->size().bytes, bytes);
+}
+
+TEST(ReplayTableSuite, SuiteOrderDoesNotChangeResults)
+{
+    ExperimentContext ctx = suiteContext();
+    const DualModelPredictor rf = suiteRf(ctx, 20000);
+    const SrchPredictor srch = suiteSrch(ctx);
+    const std::vector<size_t> traces{0, 1, 2, 3};
+
+    const SuiteResult rf_first = evaluateSuite(ctx, rf, traces, 0.9);
+    const SuiteResult srch_second = evaluateSuite(ctx, srch, traces, 0.9);
+    ctx.replays = std::make_unique<ReplayTable>();
+    const SuiteResult srch_first = evaluateSuite(ctx, srch, traces, 0.9);
+    const SuiteResult rf_second = evaluateSuite(ctx, rf, traces, 0.9);
+    EXPECT_EQ(suiteBytes(rf_second), suiteBytes(rf_first));
+    EXPECT_EQ(suiteBytes(srch_second), suiteBytes(srch_first));
+}
+
+TEST(ReplayTableSuite, TableEqualAcrossThreadCounts)
+{
+    ExperimentContext ctx = suiteContext();
+    const DualModelPredictor rf = suiteRf(ctx, 20000);
+    const DualModelPredictor rf40 = suiteRf(ctx, 40000);
+    const SrchPredictor srch = suiteSrch(ctx);
+    const std::vector<size_t> traces{3, 0, 2, 1};
+
+    auto &reg = obs::StatRegistry::instance();
+    auto run = [&](int threads) {
+        ThreadPool::configure(threads);
+        reg.reset();
+        ctx.replays = std::make_unique<ReplayTable>();
+        std::vector<uint8_t> bytes;
+        const GatePredictor *const suites[] = {&rf, &srch, &rf40, &rf};
+        for (const GatePredictor *p : suites) {
+            const std::vector<uint8_t> suite =
+                suiteBytes(evaluateSuite(ctx, *p, traces, 0.9));
+            bytes.insert(bytes.end(), suite.begin(), suite.end());
+        }
+        return std::make_tuple(bytes, replayStats(),
+                               ctx.replays->size().tries,
+                               ctx.replays->size().bytes);
+    };
+    const auto serial = run(1);
+    const auto parallel = run(4);
+    EXPECT_EQ(std::get<0>(serial), std::get<0>(parallel));
+    EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel));
+    EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel));
+    EXPECT_EQ(std::get<3>(serial), std::get<3>(parallel));
+    const auto &stats = std::get<1>(serial);
+    EXPECT_GT(stats.at("replay.trie_served_blocks"), 0.0);
+    EXPECT_EQ(stats.at("replay.table_tries"), 4.0);
+    EXPECT_EQ(stats.at("replay.table_bytes"),
+              static_cast<double>(std::get<3>(serial)));
+    ThreadPool::configure(1);
+}
+
+TEST(ReplayTableSuite, ChangedBuildServesNothingFromTable)
+{
+    ExperimentContext ctx = suiteContext();
+    const DualModelPredictor rf = suiteRf(ctx, 20000);
+    const std::vector<size_t> traces{0, 1, 2, 3};
+    evaluateSuite(ctx, rf, traces, 0.9);
+
+    // A new power model: every stored add's energy is stale now.
+    ctx.build.power.perUopIssued *= 1.5;
+    for (size_t i = 0; i < ctx.spec.size(); ++i)
+        ctx.spec[i] = recordTrace(ctx.specWorkloadsList[i], ctx.build,
+                                  static_cast<uint32_t>(i), 0);
+    auto &reg = obs::StatRegistry::instance();
+    auto run = [&] {
+        reg.reset();
+        const SuiteResult suite = evaluateSuite(ctx, rf, traces, 0.9);
+        return std::make_pair(suiteBytes(suite), replayStats());
+    };
+    const auto changed = run();
+    ctx.replays = std::make_unique<ReplayTable>();
+    const auto fresh = run();
+    EXPECT_EQ(changed.first, fresh.first);
+    EXPECT_EQ(changed.second, fresh.second);
+    EXPECT_GT(fresh.second.at("sim.intervals"), 0.0);
 }
