@@ -122,21 +122,22 @@ recordMode(const Workload &workload, uint64_t trace_hash,
     auto &memo = SimMemo::instance();
     MemoIntervals intervals;
     if (memo.lookup(key, intervals) && intervals.size() == n_intervals) {
-        for (const auto &delta_all : intervals)
+        std::vector<uint64_t> delta_all;
+        for (size_t t = 0; t < n_intervals; ++t) {
+            intervals.expand(t, delta_all);
             project(delta_all);
+        }
         return;
     }
 
-    // Full-width deltas are kept only for the memo store.
-    intervals.clear();
-    if (memo.enabled())
-        intervals.reserve(n_intervals);
+    // Sparse deltas are kept only for the memo store.
+    intervals = MemoIntervals();
     IntervalReplay replay(workload, cfg, mode);
     for (size_t t = 0; t < n_intervals; ++t) {
         replay.step();
         project(replay.delta());
         if (memo.enabled())
-            intervals.push_back(replay.delta());
+            intervals.append(replay.delta());
     }
     memo.store(key, intervals);
 }
@@ -150,7 +151,7 @@ IntervalReplay::IntervalReplay(const Workload &workload,
     core_.reset();
     core_.setMode(mode);
     if (cfg.warmupInstr > 0)
-        core_.run(gen_, cfg.warmupInstr);
+        core_.warmUp(gen_, cfg.warmupInstr);
     prev_ = core_.counters().raw();
     delta_.resize(prev_.size());
 }
@@ -196,7 +197,11 @@ recordTrace(const Workload &workload, const BuildConfig &cfg,
     record.numCounters = static_cast<uint16_t>(cfg.counterIds.size());
 
     const uint64_t n_intervals = workload.lengthInstr / cfg.intervalInstr;
-    const uint64_t trace_hash = memoTraceHash(workload, cfg);
+    // Only the memo key reads the hash, so a disabled memo skips the
+    // generator pass that computes it.
+    const uint64_t trace_hash = SimMemo::instance().enabled()
+        ? memoTraceHash(workload, cfg)
+        : 0;
 
     // The two fixed-mode passes are independent simulations, each
     // with its own generator, writing disjoint vectors; run them as a

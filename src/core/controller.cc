@@ -340,7 +340,7 @@ bool
 PassReplayer::settleFromMemo(PpwAccumulator &acc)
 {
     // Per interval exactly the add BlockReplayer::runBlock() would
-    // make, from the memo's full-width HighPerf deltas.
+    // make, from the memo's HighPerf deltas of the owed intervals.
     if (!memoHash_)
         memoHash_ = memoTraceHash(workload_, cfg_);
     const MemoKey key{*memoHash_, coreConfigHash(cfg_.core),
@@ -358,9 +358,10 @@ PassReplayer::settleFromMemo(PpwAccumulator &acc)
     std::vector<float> rows(k_ * n_ctr), cycles(k_);
     std::vector<const float *> row_ptrs(k_);
     std::vector<BlockReplayer::IntervalAdd> adds(k_);
+    std::vector<uint64_t> delta;
     for (size_t b = path_.size() - owed_; b < path_.size(); ++b) {
         for (size_t t = 0; t < k_; ++t) {
-            const std::vector<uint64_t> &delta = intervals[b * k_ + t];
+            intervals.expand(b * k_ + t, delta);
             const uint64_t cyc = delta[cycles_idx];
             row_ptrs[t] = rows.data() + t * n_ctr;
             for (size_t j = 0; j < n_ctr; ++j)

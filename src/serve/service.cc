@@ -223,8 +223,11 @@ void
 Service::enterSegment(size_t idx)
 {
     const ServeSegment &s = schedule_[idx];
+    // Settle and free the finished segment (walker, live core, record)
+    // before recording the next, so two are never resident at once.
     if (seg_)
         seg_->replayer->settle(adaptive_);
+    seg_.reset();
     auto rt = std::make_unique<SegmentRt>();
     rt->index = idx;
     rt->workload = s.workload;

@@ -19,6 +19,7 @@ namespace {
 struct SimObs
 {
     obs::Counter &intervals;
+    obs::Counter &warmups;
     obs::Counter &instructions;
     obs::Counter &cycles;
     obs::Counter &replayNs;
@@ -37,6 +38,7 @@ struct SimObs
         auto &reg = obs::StatRegistry::instance();
         static SimObs hooks{
             reg.counter("sim.intervals"),
+            reg.counter("sim.warmups"),
             reg.counter("sim.instructions_retired"),
             reg.counter("sim.cycles"),
             reg.counter("sim.replay_ns"),
@@ -503,7 +505,7 @@ ClusteredCore::beginInterval()
 
 IntervalStats
 ClusteredCore::endInterval(const IntervalSnapshot &snap, uint64_t n,
-                           uint64_t elapsed_ns)
+                           uint64_t elapsed_ns, bool warmup)
 {
     IntervalStats stats;
     stats.instructions = n;
@@ -533,7 +535,7 @@ ClusteredCore::endInterval(const IntervalSnapshot &snap, uint64_t n,
     counters_.syncMirrors();
 
     SimObs &so = SimObs::get();
-    so.intervals.add();
+    (warmup ? so.warmups : so.intervals).add();
     so.instructions.add(n);
     so.cycles.add(stats.cycles);
     so.replayNs.add(elapsed_ns);
@@ -553,6 +555,18 @@ ClusteredCore::endInterval(const IntervalSnapshot &snap, uint64_t n,
 IntervalStats
 ClusteredCore::run(TraceGenerator &gen, uint64_t n)
 {
+    return runStream(gen, n, false);
+}
+
+void
+ClusteredCore::warmUp(TraceGenerator &gen, uint64_t n)
+{
+    runStream(gen, n, true);
+}
+
+IntervalStats
+ClusteredCore::runStream(TraceGenerator &gen, uint64_t n, bool warmup)
+{
     const auto t0 = std::chrono::steady_clock::now();
     const IntervalSnapshot snap = beginInterval();
 
@@ -563,7 +577,7 @@ ClusteredCore::run(TraceGenerator &gen, uint64_t n)
             processUop(ops[i]);
         remaining -= take;
     }
-    return endInterval(snap, n, obs::elapsedNs(t0));
+    return endInterval(snap, n, obs::elapsedNs(t0), warmup);
 }
 
 IntervalStats
@@ -573,7 +587,7 @@ ClusteredCore::run(const MicroOp *ops, uint64_t n)
     const IntervalSnapshot snap = beginInterval();
     for (uint64_t i = 0; i < n; ++i)
         processUop(ops[i]);
-    return endInterval(snap, n, obs::elapsedNs(t0));
+    return endInterval(snap, n, obs::elapsedNs(t0), false);
 }
 
 } // namespace psca

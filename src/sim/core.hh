@@ -128,6 +128,13 @@ class ClusteredCore
     IntervalStats run(TraceGenerator &gen, uint64_t n);
 
     /**
+     * Execute n micro-ops from the generator as a warm-up: the same
+     * machine state, counters and sim.* work stats as run(gen, n),
+     * except that it counts as one sim.warmups, not one sim.intervals.
+     */
+    void warmUp(TraceGenerator &gen, uint64_t n);
+
+    /**
      * Execute the n micro-ops at ops: the same interval as feeding
      * that stream through a generator. Production replay streams
      * through the generator overload; this one lets tests replay
@@ -161,7 +168,8 @@ class ClusteredCore
 
     IntervalSnapshot beginInterval();
     IntervalStats endInterval(const IntervalSnapshot &snap, uint64_t n,
-                              uint64_t elapsed_ns);
+                              uint64_t elapsed_ns, bool warmup);
+    IntervalStats runStream(TraceGenerator &gen, uint64_t n, bool warmup);
     void processUop(const MicroOp &op);
     int steer(const MicroOp &op);
     int execLatency(OpClass cls) const;

@@ -43,24 +43,52 @@ parseIntervals(BinaryReader &in, const MemoKey &key, MemoIntervals &out)
         in.get<uint8_t>() != static_cast<uint8_t>(key.mode))
         return "key mismatch";
     const uint64_t n_intervals = in.get<uint64_t>();
-    // Each interval is at least its 4-byte nonzero count.
-    out.reserve(std::min(n_intervals, in.remaining() / 4));
+    // Each interval is at least its 4-byte nonzero count and each
+    // entry is 10 bytes, so the file size bounds both arrays.
+    const uint64_t n_reserve = std::min(n_intervals, in.remaining() / 4);
+    out.reserve(n_reserve, (in.remaining() - 4 * n_reserve) / 10);
     for (uint64_t i = 0; i < n_intervals && in.good(); ++i) {
-        std::vector<uint64_t> deltas(kNumTelemetryCounters, 0);
+        out.openInterval();
         const uint32_t nnz = in.get<uint32_t>();
         for (uint32_t j = 0; j < nnz && in.good(); ++j) {
             const uint16_t idx = in.get<uint16_t>();
             const uint64_t val = in.get<uint64_t>();
             if (idx >= kNumTelemetryCounters)
                 return "counter index out of range";
-            deltas[idx] = val;
+            out.push(idx, val);
         }
-        out.push_back(std::move(deltas));
     }
     return nullptr;
 }
 
 } // namespace
+
+void
+MemoIntervals::reserve(size_t n, size_t entries)
+{
+    offsets_.reserve(n + 1);
+    index_.reserve(entries);
+    value_.reserve(entries);
+}
+
+void
+MemoIntervals::append(const std::vector<uint64_t> &full_delta)
+{
+    openInterval();
+    for (size_t idx = 0; idx < full_delta.size(); ++idx)
+        if (full_delta[idx] != 0)
+            push(static_cast<uint16_t>(idx), full_delta[idx]);
+}
+
+void
+MemoIntervals::expand(size_t i, std::vector<uint64_t> &scratch) const
+{
+    scratch.assign(kNumTelemetryCounters, 0);
+    const std::span<const uint16_t> idx = indices(i);
+    const std::span<const uint64_t> val = values(i);
+    for (size_t j = 0; j < idx.size(); ++j)
+        scratch[idx[j]] = val[j];
+}
 
 uint64_t
 coreConfigHash(const CoreConfig &cfg)
@@ -228,16 +256,15 @@ SimMemo::store(const MemoKey &key, const MemoIntervals &intervals) const
                 out.put(key.configHash);
                 out.put(static_cast<uint8_t>(key.mode));
                 out.put<uint64_t>(intervals.size());
-                for (const auto &deltas : intervals) {
-                    uint32_t nnz = 0;
-                    for (uint64_t v : deltas)
-                        nnz += v != 0 ? 1 : 0;
-                    out.put(nnz);
-                    for (size_t idx = 0; idx < deltas.size(); ++idx) {
-                        if (deltas[idx] != 0) {
-                            out.put(static_cast<uint16_t>(idx));
-                            out.put(deltas[idx]);
-                        }
+                for (size_t i = 0; i < intervals.size(); ++i) {
+                    const std::span<const uint16_t> idx =
+                        intervals.indices(i);
+                    const std::span<const uint64_t> val =
+                        intervals.values(i);
+                    out.put(static_cast<uint32_t>(idx.size()));
+                    for (size_t j = 0; j < idx.size(); ++j) {
+                        out.put(idx[j]);
+                        out.put(val[j]);
                     }
                 }
             });

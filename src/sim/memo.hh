@@ -31,6 +31,7 @@
 #define PSCA_SIM_MEMO_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,11 +55,58 @@ struct MemoKey
 uint64_t coreConfigHash(const CoreConfig &cfg);
 
 /**
- * The per-interval result of a fixed-mode simulation: one full
- * telemetry-counter delta vector (kNumTelemetryCounters wide) per
- * interval. Cycles are recoverable as the Ctr::Cycles delta.
+ * The per-interval result of a fixed-mode simulation, held sparse as
+ * on disk: each interval's nonzero telemetry-counter deltas as
+ * (index, value) entries, about 147 of the kNumTelemetryCounters per
+ * interval (1.5 KB instead of a 7.5 KB full-width vector). Interval
+ * i's entries are [offsets_[i], offsets_[i + 1]) of one index and one
+ * value array. Cycles are recoverable as the Ctr::Cycles delta.
  */
-using MemoIntervals = std::vector<std::vector<uint64_t>>;
+class MemoIntervals
+{
+  public:
+    size_t size() const { return offsets_.size() - 1; }
+
+    /** Reserve room for n intervals holding entries entries in all. */
+    void reserve(size_t n, size_t entries);
+
+    /** Append one interval from its full-width delta vector. */
+    void append(const std::vector<uint64_t> &full_delta);
+
+    /** Open an empty interval at the end; push() fills it. */
+    void openInterval() { offsets_.push_back(index_.size()); }
+
+    /** Add one entry to the last interval. */
+    void
+    push(uint16_t idx, uint64_t value)
+    {
+        index_.push_back(idx);
+        value_.push_back(value);
+        ++offsets_.back();
+    }
+
+    /** Write interval i full width into scratch (resized to fit). */
+    void expand(size_t i, std::vector<uint64_t> &scratch) const;
+
+    /** Interval i's counter indices, parallel to values(i). */
+    std::span<const uint16_t>
+    indices(size_t i) const
+    {
+        return {index_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+    }
+
+    /** Interval i's nonzero deltas, parallel to indices(i). */
+    std::span<const uint64_t>
+    values(size_t i) const
+    {
+        return {value_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+    }
+
+  private:
+    std::vector<size_t> offsets_{0};
+    std::vector<uint16_t> index_;
+    std::vector<uint64_t> value_;
+};
 
 /** Process-wide memo cache under cacheDirectory(). */
 class SimMemo

@@ -11,8 +11,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <random>
 
 #include "common/parallel.hh"
+#include "common/serialize.hh"
 #include "core/builder.hh"
 #include "obs/stats.hh"
 #include "sim/memo.hh"
@@ -22,6 +25,10 @@
 using namespace psca;
 
 namespace {
+
+/** Size and FNV-1a 64 of OnDiskBytesPinned's memo file. */
+constexpr size_t kPinnedMemoBytes = 10781;
+constexpr uint64_t kPinnedMemoFnv = 0x114f74f2a2be25c3ULL;
 
 /**
  * Pin the cache root before anything touches the SimMemo singleton
@@ -122,12 +129,14 @@ TEST(Memo, StoreLookupRoundTrip)
     SimMemo &memo = SimMemo::instance();
     ASSERT_TRUE(memo.enabled());
 
-    MemoIntervals intervals(3);
-    for (size_t t = 0; t < intervals.size(); ++t) {
-        intervals[t].assign(kNumTelemetryCounters, 0);
-        intervals[t][0] = 1000 + t;
-        intervals[t][17] = 42 * (t + 1);
-        intervals[t][kNumTelemetryCounters - 1] = t; // 0 in t=0: sparse
+    std::vector<std::vector<uint64_t>> full(3);
+    MemoIntervals intervals;
+    for (size_t t = 0; t < full.size(); ++t) {
+        full[t].assign(kNumTelemetryCounters, 0);
+        full[t][0] = 1000 + t;
+        full[t][17] = 42 * (t + 1);
+        full[t][kNumTelemetryCounters - 1] = t; // 0 in t=0: sparse
+        intervals.append(full[t]);
     }
 
     const MemoKey key{0xabcdef, 0x123456, CoreMode::LowPower};
@@ -136,9 +145,131 @@ TEST(Memo, StoreLookupRoundTrip)
 
     MemoIntervals loaded;
     ASSERT_TRUE(memo.lookup(key, loaded));
-    ASSERT_EQ(loaded.size(), intervals.size());
-    for (size_t t = 0; t < intervals.size(); ++t)
-        EXPECT_EQ(loaded[t], intervals[t]);
+    ASSERT_EQ(loaded.size(), full.size());
+    std::vector<uint64_t> delta;
+    for (size_t t = 0; t < full.size(); ++t) {
+        loaded.expand(t, delta);
+        EXPECT_EQ(delta, full[t]);
+    }
+}
+
+TEST(Memo, SparseIntervalsExpandBitForBit)
+{
+    // All-zero, fully dense and random intervals come back bit for
+    // bit, both straight from the container and through a store and
+    // lookup.
+    std::vector<std::vector<uint64_t>> full(
+        5, std::vector<uint64_t>(kNumTelemetryCounters, 0));
+    for (size_t i = 0; i < kNumTelemetryCounters; ++i)
+        full[1][i] = ~uint64_t{0} - i;
+    std::mt19937_64 rng(936);
+    for (size_t t = 2; t < full.size(); ++t)
+        for (uint64_t &v : full[t])
+            v = rng() % 4 == 0 ? rng() >> (rng() % 64) : 0;
+
+    MemoIntervals intervals;
+    for (const auto &delta : full)
+        intervals.append(delta);
+    EXPECT_EQ(intervals.indices(0).size(), 0u);
+    EXPECT_EQ(intervals.indices(1).size(), kNumTelemetryCounters);
+
+    SimMemo &memo = SimMemo::instance();
+    const MemoKey key{0x5a55e, 0xde75e, CoreMode::HighPerf};
+    memo.store(key, intervals);
+    MemoIntervals loaded;
+    ASSERT_TRUE(memo.lookup(key, loaded));
+    ASSERT_EQ(intervals.size(), full.size());
+    ASSERT_EQ(loaded.size(), full.size());
+    std::vector<uint64_t> delta(3, 7); // expand() resizes stale scratch
+    for (const MemoIntervals *from : {&intervals, &loaded}) {
+        for (size_t t = 0; t < full.size(); ++t) {
+            from->expand(t, delta);
+            ASSERT_EQ(delta.size(), kNumTelemetryCounters);
+            EXPECT_EQ(std::memcmp(delta.data(), full[t].data(),
+                                  delta.size() * sizeof(uint64_t)),
+                      0)
+                << "interval " << t;
+        }
+    }
+}
+
+TEST(Memo, OnDiskBytesPinned)
+{
+    // The sparse in-memory form writes exactly the bytes the earlier
+    // full-width form wrote: an all-zero, a fully dense and two sparse
+    // intervals under one fixed key. The pinned size and FNV-1a 64 of
+    // the file are what the full-width writer produced for this input.
+    std::vector<std::vector<uint64_t>> full(
+        4, std::vector<uint64_t>(kNumTelemetryCounters, 0));
+    for (size_t i = 0; i < kNumTelemetryCounters; ++i) {
+        full[1][i] = i * 0x9e3779b97f4a7c15ULL + 1;
+        full[2][i] = i % 7 == 0 ? 1000 + i : 0;
+    }
+    full[3][0] = 1;
+    full[3][kNumTelemetryCounters - 1] = ~uint64_t{0};
+
+    MemoIntervals intervals;
+    for (const auto &delta : full)
+        intervals.append(delta);
+    SimMemo &memo = SimMemo::instance();
+    const MemoKey key{0x5eed, 0xc0f1, CoreMode::HighPerf};
+    memo.store(key, intervals);
+
+    std::ifstream in(memo.pathFor(key), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes.size(), kPinnedMemoBytes);
+    EXPECT_EQ(fnv1aUpdate(kFnv1aBasis, bytes.data(), bytes.size()),
+              kPinnedMemoFnv);
+}
+
+TEST(Memo, CounterIndexOutOfRangeIsQuarantined)
+{
+    // One interval with one entry: the entry's index is the file's
+    // 10th- and 9th-last bytes before the 8-byte checksum trailer.
+    // Patching it and resealing the trailer leaves only the index
+    // check to catch an index past the counter table.
+    SimMemo &memo = SimMemo::instance();
+    const MemoKey key{0x1d4, 0x1d5, CoreMode::LowPower};
+    std::vector<uint64_t> delta(kNumTelemetryCounters, 0);
+    delta[5] = 77;
+    MemoIntervals one;
+    one.append(delta);
+    const std::string path = memo.pathFor(key);
+
+    auto storeWithIndex = [&](uint16_t idx) {
+        memo.store(key, one);
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        std::string bytes((std::istreambuf_iterator<char>(f)),
+                          std::istreambuf_iterator<char>());
+        ASSERT_GE(bytes.size(), 18u);
+        const size_t at = bytes.size() - 8 - 10;
+        std::memcpy(&bytes[at], &idx, sizeof(idx));
+        const uint64_t sum =
+            fnv1aUpdate(kFnv1aBasis, bytes.data(), bytes.size() - 8);
+        std::memcpy(&bytes[bytes.size() - 8], &sum, sizeof(sum));
+        f.seekp(0);
+        f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    };
+
+    // The patch itself is sound: the last in-range index reads back.
+    storeWithIndex(kNumTelemetryCounters - 1);
+    MemoIntervals out;
+    ASSERT_TRUE(memo.lookup(key, out));
+    ASSERT_EQ(out.size(), 1u);
+    out.expand(0, delta);
+    EXPECT_EQ(delta[kNumTelemetryCounters - 1], 77u);
+
+    auto &quarantined =
+        obs::StatRegistry::instance().counter("memo.quarantined");
+    const uint64_t quarantined0 = quarantined.value();
+    std::filesystem::remove(path + ".quarantined");
+    storeWithIndex(kNumTelemetryCounters);
+    EXPECT_FALSE(memo.lookup(key, out));
+    EXPECT_EQ(quarantined.value() - quarantined0, 1u);
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
 }
 
 TEST(Memo, MissingAndCorruptEntriesMiss)
