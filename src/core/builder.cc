@@ -1,6 +1,7 @@
 #include "core/builder.hh"
 
 #include <atomic>
+#include <cstdio>
 
 #include "common/fault.hh"
 #include "common/journal.hh"
@@ -20,38 +21,6 @@ namespace {
 /** Bump when record semantics change, to invalidate stale caches. */
 constexpr uint32_t kCacheVersion = 4; // 4: file header + checksum
 constexpr uint64_t kCacheMagic = 0x50534341435253ULL; // "PSCACRS"
-
-/** Stable hash of everything that affects record contents. */
-uint64_t
-configHash(const std::vector<Workload> &workloads,
-           const BuildConfig &cfg)
-{
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^ kCacheVersion;
-    auto mix = [&h](uint64_t v) { h = mixSeeds(h, v); };
-    for (const auto &w : workloads) {
-        for (char c : w.name)
-            mix(static_cast<uint64_t>(c));
-        mix(w.genome.seed);
-        mix(w.inputSeed);
-        mix(w.traceIndex);
-        mix(w.lengthInstr);
-        for (const auto &p : w.genome.phases) {
-            mix(static_cast<uint64_t>(p.kernel.kind));
-            mix(p.kernel.workingSetBytes);
-            mix(static_cast<uint64_t>(p.kernel.chains));
-            mix(static_cast<uint64_t>(p.weight * 1e6));
-            mix(static_cast<uint64_t>(p.meanLenInstr));
-        }
-    }
-    mix(cfg.intervalInstr);
-    mix(cfg.warmupInstr);
-    for (uint16_t id : cfg.counterIds)
-        mix(id);
-    mix(static_cast<uint64_t>(cfg.core.robSize));
-    mix(static_cast<uint64_t>(cfg.core.dramSlotCycles));
-    mix(static_cast<uint64_t>(cfg.core.mshrsPerCluster));
-    return h;
-}
 
 void
 writeRecord(BinaryWriter &out, const TraceRecord &r)
@@ -174,6 +143,7 @@ memoTraceHash(const Workload &workload, const BuildConfig &cfg)
     // span by span, so the trace is never held whole. The key mixes
     // the content hash with the warmup/interval split because those
     // boundaries determine how the deltas are sliced.
+    obs::StatRegistry::instance().counter("record.trace_hash_passes").add();
     const uint64_t n_intervals = workload.lengthInstr / cfg.intervalInstr;
     TraceGenerator gen(workload);
     const uint64_t content_hash = streamContentHash(
@@ -184,7 +154,8 @@ memoTraceHash(const Workload &workload, const BuildConfig &cfg)
 
 TraceRecord
 recordTrace(const Workload &workload, const BuildConfig &cfg,
-            uint32_t app_id, uint32_t trace_id)
+            uint32_t app_id, uint32_t trace_id,
+            std::optional<uint64_t> *memo_hash)
 {
     PSCA_ASSERT(!cfg.counterIds.empty(),
                 "recording requires a counter list");
@@ -199,9 +170,12 @@ recordTrace(const Workload &workload, const BuildConfig &cfg,
     const uint64_t n_intervals = workload.lengthInstr / cfg.intervalInstr;
     // Only the memo key reads the hash, so a disabled memo skips the
     // generator pass that computes it.
-    const uint64_t trace_hash = SimMemo::instance().enabled()
-        ? memoTraceHash(workload, cfg)
-        : 0;
+    std::optional<uint64_t> hash;
+    if (SimMemo::instance().enabled())
+        hash = memoTraceHash(workload, cfg);
+    if (memo_hash != nullptr)
+        *memo_hash = hash;
+    const uint64_t trace_hash = hash.value_or(0);
 
     // The two fixed-mode passes are independent simulations, each
     // with its own generator, writing disjoint vectors; run them as a
@@ -222,6 +196,100 @@ recordTrace(const Workload &workload, const BuildConfig &cfg,
     return record;
 }
 
+std::string
+cacheFilePath(const std::string &stem, uint64_t key)
+{
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(key));
+    return cacheDirectory() + "/" + stem + "_" + hex + ".bin";
+}
+
+bool
+loadCacheFile(const std::string &path, uint64_t magic, uint32_t version,
+              uint64_t key, const std::string &stats,
+              const std::function<const char *(BinaryReader &)> &parse)
+{
+    // Any integrity failure — wrong magic or version (stale/foreign
+    // file), another key, truncation, checksum mismatch, or an
+    // injected persist.cache_corrupt fault — quarantines the file
+    // with a named reason, and the caller rebuilds.
+    const SealedRead read = readSealedFile(
+        path, magic, version, [&](BinaryReader &in) -> const char * {
+            const FaultSite &fault = FAULT_SITE("persist.cache_corrupt");
+            if (fault.enabled() && fault.fires(key))
+                return "injected checksum fault";
+            if (in.get<uint64_t>() != key)
+                return "config-hash mismatch";
+            return parse(in);
+        });
+    auto &reg = obs::StatRegistry::instance();
+    if (read.status == SealedStatus::Ok) {
+        reg.counter(stats + "_hits").add();
+        return true;
+    }
+    if (read.status == SealedStatus::Corrupt) {
+        reg.counter(stats + "_quarantined").add();
+        if (quarantineFile(path, read.reason).collided)
+            reg.counter(stats + "_quarantine_collisions").add();
+    }
+    return false;
+}
+
+bool
+storeCacheFile(const std::string &path, uint64_t magic, uint32_t version,
+               uint64_t key, const std::string &stats,
+               const std::function<void(BinaryWriter &)> &fill)
+{
+    const bool stored = writeArtifactFile(path, [&](BinaryWriter &out) {
+        writeSealed(out, magic, version, [&] {
+            out.put(key);
+            fill(out);
+        });
+    });
+    if (!stored) {
+        // Surface the short write: the transactional store already
+        // dropped the partial temp, so the next run rebuilds rather
+        // than deserializing a truncation.
+        warn("cache file '", path, "': write failed");
+        obs::StatRegistry::instance()
+            .counter(stats + "_write_failures")
+            .add();
+    }
+    return stored;
+}
+
+uint64_t
+corpusConfigHash(const std::vector<Workload> &workloads,
+                 const BuildConfig &cfg)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ULL ^ kCacheVersion;
+    auto mix = [&h](uint64_t v) { h = mixSeeds(h, v); };
+    for (const auto &w : workloads) {
+        for (char c : w.name)
+            mix(static_cast<uint64_t>(c));
+        mix(w.genome.seed);
+        mix(w.inputSeed);
+        mix(w.traceIndex);
+        mix(w.lengthInstr);
+        for (const auto &p : w.genome.phases) {
+            mix(static_cast<uint64_t>(p.kernel.kind));
+            mix(p.kernel.workingSetBytes);
+            mix(static_cast<uint64_t>(p.kernel.chains));
+            mix(static_cast<uint64_t>(p.weight * 1e6));
+            mix(static_cast<uint64_t>(p.meanLenInstr));
+        }
+    }
+    mix(cfg.intervalInstr);
+    mix(cfg.warmupInstr);
+    for (uint16_t id : cfg.counterIds)
+        mix(id);
+    mix(static_cast<uint64_t>(cfg.core.robSize));
+    mix(static_cast<uint64_t>(cfg.core.dramSlotCycles));
+    mix(static_cast<uint64_t>(cfg.core.mshrsPerCluster));
+    return h;
+}
+
 std::vector<TraceRecord>
 recordCorpus(const std::vector<Workload> &workloads,
              const std::vector<uint32_t> &app_ids,
@@ -231,41 +299,21 @@ recordCorpus(const std::vector<Workload> &workloads,
                 "workload/app-id list mismatch");
     obs::ScopedPhase phase("record_corpus." + cache_tag);
 
-    const uint64_t hash = configHash(workloads, cfg);
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    const std::string path =
-        cacheDirectory() + "/" + cache_tag + "_" + hex + ".bin";
+    const uint64_t hash = corpusConfigHash(workloads, cfg);
+    const std::string path = cacheFilePath(cache_tag, hash);
 
-    // Try the cache. Any integrity failure — wrong magic or version
-    // (stale/foreign file), truncation, checksum mismatch, or an
-    // injected persist.cache_corrupt fault — quarantines the file
-    // with a named reason and falls through to a full re-record.
     std::vector<TraceRecord> cached;
-    const SealedRead read = readSealedFile(
-        path, kCacheMagic, kCacheVersion,
-        [&](BinaryReader &in) -> const char * {
-            const FaultSite &fault = FAULT_SITE("persist.cache_corrupt");
-            if (fault.enabled() && fault.fires(hash))
-                return "injected checksum fault";
-            if (in.get<uint64_t>() != hash)
-                return "config-hash mismatch";
-            const auto n = in.get<uint64_t>();
-            for (uint64_t i = 0; i < n && in.good(); ++i)
-                cached.push_back(readRecord(in));
-            return nullptr;
-        });
-    auto &reg = obs::StatRegistry::instance();
-    if (read.status == SealedStatus::Ok) {
-        reg.counter("record.cache_hits").add();
+    if (loadCacheFile(path, kCacheMagic, kCacheVersion, hash,
+                      "record.cache",
+                      [&](BinaryReader &in) -> const char * {
+                          const auto n = in.get<uint64_t>();
+                          for (uint64_t i = 0; i < n && in.good(); ++i)
+                              cached.push_back(readRecord(in));
+                          return nullptr;
+                      }))
+    {
         inform("loaded ", cached.size(), " cached records from ", path);
         return cached;
-    }
-    if (read.status == SealedStatus::Corrupt) {
-        reg.counter("record.cache_quarantined").add();
-        if (quarantineFile(path, read.reason).collided)
-            reg.counter("record.cache_quarantine_collisions").add();
     }
 
     inform("recording ", workloads.size(), " traces (tag=", cache_tag,
@@ -299,21 +347,13 @@ recordCorpus(const std::vector<Workload> &workloads,
         },
         DistMode::Distributed);
 
-    const bool stored = writeArtifactFile(path, [&](BinaryWriter &out) {
-        writeSealed(out, kCacheMagic, kCacheVersion, [&] {
-            out.put(hash);
-            out.put<uint64_t>(records.size());
-            for (const auto &r : records)
-                writeRecord(out, r);
-        });
-    });
-    if (!stored) {
-        // Surface the short write: the transactional store already
-        // dropped the partial temp, so the next run re-records
-        // rather than deserializing a truncation.
-        warn("record cache '", path, "': write failed");
-        reg.counter("record.cache_write_failures").add();
-    } else {
+    if (storeCacheFile(path, kCacheMagic, kCacheVersion, hash,
+                       "record.cache", [&](BinaryWriter &out) {
+                           out.put<uint64_t>(records.size());
+                           for (const auto &r : records)
+                               writeRecord(out, r);
+                       }))
+    {
         // The whole-corpus cache now supersedes the per-record
         // checkpoints; retiring the scope deletes them and compacts
         // the journal on the next replay.

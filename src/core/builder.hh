@@ -21,9 +21,12 @@
 #define PSCA_CORE_BUILDER_HH
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/serialize.hh"
 #include "ml/dataset.hh"
 #include "power/power_model.hh"
 #include "sim/config.hh"
@@ -111,14 +114,59 @@ class IntervalReplay
 /**
  * The trace half of the workload's SimMemo keys under @p cfg: the
  * streamed content hash of its warmup and whole intervals, mixed with
- * the warmup/interval split. Costs one generator pass, no simulation.
+ * the warmup/interval split. Costs one generator pass, no simulation;
+ * the record.trace_hash_passes counter counts them.
  */
 uint64_t memoTraceHash(const Workload &workload, const BuildConfig &cfg);
 
-/** Simulate one workload in both modes and record telemetry. */
+/**
+ * Simulate one workload in both modes and record telemetry.
+ *
+ * @param memo_hash When given, receives the memoTraceHash() the
+ *        recording computed for its memo keys; left empty with the
+ *        memo off, which skips that pass.
+ */
 TraceRecord recordTrace(const Workload &workload,
                         const BuildConfig &cfg, uint32_t app_id,
-                        uint32_t trace_id);
+                        uint32_t trace_id,
+                        std::optional<uint64_t> *memo_hash = nullptr);
+
+/**
+ * "<cacheDirectory()>/<stem>_<key as 16 hex digits>.bin": the name of
+ * a cache file keyed by @p key.
+ */
+std::string cacheFilePath(const std::string &stem, uint64_t key);
+
+/**
+ * Load a cache file (DESIGN.md §10, "Sealed files"): a sealed file
+ * whose payload starts with its @p key, then what @p parse reads (it
+ * returns a failure reason or nullptr). True on an intact hit, counted
+ * in "<stats>_hits". Any failed check, or a fired
+ * persist.cache_corrupt fault, quarantines the file and counts
+ * "<stats>_quarantined" (and "<stats>_quarantine_collisions"); the
+ * caller then rebuilds and stores.
+ */
+bool loadCacheFile(const std::string &path, uint64_t magic,
+                   uint32_t version, uint64_t key,
+                   const std::string &stats,
+                   const std::function<const char *(BinaryReader &)> &parse);
+
+/**
+ * Publish the cache file loadCacheFile() reads, in one transactional
+ * write: header, @p key, @p fill's payload, trailer. A failed write
+ * counts "<stats>_write_failures" and returns false.
+ */
+bool storeCacheFile(const std::string &path, uint64_t magic,
+                    uint32_t version, uint64_t key,
+                    const std::string &stats,
+                    const std::function<void(BinaryWriter &)> &fill);
+
+/**
+ * Stable hash of everything that affects a corpus's records: the key
+ * that names and seals recordCorpus()'s "<tag>_<hex>.bin" cache file.
+ */
+uint64_t corpusConfigHash(const std::vector<Workload> &workloads,
+                          const BuildConfig &cfg);
 
 /**
  * Record a list of workloads, using/maintaining the on-disk cache.

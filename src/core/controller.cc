@@ -199,10 +199,11 @@ BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
 }
 
 PassReplayer::PassReplayer(const Workload &workload,
-                           const BuildConfig &cfg, size_t k)
+                           const BuildConfig &cfg, size_t k,
+                           std::optional<uint64_t> memo_hash)
     : workload_(workload), cfg_(cfg), k_(k),
-      traceKey_(traceKeyOf(workload)), nodes_(1), adds_(k),
-      rowPtrs_(k), subCycles_(k)
+      traceKey_(traceKeyOf(workload)), memoHash_(memo_hash), nodes_(1),
+      adds_(k), rowPtrs_(k), subCycles_(k)
 {}
 
 bool

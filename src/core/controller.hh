@@ -294,9 +294,13 @@ class PassReplayer
 
     /**
      * @param k Sub-intervals per block (granularity / interval).
+     * @param memo_hash The workload's memoTraceHash() under @p cfg,
+     *        when the caller already has it; otherwise the first memo
+     *        settle computes it.
      */
     PassReplayer(const Workload &workload, const BuildConfig &cfg,
-                 size_t k);
+                 size_t k,
+                 std::optional<uint64_t> memo_hash = std::nullopt);
 
     /**
      * Whether passes begun now bypass the trie: a fault site is armed
@@ -399,7 +403,7 @@ class PassReplayer
     BuildConfig cfg_;
     size_t k_;
     uint64_t traceKey_;
-    std::optional<uint64_t> memoHash_; //!< memoTraceHash, on first use
+    std::optional<uint64_t> memoHash_; //!< memoTraceHash, given or on first use
     const TraceRecord *ref_ = nullptr; //!< this pass's spine
     bool bypass_ = false;
     size_t owed_ = 0;            //!< trailing path_ blocks owing adds

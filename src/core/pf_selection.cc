@@ -197,14 +197,24 @@ pfCounterSelection(const std::vector<TraceRecord> &records,
     std::vector<size_t> remaining(kept.size());
     std::iota(remaining.begin(), remaining.end(), 0);
 
+    // A covariance entry depends only on its two rows, so each round
+    // copies its submatrix out of one covariance over all survivors,
+    // bit for bit what a covariance of the remaining rows would hold.
+    Matrix all_cov;
+    if (cfg.numToSelect > 0 && kept.size() > 1) {
+        Matrix data(kept.size(), t_count);
+        for (size_t i = 0; i < kept.size(); ++i)
+            std::copy(kept[i].begin(), kept[i].end(), data.row(i));
+        all_cov = rowCovariance(data);
+    }
+
     while (result.selected.size() < cfg.numToSelect &&
            remaining.size() > 1) {
         const size_t n = remaining.size();
-        Matrix data(n, t_count);
+        Matrix cov(n, n);
         for (size_t i = 0; i < n; ++i)
-            for (size_t t = 0; t < t_count; ++t)
-                data(i, t) = kept[remaining[i]][t];
-        const Matrix cov = rowCovariance(data);
+            for (size_t j = 0; j < n; ++j)
+                cov(i, j) = all_cov(remaining[i], remaining[j]);
         const Matrix vecs = leadingEigenvectors(cov, 2);
 
         // Pick the strongest coefficient of the second eigenvector.

@@ -1,6 +1,7 @@
 #include "core/pipeline.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/parallel.hh"
 #include "obs/phase.hh"
@@ -88,10 +89,41 @@ makeCounterPlan(const std::vector<uint16_t> &pf_ranked)
     return plan;
 }
 
+namespace {
+
+/** Bump on any change to pfCounterSelection()'s result. */
+constexpr uint32_t kPlanVersion = 1;
+constexpr uint64_t kPlanMagic = 0x50534341504c4eULL; // "PSCAPLN"
+
+/**
+ * The plan's cache key: the pf936 corpus's own key, every PfConfig
+ * field, the telemetry mode and kPlanVersion. The plan is a function
+ * of these alone, so a plan is exactly as fresh as its corpus.
+ */
+uint64_t
+planKey(uint64_t corpus_key, const PfConfig &cfg, CoreMode mode)
+{
+    static_assert(sizeof(PfConfig) == 6 * sizeof(uint64_t),
+                  "a new PfConfig field must join the plan key");
+    uint64_t h = mixSeeds(corpus_key, kPlanVersion);
+    auto mix = [&h](uint64_t v) { h = mixSeeds(h, v); };
+    mix(std::bit_cast<uint64_t>(cfg.zeroFractionPerTrace));
+    mix(std::bit_cast<uint64_t>(cfg.flaggedTraceFraction));
+    mix(std::bit_cast<uint64_t>(cfg.stdDevCullFraction));
+    mix(std::bit_cast<uint64_t>(cfg.similarityThreshold));
+    mix(cfg.numToSelect);
+    mix(cfg.maxSamples);
+    mix(static_cast<uint64_t>(mode));
+    return h;
+}
+
+} // namespace
+
 std::vector<uint16_t>
 runPfSelectionPass(const ScaleConfig &scale, const PfConfig &pf_cfg)
 {
     obs::ScopedPhase phase("pf_selection");
+    constexpr CoreMode kMode = CoreMode::LowPower;
     // Record all 936 counters on a category-diverse app subset.
     const auto apps = buildHdtrApps(scale.pfApps);
     std::vector<Workload> workloads;
@@ -112,13 +144,37 @@ runPfSelectionPass(const ScaleConfig &scale, const PfConfig &pf_cfg)
     for (size_t i = 0; i < kNumTelemetryCounters; ++i)
         cfg.counterIds[i] = static_cast<uint16_t>(i);
 
+    // The ranked ids are the design-time output: a cached plan is
+    // served without the pf936 corpus or the PF scopes.
+    const uint64_t key =
+        planKey(corpusConfigHash(workloads, cfg), pf_cfg, kMode);
+    const std::string path = cacheFilePath("plan", key);
+    std::vector<uint16_t> ranked;
+    if (loadCacheFile(path, kPlanMagic, kPlanVersion, key,
+                      "record.plan_cache",
+                      [&](BinaryReader &in) -> const char * {
+                          ranked = in.getVector<uint16_t>();
+                          for (uint16_t id : ranked)
+                              if (id >= kNumTelemetryCounters)
+                                  return "counter id out of range";
+                          return nullptr;
+                      }))
+    {
+        inform("PF selection: loaded ", ranked.size(),
+               " ranked counters from ", path);
+        return ranked;
+    }
+
     const auto records = recordCorpus(workloads, app_ids, cfg, "pf936");
-    const PfResult result =
-        pfCounterSelection(records, pf_cfg, CoreMode::LowPower);
+    const PfResult result = pfCounterSelection(records, pf_cfg, kMode);
     inform("PF selection: ", kNumTelemetryCounters, " -> ",
            result.afterActivityScreen, " (activity) -> ",
            result.survivors.size(), " (stddev) -> ranked ",
            result.selected.size());
+    storeCacheFile(path, kPlanMagic, kPlanVersion, key,
+                   "record.plan_cache", [&](BinaryWriter &out) {
+                       out.putVector(result.selected);
+                   });
     return result.selected;
 }
 

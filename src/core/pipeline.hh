@@ -61,8 +61,11 @@ struct CounterPlan
 CounterPlan makeCounterPlan(const std::vector<uint16_t> &pf_ranked);
 
 /**
- * Run (or load from cache) the full 936-counter PF recording pass on
- * a subset of HDTR applications and return the ranked counters.
+ * Run the full 936-counter PF recording pass on a subset of HDTR
+ * applications and return the ranked counters. The ranking is cached
+ * as "plan_<key>.bin" beside the corpora, keyed by the pf936 corpus's
+ * key and @p pf_cfg; a hit loads neither that corpus nor runs the PF
+ * scopes (DESIGN.md §9).
  */
 std::vector<uint16_t> runPfSelectionPass(const ScaleConfig &scale,
                                          const PfConfig &pf_cfg);

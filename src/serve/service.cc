@@ -231,15 +231,18 @@ Service::enterSegment(size_t idx)
     auto rt = std::make_unique<SegmentRt>();
     rt->index = idx;
     rt->workload = s.workload;
+    // The walker's memo settles reuse the hash the recording took.
+    std::optional<uint64_t> memo_hash;
     rt->ref = recordTrace(s.workload, build_,
                           static_cast<uint32_t>(idx),
-                          static_cast<uint32_t>(s.workload.traceIndex));
+                          static_cast<uint32_t>(s.workload.traceIndex),
+                          &memo_hash);
     rt->labels = blockLabels(rt->ref, k_, 0.90);
     rt->passBlocks = rt->ref.numIntervals() / k_;
     PSCA_ASSERT(rt->passBlocks >= 3,
                 "serve: workload too short for the closed loop");
     rt->replayer =
-        std::make_unique<PassReplayer>(s.workload, build_, k_);
+        std::make_unique<PassReplayer>(s.workload, build_, k_, memo_hash);
     seg_ = std::move(rt);
     segIdx_ = idx;
     segBlocksDone_ = 0;

@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
 
+#include "common/fault.hh"
 #include "common/rng.hh"
 #include "core/pf_selection.hh"
+#include "core/pipeline.hh"
+#include "obs/stats.hh"
 
 using namespace psca;
 
@@ -153,4 +159,183 @@ TEST(PfSelection, DeterministicGivenRecords)
     const auto a = pfCounterSelection({rec}, cfg, CoreMode::LowPower);
     const auto b = pfCounterSelection({rec}, cfg, CoreMode::LowPower);
     EXPECT_EQ(a.selected, b.selected);
+}
+
+TEST(PfSelection, PinnedOnAWideRecord)
+{
+    // 40 counters over 12 signals, some dead: the rounds read their
+    // covariance out of one matrix over all survivors, which must
+    // rank exactly as a covariance of each round's remaining rows.
+    std::vector<int> recipe;
+    for (int j = 0; j < 40; ++j)
+        recipe.push_back(j % 10 == 9 ? -1 : (j * 7) % 12);
+    const TraceRecord rec = syntheticRecord(recipe, 240, 6);
+    PfConfig cfg = openConfig();
+    cfg.numToSelect = 10;
+    const PfResult res =
+        pfCounterSelection({rec}, cfg, CoreMode::LowPower);
+    EXPECT_EQ(res.selected, (std::vector<uint16_t>{1, 0, 23, 22, 8, 3, 6,
+                                                   16, 17, 33}));
+}
+
+namespace {
+
+namespace fs = std::filesystem;
+
+/** A PF pass small enough for a unit test. */
+ScaleConfig
+tinyScale()
+{
+    ScaleConfig scale;
+    scale.pfApps = 4;
+    scale.pfTraceLen = 60000;
+    return scale;
+}
+
+uint64_t
+counterValue(const char *name)
+{
+    return obs::StatRegistry::instance().counter(name).value();
+}
+
+std::vector<std::string>
+planFiles(const std::string &dir)
+{
+    std::vector<std::string> files;
+    for (const auto &e : fs::directory_iterator(dir)) {
+        const std::string name = e.path().filename().string();
+        if (name.starts_with("plan_") && name.ends_with(".bin"))
+            files.push_back(e.path().string());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+/**
+ * One cache directory for the whole suite, so the pf936 corpus is
+ * recorded once. Each test starts without a plan.
+ */
+class PlanCache : public ::testing::Test
+{
+  protected:
+    static void SetUpTestSuite()
+    {
+        dir_ = (fs::temp_directory_path() / "psca_test_plan_cache")
+                   .string();
+        fs::remove_all(dir_);
+        setenv("PSCA_CACHE_DIR", dir_.c_str(), 1);
+    }
+    static void TearDownTestSuite()
+    {
+        unsetenv("PSCA_CACHE_DIR");
+        fs::remove_all(dir_);
+    }
+    void SetUp() override
+    {
+        FaultRegistry::instance().configure("");
+        fs::create_directories(dir_);
+        for (const auto &e : fs::directory_iterator(dir_))
+            if (e.path().filename().string().starts_with("plan_"))
+                fs::remove(e.path());
+    }
+    void TearDown() override { FaultRegistry::instance().configure(""); }
+
+    static std::string dir_;
+};
+
+std::string PlanCache::dir_;
+
+} // namespace
+
+TEST_F(PlanCache, SecondPassIsAHitWithoutTheCorpus)
+{
+    const uint64_t hits0 = counterValue("record.plan_cache_hits");
+    const std::vector<uint16_t> first =
+        runPfSelectionPass(tinyScale(), PfConfig{});
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(counterValue("record.plan_cache_hits"), hits0);
+    ASSERT_EQ(planFiles(dir_).size(), 1u);
+
+    const uint64_t corpus_hits0 = counterValue("record.cache_hits");
+    const uint64_t traces0 = counterValue("record.traces");
+    const std::vector<uint16_t> second =
+        runPfSelectionPass(tinyScale(), PfConfig{});
+    EXPECT_EQ(second, first);
+    EXPECT_EQ(counterValue("record.plan_cache_hits"), hits0 + 1);
+    // Neither loaded nor recorded: the pf936 corpus was not touched.
+    EXPECT_EQ(counterValue("record.cache_hits"), corpus_hits0);
+    EXPECT_EQ(counterValue("record.traces"), traces0);
+}
+
+TEST_F(PlanCache, FlippedByteIsQuarantinedAndRecomputed)
+{
+    const std::vector<uint16_t> first =
+        runPfSelectionPass(tinyScale(), PfConfig{});
+    const auto files = planFiles(dir_);
+    ASSERT_EQ(files.size(), 1u);
+    const std::string plan = files[0];
+    const auto size = fs::file_size(plan);
+    {
+        std::fstream f(plan, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        const auto at = static_cast<std::streamoff>(size / 2);
+        f.seekg(at);
+        const char b = static_cast<char>(f.get() ^ 0x5a);
+        f.seekp(at);
+        f.put(b);
+    }
+
+    const uint64_t quarantined0 =
+        counterValue("record.plan_cache_quarantined");
+    const uint64_t hits0 = counterValue("record.plan_cache_hits");
+    const std::vector<uint16_t> again =
+        runPfSelectionPass(tinyScale(), PfConfig{});
+    EXPECT_EQ(again, first);
+    EXPECT_EQ(counterValue("record.plan_cache_quarantined"),
+              quarantined0 + 1);
+    EXPECT_EQ(counterValue("record.plan_cache_hits"), hits0);
+    EXPECT_TRUE(fs::exists(plan + ".quarantined"));
+    EXPECT_EQ(fs::file_size(plan), size);
+    fs::remove(plan + ".quarantined");
+}
+
+TEST_F(PlanCache, InjectedCorruptionIsQuarantinedAndRecomputed)
+{
+    const std::vector<uint16_t> first =
+        runPfSelectionPass(tinyScale(), PfConfig{});
+    const auto files = planFiles(dir_);
+    ASSERT_EQ(files.size(), 1u);
+
+    // The site fires on every cache file, the pf936 corpus's too.
+    FaultRegistry::instance().configure("persist.cache_corrupt:1", 3);
+    const uint64_t quarantined0 =
+        counterValue("record.plan_cache_quarantined");
+    const std::vector<uint16_t> again =
+        runPfSelectionPass(tinyScale(), PfConfig{});
+    FaultRegistry::instance().configure("");
+    EXPECT_EQ(again, first);
+    EXPECT_EQ(counterValue("record.plan_cache_quarantined"),
+              quarantined0 + 1);
+    EXPECT_TRUE(fs::exists(files[0] + ".quarantined"));
+    EXPECT_TRUE(fs::exists(files[0]));
+    fs::remove(files[0] + ".quarantined");
+}
+
+TEST_F(PlanCache, ConfigChangeMissesAndWritesASecondPlan)
+{
+    runPfSelectionPass(tinyScale(), PfConfig{});
+    ASSERT_EQ(planFiles(dir_).size(), 1u);
+
+    PfConfig narrow;
+    narrow.numToSelect = 16;
+    const uint64_t hits0 = counterValue("record.plan_cache_hits");
+    const std::vector<uint16_t> ids =
+        runPfSelectionPass(tinyScale(), narrow);
+    EXPECT_LE(ids.size(), 16u);
+    EXPECT_EQ(counterValue("record.plan_cache_hits"), hits0);
+    EXPECT_EQ(planFiles(dir_).size(), 2u);
+
+    // Each config now hits its own plan.
+    EXPECT_EQ(runPfSelectionPass(tinyScale(), narrow), ids);
+    EXPECT_EQ(counterValue("record.plan_cache_hits"), hits0 + 1);
 }

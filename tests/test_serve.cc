@@ -734,6 +734,43 @@ TEST_F(ServiceTest, StopsAndShortSegmentsSettleLikeMemoOffRun)
               2u);
 }
 
+TEST_F(ServiceTest, SegmentHashesItsTraceOnce)
+{
+    // `psca serve --schedule media:7:48,hpc:2:48`: both segments'
+    // walkers settle owed spine blocks from the memo, whose key reuses
+    // the trace hash the segment's recording took. Two records, two
+    // hash passes, not four.
+    std::vector<ServeSegment> schedule;
+    for (const auto &[cat, seed] :
+         {std::pair{AppCategory::Multimedia, 7},
+          std::pair{AppCategory::HpcPerf, 2}})
+    {
+        ServeSegment seg;
+        seg.workload.genome = sampleGenome(cat, seed);
+        seg.workload.inputSeed = 1;
+        seg.workload.lengthInstr = 240000;
+        seg.workload.name = seg.workload.genome.name;
+        seg.blocks = 48;
+        schedule.push_back(std::move(seg));
+    }
+    ServeConfig cfg;
+    cfg.dir = freshDir("svc_hash_once");
+    BuildConfig build;
+    build.counterIds = defaultCounterIds();
+
+    auto &reg = obs::StatRegistry::instance();
+    const uint64_t traces0 = reg.counter("record.traces").value();
+    const uint64_t passes0 =
+        reg.counter("record.trace_hash_passes").value();
+    const uint64_t settles0 = reg.counter("replay.memo_settles").value();
+    Service service(cfg, build, std::move(schedule));
+    service.run();
+    EXPECT_EQ(reg.counter("record.traces").value() - traces0, 2u);
+    EXPECT_GE(reg.counter("replay.memo_settles").value() - settles0, 2u);
+    EXPECT_EQ(reg.counter("record.trace_hash_passes").value() - passes0,
+              2u);
+}
+
 TEST_F(ServiceTest, RetrainFailureFailsSafeToActiveFirmware)
 {
     const std::string dir = freshDir("svc_retrainfail");
