@@ -91,9 +91,10 @@ pfCounterSelection(const std::vector<TraceRecord> &records,
     // sum the per-record flag rows in record order; integer sums make
     // the merge exact at any thread count. Each record's flag row is
     // checkpointed, so an interrupted PF selection resumes mid-screen.
+    result.screenConfigHash = screenConfigHash(records, cfg, mode);
     std::vector<std::vector<uint32_t>> flags_per_record =
         checkpointedMap<std::vector<uint32_t>>(
-            "pf.screen1", screenConfigHash(records, cfg, mode),
+            kPfScreenScope, result.screenConfigHash,
             records.size(),
             [](BinaryWriter &w, const std::vector<uint32_t> &flags) {
                 w.putVector(flags);

@@ -53,7 +53,15 @@ struct PfResult
     std::vector<uint16_t> survivors;
     /** Population size after the low-activity screen only. */
     size_t afterActivityScreen = 0;
+    /**
+     * Config hash of screen 1's journal scope (kPfScreenScope); a
+     * caller that stores what supersedes the checkpoints retires it.
+     */
+    uint64_t screenConfigHash = 0;
 };
+
+/** Journal scope of screen 1's per-record checkpoints. */
+inline constexpr const char *kPfScreenScope = "pf.screen1";
 
 /**
  * Run the screens and PF ranking over full-registry records (records

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "common/journal.hh"
 #include "common/parallel.hh"
 #include "obs/phase.hh"
 #include "obs/stats.hh"
@@ -171,10 +172,16 @@ runPfSelectionPass(const ScaleConfig &scale, const PfConfig &pf_cfg)
            result.afterActivityScreen, " (activity) -> ",
            result.survivors.size(), " (stddev) -> ranked ",
            result.selected.size());
-    storeCacheFile(path, kPlanMagic, kPlanVersion, key,
-                   "record.plan_cache", [&](BinaryWriter &out) {
-                       out.putVector(result.selected);
-                   });
+    if (storeCacheFile(path, kPlanMagic, kPlanVersion, key,
+                       "record.plan_cache", [&](BinaryWriter &out) {
+                           out.putVector(result.selected);
+                       }))
+    {
+        // The plan supersedes screen 1's per-record checkpoints, as
+        // the whole-corpus file supersedes recordCorpus's.
+        Journal::instance().retireScope(kPfScreenScope,
+                                        result.screenConfigHash);
+    }
     return result.selected;
 }
 

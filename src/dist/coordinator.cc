@@ -1,6 +1,7 @@
 #include "dist/coordinator.hh"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -88,7 +89,9 @@ Coordinator::Coordinator(const std::string &addr_spec,
         return;
     }
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    // Close-on-exec: workers fork+exec'd after the bind must not hold
+    // the listener, or closing it would not refuse their joins.
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) {
         warn("dist: socket() failed (", std::strerror(errno), ")");
         return;
@@ -164,6 +167,18 @@ Coordinator::shutdown()
     }
     conns_.clear();
     if (listenFd_ >= 0) {
+        // Joins still queued on the listener get Shutdown too: a
+        // coordinator that served no scope never accepted them, and
+        // each worker would wait out its reply timeout. Reading the
+        // Hello first makes the close an orderly one.
+        ::fcntl(listenFd_, F_SETFL, O_NONBLOCK);
+        for (int fd; (fd = ::accept(listenFd_, nullptr, nullptr)) >= 0;) {
+            setSockTimeouts(fd, 1.0);
+            Frame hello;
+            (void)recvFrame(fd, hello);
+            (void)sendFrame(fd, Msg::Shutdown, "");
+            ::close(fd);
+        }
         ::close(listenFd_);
         listenFd_ = -1;
     }

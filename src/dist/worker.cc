@@ -118,7 +118,12 @@ Worker::Worker(const std::string &addr_spec,
       connectTimeoutS_(connect_timeout_s), ioTimeoutS_(io_timeout_s),
       heartbeatMs_(heartbeat_ms), maxRejoins_(max_rejoins)
 {
-    if (!connectAndHello(connect_timeout_s))
+    if (connectAndHello(connect_timeout_s))
+        return;
+    if (sawShutdown_)
+        inform("dist: coordinator shut down before this worker "
+               "joined; running locally");
+    else
         warn("dist: cannot reach coordinator (",
              addr_spec == "auto" ? addr_file : addr_spec, ") within ",
              connect_timeout_s, "s; running locally");

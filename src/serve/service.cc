@@ -8,6 +8,7 @@
 #include "common/fault.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/firmware_image.hh"
 #include "obs/http.hh"
@@ -117,6 +118,8 @@ Service::Service(ServeConfig cfg, BuildConfig build,
                          0.25})
 {
     PSCA_ASSERT(!schedule_.empty(), "serve: empty schedule");
+    for (const ServeSegment &s : schedule_)
+        PSCA_ASSERT(s.blocks >= 1, "serve: a segment serves no block");
     PSCA_ASSERT(k_ >= 1 &&
                     cfg_.granularityInstr % build_.intervalInstr == 0,
                 "serve: granularity must be a multiple of the "
@@ -219,15 +222,10 @@ Service::bootstrap()
     return true;
 }
 
-void
-Service::enterSegment(size_t idx)
+std::unique_ptr<Service::SegmentRt>
+Service::recordSegment(size_t idx) const
 {
     const ServeSegment &s = schedule_[idx];
-    // Settle and free the finished segment (walker, live core, record)
-    // before recording the next, so two are never resident at once.
-    if (seg_)
-        seg_->replayer->settle(adaptive_);
-    seg_.reset();
     auto rt = std::make_unique<SegmentRt>();
     rt->index = idx;
     rt->workload = s.workload;
@@ -243,9 +241,51 @@ Service::enterSegment(size_t idx)
                 "serve: workload too short for the closed loop");
     rt->replayer =
         std::make_unique<PassReplayer>(s.workload, build_, k_, memo_hash);
-    seg_ = std::move(rt);
+    return rt;
+}
+
+void
+Service::enterSegment(size_t idx)
+{
+    // Settle and free the finished segment (walker, live core, record)
+    // before the next takes over: serveSegment() recorded the next one
+    // while this one was served, or nothing has recorded it yet.
+    if (seg_)
+        seg_->replayer->settle(adaptive_);
+    seg_.reset();
+    if (next_) {
+        PSCA_ASSERT(next_->index == idx,
+                    "serve: recorded segment is not the one entered");
+        seg_ = std::move(next_);
+    } else {
+        seg_ = recordSegment(idx);
+    }
     segIdx_ = idx;
     segBlocksDone_ = 0;
+}
+
+void
+Service::serveSegment(uint64_t budget)
+{
+    const uint64_t seg_blocks = schedule_[segIdx_].blocks;
+    // Record the next segment beside this one's blocks, but only if
+    // this run enters it: the budget must outlast the segment.
+    const bool record_next = !next_ &&
+        outcome_.blocks + (seg_blocks - segBlocksDone_) < budget;
+    const size_t next = (segIdx_ + 1) % schedule_.size();
+    // At most two cores are live, the serving walker's and the
+    // recorder's; regions the tasks open (the recording's two mode
+    // passes, a retrain's forest fits) run inline in their task.
+    ThreadPool::instance().parallelFor(
+        record_next ? 2 : 1, [&](size_t task) {
+            if (task == 1) {
+                next_ = recordSegment(next);
+                return;
+            }
+            while (outcome_.blocks < budget &&
+                   segBlocksDone_ < seg_blocks && !stopRequested())
+                stepBlock();
+        });
 }
 
 void
@@ -570,7 +610,7 @@ Service::run(uint64_t max_blocks)
                           " SEGMENT " + std::to_string(next) + " " +
                           seg_->workload.name);
         }
-        stepBlock();
+        serveSegment(budget);
     }
 
     finishRun();

@@ -13,8 +13,9 @@
  * production guardrail. The drift detector (serve/drift.hh) watches
  * the active model's own input distribution; a drifted window
  * triggers a retrain on the current workload's record through the
- * journaled pipeline (trainDual — checkpoint/resume and the dist
- * fleet come for free). The retrained candidate runs as a SHADOW:
+ * journaled pipeline (trainDual — checkpoint/resume comes for free;
+ * it runs inside the serving task, so its scopes stay in this
+ * process). The retrained candidate runs as a SHADOW:
  * scored on the same live telemetry the active model sees, decisions
  * never applied. After ServeConfig::abIntervals scored blocks the
  * candidate is promoted only if it beats the active model's
@@ -131,7 +132,9 @@ class Service
 
     /**
      * Run up to @p max_blocks blocks (0 = the whole schedule),
-     * honoring stopRequested() at block boundaries. Writes the
+     * honoring stopRequested() at block boundaries. Each segment's
+     * blocks are served while the next segment is recorded beside
+     * them, so a stop returns once that recording ends. Writes the
      * lifecycle artifact and exports serve.* stats on return.
      */
     const ServeOutcome &run(uint64_t max_blocks = 0);
@@ -153,7 +156,9 @@ class Service
     FirmwarePackage trainCandidate(const SegmentRt &seg,
                                    const std::string &name);
     void loadActivePredictor();
+    std::unique_ptr<SegmentRt> recordSegment(size_t idx) const;
     void enterSegment(size_t idx);
+    void serveSegment(uint64_t budget);
     void stepBlock();
     void evaluateShadowGate();
     void evaluateProbation();
@@ -180,8 +185,10 @@ class Service
     std::unique_ptr<FirmwarePackage> shadowPkg_;
     std::unique_ptr<VmPredictor> shadowVm_;
 
-    // Current segment runtime.
+    // Current segment runtime, and the next one's once serveSegment()
+    // has recorded it (enterSegment() takes it over).
     std::unique_ptr<SegmentRt> seg_;
+    std::unique_ptr<SegmentRt> next_;
     size_t segIdx_ = 0;
     uint64_t segBlocksDone_ = 0;
 

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -43,7 +44,9 @@
 #include "common/journal.hh"
 #include "core/pipeline.hh"
 #include "core/runner.hh"
+#include "dist/dist.hh"
 #include "dist/protocol.hh"
+#include "dist/worker.hh"
 #include "obs/report.hh"
 #include "telemetry/counters.hh"
 #include "trace/genome.hh"
@@ -186,17 +189,12 @@ slurp(const std::string &path)
 }
 
 /**
- * The campaign body every fleet process runs (lockstep-redundant):
- * corpus record -> dataset -> forest fit -> scored result artifact.
- * Same shape as test_runner.cc's pipeline; the corpus and forest
- * scopes are the Distributed ones.
+ * The campaign's corpus under its recording config (set into
+ * @p build): one Distributed scope, or a cache load once stored.
  */
-int
-childPipeline()
+std::vector<TraceRecord>
+recordTestCorpus(BuildConfig &build)
 {
-    obs::RunReportGuard report("dist_test_report");
-
-    BuildConfig build;
     build.intervalInstr = 5000;
     build.warmupInstr = 10000;
     build.counterIds = {
@@ -218,8 +216,22 @@ childPipeline()
         fleet.push_back(std::move(w));
         ids.push_back(static_cast<uint32_t>(i));
     }
-    const std::vector<TraceRecord> records =
-        recordCorpus(fleet, ids, build, "dtest");
+    return recordCorpus(fleet, ids, build, "dtest");
+}
+
+/**
+ * The campaign body every fleet process runs (lockstep-redundant):
+ * corpus record -> dataset -> forest fit -> scored result artifact.
+ * Same shape as test_runner.cc's pipeline; the corpus and forest
+ * scopes are the Distributed ones.
+ */
+int
+childPipeline()
+{
+    obs::RunReportGuard report("dist_test_report");
+
+    BuildConfig build;
+    const std::vector<TraceRecord> records = recordTestCorpus(build);
 
     AssemblyOptions ao;
     ao.granularityInstr = 5000;
@@ -525,6 +537,83 @@ TEST(DistFleet, DuplicateResultsAreIdempotent)
     const std::string report = dir + "/dist_test_report.json";
     EXPECT_GE(reportValue(report, "dist.duplicate_results"), 1.0)
         << report;
+}
+
+/** Whether every listening socket this process holds is close-on-exec. */
+bool
+listenersCloseOnExec()
+{
+    for (const auto &e : fs::directory_iterator("/proc/self/fd")) {
+        const int fd = std::atoi(e.path().filename().c_str());
+        int listening = 0;
+        socklen_t len = sizeof(listening);
+        if (::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening,
+                         &len) == 0 &&
+            listening != 0 && (::fcntl(fd, F_GETFD) & FD_CLOEXEC) == 0)
+            return false;
+    }
+    return true;
+}
+
+TEST(DistFleet, WarmRerunReleasesQueuedWorkers)
+{
+    // On a warm cache the coordinator may serve no scope, so it never
+    // accepts a join (a warm `psca fleet`: every scope's result is a
+    // cache file or fully journaled). A
+    // worker that holds the coordinator's listener (forked after the
+    // bind, as an exec'd worker did before the listener was
+    // close-on-exec) keeps its join queued after the coordinator
+    // closes its copy; only a Shutdown answer releases it before its
+    // reply timeout.
+    setenv("PSCA_THREADS", "2", 1);
+    const std::string dir = scratchDir("rerun");
+    setenv("PSCA_CACHE_DIR", dir.c_str(), 1);
+    setenv("PSCA_REPORT_DIR", dir.c_str(), 1);
+    ASSERT_EQ(runLocalToCompletion(), 0);
+
+    constexpr double kIoTimeoutS = 30.0;
+    const auto start = std::chrono::steady_clock::now();
+    std::fflush(nullptr);
+    const pid_t coord = fork();
+    if (coord == 0) {
+        setenv("PSCA_DIST_ROLE", "coordinator", 1);
+        setenv("PSCA_DIST_WORKERS", "1", 1);
+        pid_t worker = -1;
+        int rc = runner::guardedMain([&] {
+            if (!listenersCloseOnExec())
+                return 4;
+            const std::string addr = dist::coordinatorAddress();
+            std::fflush(nullptr);
+            worker = fork();
+            if (worker == 0) {
+                Worker w(addr, "", 10.0, kIoTimeoutS, 500, 0);
+                _exit(w.connected() ? 5 : 0);
+            }
+            // Let the join queue before the campaign runs: the
+            // corpus is a cache load, so it distributes nothing.
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+            obs::RunReportGuard report("dist_test_report");
+            BuildConfig build;
+            return recordTestCorpus(build).size() == kCorpusSize ? 0
+                                                                 : 7;
+        });
+        int status = 0;
+        if (worker > 0 && waitpid(worker, &status, 0) == worker &&
+            rc == 0)
+            rc = WIFEXITED(status) ? WEXITSTATUS(status) : 6;
+        _exit(rc);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(coord, &status, 0), coord);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    EXPECT_LT(secs, kIoTimeoutS / 3);
+    EXPECT_EQ(reportValue(dir + "/dist_test_report.json",
+                          "dist.scopes_served"),
+              -1.0);
 }
 
 } // namespace

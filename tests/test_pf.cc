@@ -12,6 +12,7 @@
 #include <set>
 
 #include "common/fault.hh"
+#include "common/journal.hh"
 #include "common/rng.hh"
 #include "core/pf_selection.hh"
 #include "core/pipeline.hh"
@@ -265,6 +266,54 @@ TEST_F(PlanCache, SecondPassIsAHitWithoutTheCorpus)
     // Neither loaded nor recorded: the pf936 corpus was not touched.
     EXPECT_EQ(counterValue("record.cache_hits"), corpus_hits0);
     EXPECT_EQ(counterValue("record.traces"), traces0);
+}
+
+TEST_F(PlanCache, StoredPlanRetiresScreenOneCheckpoints)
+{
+    // Screen 1's checkpoint files, by name, in the journal's directory.
+    Journal &journal = Journal::instance();
+    ASSERT_TRUE(journal.enabled());
+    char prefix[40];
+    std::snprintf(prefix, sizeof(prefix), "ckpt_%016llx_",
+                  static_cast<unsigned long long>(
+                      Journal::scopeHash(kPfScreenScope)));
+    const auto screenCheckpoints = [&] {
+        std::vector<std::string> names;
+        const fs::path dir = fs::path(journal.journalPath()).parent_path();
+        for (const auto &e : fs::directory_iterator(dir)) {
+            const std::string name = e.path().filename().string();
+            if (name.starts_with(prefix))
+                names.push_back(name);
+        }
+        std::sort(names.begin(), names.end());
+        return names;
+    };
+
+    // A first miss records the pf936 corpus if no test has yet.
+    const std::vector<uint16_t> first =
+        runPfSelectionPass(tinyScale(), PfConfig{});
+    for (const std::string &plan : planFiles(dir_))
+        fs::remove(plan);
+
+    // The second miss finds none of screen 1's units checkpointed: the
+    // first one's stored plan retired them. It retires its own in turn,
+    // and leaves no checkpoint file behind.
+    const std::vector<std::string> before = screenCheckpoints();
+    const JournalStats s0 = journal.stats();
+    const uint64_t hits0 = counterValue("record.plan_cache_hits");
+    EXPECT_EQ(runPfSelectionPass(tinyScale(), PfConfig{}), first);
+    const JournalStats s1 = journal.stats();
+    EXPECT_EQ(counterValue("record.plan_cache_hits"), hits0);
+    EXPECT_EQ(s1.unitsSkipped, s0.unitsSkipped);
+    EXPECT_EQ(s1.unitsExecuted, s0.unitsExecuted + tinyScale().pfApps);
+    EXPECT_EQ(s1.scopesRetired, s0.scopesRetired + 1);
+    const std::vector<std::string> after = screenCheckpoints();
+    EXPECT_TRUE(std::includes(before.begin(), before.end(),
+                              after.begin(), after.end()));
+
+    // The rerun loads the plan.
+    EXPECT_EQ(runPfSelectionPass(tinyScale(), PfConfig{}), first);
+    EXPECT_EQ(counterValue("record.plan_cache_hits"), hits0 + 1);
 }
 
 TEST_F(PlanCache, FlippedByteIsQuarantinedAndRecomputed)

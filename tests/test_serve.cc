@@ -25,6 +25,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <bit>
 #include <csignal>
 #include <cstdio>
@@ -38,7 +39,9 @@
 
 #include "common/fault.hh"
 #include "common/journal.hh"
+#include "common/parallel.hh"
 #include "common/serialize.hh"
+#include "obs/events.hh"
 #include "obs/http.hh"
 #include "obs/stats.hh"
 #include "serve/drift.hh"
@@ -127,6 +130,42 @@ ringFiles(const std::string &dir)
     }
     return files;
 }
+
+/**
+ * Requests a stop when the service logs a lifecycle line containing a
+ * needle, once, for the life of the guard: a stop at a deterministic
+ * block inside a segment. The sink it installs forwards every event
+ * to the process event log, as the one obs installs does, so it stays
+ * installed after the guard.
+ */
+class StopOnEvent
+{
+  public:
+    explicit StopOnEvent(const char *needle)
+    {
+        needle_.store(needle);
+        setEventSink(&sink);
+    }
+    ~StopOnEvent()
+    {
+        needle_.store(nullptr);
+        clearStopRequest();
+    }
+
+  private:
+    static void
+    sink(const char *category, LogLevel level, const std::string &msg)
+    {
+        obs::EventLog::instance().log(category, level, msg);
+        const char *needle = needle_.load();
+        if (needle != nullptr &&
+            msg.find(needle) != std::string::npos &&
+            needle_.compare_exchange_strong(needle, nullptr))
+            requestStop();
+    }
+
+    static inline std::atomic<const char *> needle_{nullptr};
+};
 
 uint64_t
 trieServedBlocks()
@@ -693,18 +732,29 @@ TEST_F(ServiceTest, StopsAndShortSegmentsSettleLikeMemoOffRun)
 {
     // A stop one block into a pass and a one-block segment both leave
     // a pass on the walker's spine with owed accounting, which
-    // finishRun() and the next segment must settle. The PPW gain at
-    // every stop must equal a run that replays every pass (memo off,
-    // in a fresh process as above).
+    // finishRun() and the next segment must settle. So does a stop
+    // requested mid-segment while the next segment is being recorded:
+    // the promotion at b=32 falls in segment 2, whose successor is
+    // inside the budget. The PPW gain at every stop must equal a run
+    // that replays every pass (memo off, in a fresh process as above).
     std::vector<ServeSegment> schedule = shiftSchedule();
     schedule.insert(schedule.begin() + 1, {ilpWorkload(4, 400000), 1});
+    schedule.push_back({memBoundWorkload(3, 400000), 12});
     const auto gains = [&](const std::string &dir) {
         Service service(testServeConfig(dir), testBuildConfig(), schedule);
         std::string bits;
-        for (const uint64_t stop : {1, 26, 0})
+        const auto gain = [&](uint64_t stop) {
             bits += std::to_string(std::bit_cast<uint64_t>(
                         service.run(stop).ppwGainPct)) +
                 " ";
+        };
+        gain(1);
+        gain(26);
+        {
+            StopOnEvent stop("SHADOWING->PROMOTING");
+            gain(0);
+        }
+        gain(0);
         return bits;
     };
     const std::string dir_off =
@@ -722,16 +772,68 @@ TEST_F(ServiceTest, StopsAndShortSegmentsSettleLikeMemoOffRun)
         ::testing::ExitedWithCode(0), "");
     g_testDirs.push_back(dir_off);
 
-    const uint64_t settles0 = obs::StatRegistry::instance()
-                                  .counter("replay.memo_settles")
-                                  .value();
-    EXPECT_EQ(gains(freshDir("svc_settle_on")),
-              readAll(dir_off + "/gains.txt"));
-    EXPECT_GE(obs::StatRegistry::instance()
-                      .counter("replay.memo_settles")
-                      .value() -
-                  settles0,
-              2u);
+    auto &reg = obs::StatRegistry::instance();
+    const uint64_t settles0 = reg.counter("replay.memo_settles").value();
+    const uint64_t traces0 = reg.counter("record.traces").value();
+    const std::string dir_on = freshDir("svc_settle_on");
+    EXPECT_EQ(gains(dir_on), readAll(dir_off + "/gains.txt"));
+    EXPECT_GE(reg.counter("replay.memo_settles").value() - settles0, 2u);
+    // The stop landed one block after the promotion, and the segment
+    // recorded beside it was entered on resume, not recorded again.
+    const std::string lifecycle = readAll(dir_on + "/lifecycle.txt");
+    EXPECT_NE(lifecycle.find("b=33 STOP requested"), std::string::npos);
+    EXPECT_EQ(reg.counter("record.traces").value() - traces0,
+              schedule.size());
+}
+
+TEST_F(ServiceTest, RecordsOnlyTheSegmentsARunEnters)
+{
+    // The next segment is recorded beside the current one only when
+    // the block budget outlasts the current one: a run that ends inside
+    // a segment, or at its last block, wastes no recording.
+    auto &reg = obs::StatRegistry::instance();
+    const uint64_t traces0 = reg.counter("record.traces").value();
+    const auto traces = [&] {
+        return reg.counter("record.traces").value() - traces0;
+    };
+    Service service(testServeConfig(freshDir("svc_budget")),
+                    testBuildConfig(), shiftSchedule());
+    EXPECT_EQ(service.run(12).blocks, 12u);
+    EXPECT_EQ(traces(), 1u);
+    EXPECT_EQ(service.run(24).blocks, 24u);
+    EXPECT_EQ(traces(), 1u);
+    EXPECT_EQ(service.run(30).blocks, 30u);
+    EXPECT_EQ(traces(), 2u);
+    EXPECT_EQ(service.run(0).blocks, 84u);
+    EXPECT_EQ(traces(), 2u);
+}
+
+TEST_F(ServiceTest, PipelinedSegmentsMatchAcrossThreadCounts)
+{
+    // Serving a segment while the next one records must not move a
+    // byte: one thread runs the two tasks in turn, four run them side
+    // by side.
+    std::vector<ServeSegment> schedule = shiftSchedule();
+    schedule.push_back({memBoundWorkload(5, 400000), 24});
+    const auto serveAt = [&](int threads, const std::string &dir) {
+        ThreadPool::configure(threads);
+        Service service(testServeConfig(dir), testBuildConfig(),
+                        schedule);
+        return outcomeText(service.run());
+    };
+    const std::string dir_1 = freshDir("svc_threads_1");
+    const std::string dir_4 = freshDir("svc_threads_4");
+    const std::string out_1 = serveAt(1, dir_1);
+    const std::string out_4 = serveAt(4, dir_4);
+    ThreadPool::configure(parallelThreadCount());
+
+    EXPECT_EQ(out_1, out_4);
+    EXPECT_NE(out_1.find("SEGMENT 2"), std::string::npos);
+    EXPECT_EQ(readAll(dir_1 + "/lifecycle.txt"),
+              readAll(dir_4 + "/lifecycle.txt"));
+    const auto ring = ringFiles(dir_1);
+    EXPECT_TRUE(ring.count("ring.manifest"));
+    EXPECT_EQ(ring, ringFiles(dir_4));
 }
 
 TEST_F(ServiceTest, SegmentHashesItsTraceOnce)
