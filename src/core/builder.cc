@@ -54,63 +54,6 @@ readRecord(BinaryReader &in)
     return r;
 }
 
-/**
- * One fixed-mode recording pass of a workload. The full per-interval
- * counter deltas come from the simulation memo cache when available
- * (a fixed-mode replay is a pure function of the memo key); on a miss
- * an IntervalReplay streams the trace through the core's bounded
- * chunked path, so memory does not grow with the trace. Either way
- * the projection to the record's float columns runs below, so
- * records are byte-identical whether the deltas were replayed or
- * memoized.
- */
-void
-recordMode(const Workload &workload, uint64_t trace_hash,
-           size_t n_intervals, const BuildConfig &cfg, CoreMode mode,
-           std::vector<float> &deltas, std::vector<float> &cycles,
-           std::vector<float> &energy)
-{
-    const size_t n_ctr = cfg.counterIds.size();
-    deltas.reserve(n_intervals * n_ctr);
-    cycles.reserve(n_intervals);
-    energy.reserve(n_intervals);
-
-    PowerModel power(cfg.power, cfg.core.clockGhz);
-    const uint16_t cycles_idx = CounterRegistry::index(Ctr::Cycles);
-    auto project = [&](const std::vector<uint64_t> &delta_all) {
-        for (size_t i = 0; i < n_ctr; ++i)
-            deltas.push_back(static_cast<float>(
-                delta_all[cfg.counterIds[i]]));
-        const uint64_t cyc = delta_all[cycles_idx];
-        cycles.push_back(static_cast<float>(cyc));
-        energy.push_back(static_cast<float>(
-            power.intervalEnergyNj(delta_all, cyc, mode)));
-    };
-
-    const MemoKey key{trace_hash, coreConfigHash(cfg.core), mode};
-    auto &memo = SimMemo::instance();
-    MemoIntervals intervals;
-    if (memo.lookup(key, intervals) && intervals.size() == n_intervals) {
-        std::vector<uint64_t> delta_all;
-        for (size_t t = 0; t < n_intervals; ++t) {
-            intervals.expand(t, delta_all);
-            project(delta_all);
-        }
-        return;
-    }
-
-    // Sparse deltas are kept only for the memo store.
-    intervals = MemoIntervals();
-    IntervalReplay replay(workload, cfg, mode);
-    for (size_t t = 0; t < n_intervals; ++t) {
-        replay.step();
-        project(replay.delta());
-        if (memo.enabled())
-            intervals.append(replay.delta());
-    }
-    memo.store(key, intervals);
-}
-
 } // namespace
 
 IntervalReplay::IntervalReplay(const Workload &workload,
@@ -152,44 +95,104 @@ memoTraceHash(const Workload &workload, const BuildConfig &cfg)
                     cfg.intervalInstr);
 }
 
+std::optional<uint64_t>
+recordingTraceHash(const Workload &workload, const BuildConfig &cfg)
+{
+    // Only the memo key reads the hash, so a disabled memo skips the
+    // generator pass that computes it.
+    if (!SimMemo::instance().enabled())
+        return std::nullopt;
+    return memoTraceHash(workload, cfg);
+}
+
 TraceRecord
-recordTrace(const Workload &workload, const BuildConfig &cfg,
-            uint32_t app_id, uint32_t trace_id,
-            std::optional<uint64_t> *memo_hash)
+newTraceRecord(const Workload &workload, const BuildConfig &cfg,
+               uint32_t app_id, uint32_t trace_id)
 {
     PSCA_ASSERT(!cfg.counterIds.empty(),
                 "recording requires a counter list");
-    obs::ScopedPhase phase("record_trace");
     obs::StatRegistry::instance().counter("record.traces").add();
     TraceRecord record;
     record.name = workload.name;
     record.appId = app_id;
     record.traceId = trace_id;
     record.numCounters = static_cast<uint16_t>(cfg.counterIds.size());
+    return record;
+}
 
-    const uint64_t n_intervals = workload.lengthInstr / cfg.intervalInstr;
-    // Only the memo key reads the hash, so a disabled memo skips the
-    // generator pass that computes it.
-    std::optional<uint64_t> hash;
-    if (SimMemo::instance().enabled())
-        hash = memoTraceHash(workload, cfg);
+void
+recordTracePass(const Workload &workload, const BuildConfig &cfg,
+                std::optional<uint64_t> trace_hash, CoreMode mode,
+                TraceRecord &record)
+{
+    const bool high = mode == CoreMode::HighPerf;
+    std::vector<float> &deltas = high ? record.deltaHigh : record.deltaLow;
+    std::vector<float> &cycles =
+        high ? record.cyclesHigh : record.cyclesLow;
+    std::vector<float> &energy =
+        high ? record.energyHighNj : record.energyLowNj;
+    const size_t n_intervals = workload.lengthInstr / cfg.intervalInstr;
+    const size_t n_ctr = cfg.counterIds.size();
+    deltas.reserve(n_intervals * n_ctr);
+    cycles.reserve(n_intervals);
+    energy.reserve(n_intervals);
+
+    PowerModel power(cfg.power, cfg.core.clockGhz);
+    const uint16_t cycles_idx = CounterRegistry::index(Ctr::Cycles);
+    auto project = [&](const std::vector<uint64_t> &delta_all) {
+        for (size_t i = 0; i < n_ctr; ++i)
+            deltas.push_back(static_cast<float>(
+                delta_all[cfg.counterIds[i]]));
+        const uint64_t cyc = delta_all[cycles_idx];
+        cycles.push_back(static_cast<float>(cyc));
+        energy.push_back(static_cast<float>(
+            power.intervalEnergyNj(delta_all, cyc, mode)));
+    };
+
+    const MemoKey key{trace_hash.value_or(0), coreConfigHash(cfg.core),
+                      mode};
+    auto &memo = SimMemo::instance();
+    MemoIntervals intervals;
+    if (memo.lookup(key, intervals) && intervals.size() == n_intervals) {
+        std::vector<uint64_t> delta_all;
+        for (size_t t = 0; t < n_intervals; ++t) {
+            intervals.expand(t, delta_all);
+            project(delta_all);
+        }
+        return;
+    }
+
+    // Sparse deltas are kept only for the memo store.
+    intervals = MemoIntervals();
+    IntervalReplay replay(workload, cfg, mode);
+    for (size_t t = 0; t < n_intervals; ++t) {
+        replay.step();
+        project(replay.delta());
+        if (memo.enabled())
+            intervals.append(replay.delta());
+    }
+    memo.store(key, intervals);
+}
+
+TraceRecord
+recordTrace(const Workload &workload, const BuildConfig &cfg,
+            uint32_t app_id, uint32_t trace_id,
+            std::optional<uint64_t> *memo_hash)
+{
+    obs::ScopedPhase phase("record_trace");
+    TraceRecord record = newTraceRecord(workload, cfg, app_id, trace_id);
+    const std::optional<uint64_t> hash = recordingTraceHash(workload, cfg);
     if (memo_hash != nullptr)
         *memo_hash = hash;
-    const uint64_t trace_hash = hash.value_or(0);
 
     // The two fixed-mode passes are independent simulations, each
     // with its own generator, writing disjoint vectors; run them as a
     // two-task region. Inside a recordCorpus fan-out this degenerates
     // to the serial pair (nested regions run inline).
     ThreadPool::instance().parallelFor(2, [&](size_t m) {
-        if (m == 0)
-            recordMode(workload, trace_hash, n_intervals, cfg,
-                       CoreMode::HighPerf, record.deltaHigh,
-                       record.cyclesHigh, record.energyHighNj);
-        else
-            recordMode(workload, trace_hash, n_intervals, cfg,
-                       CoreMode::LowPower, record.deltaLow,
-                       record.cyclesLow, record.energyLowNj);
+        recordTracePass(workload, cfg, hash,
+                        m == 0 ? CoreMode::HighPerf : CoreMode::LowPower,
+                        record);
     });
     PSCA_ASSERT(record.cyclesHigh.size() == record.cyclesLow.size(),
                 "mode runs disagree on interval count");

@@ -120,7 +120,40 @@ class IntervalReplay
 uint64_t memoTraceHash(const Workload &workload, const BuildConfig &cfg);
 
 /**
- * Simulate one workload in both modes and record telemetry.
+ * The hash a recording keys its memo entries with: memoTraceHash()
+ * while the memo is on, else empty (and no generator pass is spent).
+ */
+std::optional<uint64_t> recordingTraceHash(const Workload &workload,
+                                           const BuildConfig &cfg);
+
+/**
+ * The start of every recording: @p workload's record with its header
+ * set and no interval yet, counted in record.traces. Two
+ * recordTracePass() calls, one per mode, fill it.
+ */
+TraceRecord newTraceRecord(const Workload &workload,
+                           const BuildConfig &cfg, uint32_t app_id,
+                           uint32_t trace_id);
+
+/**
+ * One fixed-mode pass of a recording: simulate @p workload in @p mode
+ * on a fresh core and append that mode's counter deltas, cycles and
+ * energy to @p record (the High or the Low vectors). The deltas come
+ * from the simulation memo when it holds them under @p trace_hash (the
+ * recordingTraceHash()); otherwise the trace streams through the
+ * core's bounded chunked path, so memory does not grow with its
+ * length, and the memo stores them. Records are byte-identical either
+ * way. The two modes' passes write disjoint fields, so they may run
+ * concurrently on one record.
+ */
+void recordTracePass(const Workload &workload, const BuildConfig &cfg,
+                     std::optional<uint64_t> trace_hash, CoreMode mode,
+                     TraceRecord &record);
+
+/**
+ * Simulate one workload in both modes and record telemetry: the
+ * recordingTraceHash(), then both recordTracePass() calls as one
+ * two-task region.
  *
  * @param memo_hash When given, receives the memoTraceHash() the
  *        recording computed for its memo keys; left empty with the

@@ -182,5 +182,32 @@ coordinatorAddress()
     return g_coordinator ? g_coordinator->address() : std::string();
 }
 
+const std::vector<std::string> kFleetWorkerDropPrefixes = {
+    "PSCA_DIST_ROLE=", "PSCA_DIST_ADDR=",   "PSCA_DIST_WORKERS=",
+    "PSCA_JOURNAL=",   "PSCA_REPORT_DIR=",  "PSCA_HTTP_PORT="};
+
+const std::vector<std::string> kFleetCoordinatorDropPrefixes = {
+    "PSCA_DIST_ROLE=", "PSCA_DIST_ADDR=", "PSCA_DIST_WORKERS=",
+    "PSCA_HTTP_PORT="};
+
+std::vector<std::string>
+filterEnv(const std::vector<std::string> &env,
+          const std::vector<std::string> &drop_prefixes)
+{
+    std::vector<std::string> kept;
+    for (const std::string &s : env) {
+        bool dropped = false;
+        for (const std::string &p : drop_prefixes) {
+            if (s.rfind(p, 0) == 0) {
+                dropped = true;
+                break;
+            }
+        }
+        if (!dropped)
+            kept.push_back(s);
+    }
+    return kept;
+}
+
 } // namespace dist
 } // namespace psca

@@ -40,6 +40,7 @@
 #define PSCA_DIST_DIST_HH
 
 #include <string>
+#include <vector>
 
 namespace psca {
 namespace dist {
@@ -75,6 +76,31 @@ void shutdown();
 
 /** The coordinator's resolved listen address ("" unless serving). */
 std::string coordinatorAddress();
+
+/**
+ * Environment prefixes a `psca fleet` worker child does not inherit:
+ * the role variables the fleet sets for it (PSCA_DIST_ROLE, _ADDR and
+ * _WORKERS), and the journal, report and HTTP settings it must not
+ * share with the coordinator. The fleet's tuning variables
+ * (PSCA_DIST_IO_TIMEOUT_S, _CONNECT_S, _HEARTBEAT_MS, _RETRIES,
+ * _TIMEOUT_S, _MAX_FRAME_MB) pass through.
+ */
+extern const std::vector<std::string> kFleetWorkerDropPrefixes;
+
+/**
+ * The same for a fleet coordinator child: the role variables and the
+ * HTTP port. It keeps the caller's journal and report settings: its
+ * journal is what makes a restart resume, and its report is the run's.
+ */
+extern const std::vector<std::string> kFleetCoordinatorDropPrefixes;
+
+/**
+ * The environment a spawned child starts from: @p env, in order,
+ * without the entries that start with any of @p drop_prefixes.
+ */
+std::vector<std::string> filterEnv(
+    const std::vector<std::string> &env,
+    const std::vector<std::string> &drop_prefixes);
 
 } // namespace dist
 } // namespace psca

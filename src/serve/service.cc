@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
 
 #include "common/fault.hh"
 #include "common/journal.hh"
@@ -12,6 +13,7 @@
 #include "common/rng.hh"
 #include "core/firmware_image.hh"
 #include "obs/http.hh"
+#include "obs/phase.hh"
 #include "obs/stats.hh"
 
 namespace psca {
@@ -223,24 +225,20 @@ Service::bootstrap()
 }
 
 std::unique_ptr<Service::SegmentRt>
-Service::recordSegment(size_t idx) const
+Service::segmentRt(size_t idx, TraceRecord ref,
+                   std::optional<uint64_t> memo_hash) const
 {
-    const ServeSegment &s = schedule_[idx];
     auto rt = std::make_unique<SegmentRt>();
     rt->index = idx;
-    rt->workload = s.workload;
-    // The walker's memo settles reuse the hash the recording took.
-    std::optional<uint64_t> memo_hash;
-    rt->ref = recordTrace(s.workload, build_,
-                          static_cast<uint32_t>(idx),
-                          static_cast<uint32_t>(s.workload.traceIndex),
-                          &memo_hash);
+    rt->workload = schedule_[idx].workload;
+    rt->ref = std::move(ref);
     rt->labels = blockLabels(rt->ref, k_, 0.90);
     rt->passBlocks = rt->ref.numIntervals() / k_;
     PSCA_ASSERT(rt->passBlocks >= 3,
                 "serve: workload too short for the closed loop");
-    rt->replayer =
-        std::make_unique<PassReplayer>(s.workload, build_, k_, memo_hash);
+    // The walker's memo settles reuse the hash the recording took.
+    rt->replayer = std::make_unique<PassReplayer>(rt->workload, build_,
+                                                  k_, memo_hash);
     return rt;
 }
 
@@ -258,7 +256,12 @@ Service::enterSegment(size_t idx)
                     "serve: recorded segment is not the one entered");
         seg_ = std::move(next_);
     } else {
-        seg_ = recordSegment(idx);
+        const Workload &w = schedule_[idx].workload;
+        std::optional<uint64_t> memo_hash;
+        TraceRecord ref = recordTrace(
+            w, build_, static_cast<uint32_t>(idx),
+            static_cast<uint32_t>(w.traceIndex), &memo_hash);
+        seg_ = segmentRt(idx, std::move(ref), memo_hash);
     }
     segIdx_ = idx;
     segBlocksDone_ = 0;
@@ -273,19 +276,49 @@ Service::serveSegment(uint64_t budget)
     const bool record_next = !next_ &&
         outcome_.blocks + (seg_blocks - segBlocksDone_) < budget;
     const size_t next = (segIdx_ + 1) % schedule_.size();
-    // At most two cores are live, the serving walker's and the
-    // recorder's; regions the tasks open (the recording's two mode
-    // passes, a retrain's forest fits) run inline in their task.
+    const Workload &next_w = schedule_[next].workload;
+    TraceRecord ref;
+    if (record_next)
+        ref = newTraceRecord(next_w, build_, static_cast<uint32_t>(next),
+                             static_cast<uint32_t>(next_w.traceIndex));
+    // Task 1 hashes the next trace and hands the hash to task 2
+    // through this packaged task's future (a failed hash rethrows in
+    // both).
+    std::packaged_task<std::optional<uint64_t>()> hash_next(
+        [&] { return recordingTraceHash(next_w, build_); });
+    const std::shared_future<std::optional<uint64_t>> hash_high =
+        hash_next.get_future().share();
+    const std::shared_future<std::optional<uint64_t>> hash_low =
+        hash_high;
+    // Task 0 serves the blocks; tasks 1 and 2 record the next
+    // segment's HighPerf and LowPower passes. Task 2's wait for the
+    // hash cannot deadlock: the pool claims indices in increasing
+    // order, so once task 2 starts, task 1 has been claimed and is
+    // running on another thread or done; with one thread the tasks
+    // run 0, 1, 2 in turn.
+    // At most three cores are live, the serving walker's and the two
+    // passes'; regions the tasks open (a retrain's forest fits) run
+    // inline in their task.
     ThreadPool::instance().parallelFor(
-        record_next ? 2 : 1, [&](size_t task) {
-            if (task == 1) {
-                next_ = recordSegment(next);
+        record_next ? 3 : 1, [&](size_t task) {
+            if (task == 0) {
+                while (outcome_.blocks < budget &&
+                       segBlocksDone_ < seg_blocks && !stopRequested())
+                    stepBlock();
                 return;
             }
-            while (outcome_.blocks < budget &&
-                   segBlocksDone_ < seg_blocks && !stopRequested())
-                stepBlock();
+            obs::ScopedPhase phase("record_trace");
+            if (task == 1) {
+                hash_next();
+                recordTracePass(next_w, build_, hash_high.get(),
+                                CoreMode::HighPerf, ref);
+            } else {
+                recordTracePass(next_w, build_, hash_low.get(),
+                                CoreMode::LowPower, ref);
+            }
         });
+    if (record_next)
+        next_ = segmentRt(next, std::move(ref), hash_high.get());
 }
 
 void

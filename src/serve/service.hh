@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -156,7 +157,9 @@ class Service
     FirmwarePackage trainCandidate(const SegmentRt &seg,
                                    const std::string &name);
     void loadActivePredictor();
-    std::unique_ptr<SegmentRt> recordSegment(size_t idx) const;
+    std::unique_ptr<SegmentRt> segmentRt(
+        size_t idx, TraceRecord ref,
+        std::optional<uint64_t> memo_hash) const;
     void enterSegment(size_t idx);
     void serveSegment(uint64_t budget);
     void stepBlock();

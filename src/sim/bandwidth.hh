@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/page_alloc.hh"
 
 namespace psca {
 
@@ -140,7 +141,7 @@ class BandwidthRing
         horizon_ = period;
     }
 
-    std::vector<uint8_t> used_;
+    PageVector<uint8_t> used_; //!< page-backed at the default window
     uint64_t mask_;
     uint64_t horizon_ = 0;
     uint8_t capacity_;

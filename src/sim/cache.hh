@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/page_alloc.hh"
 #include "sim/bandwidth.hh"
 #include "sim/config.hh"
 #include "telemetry/counters.hh"
@@ -75,7 +76,9 @@ class CacheLevel
     uint32_t numSets_;
     uint32_t lineShift_;
     uint32_t setShift_;          //!< log2(numSets_)
-    std::vector<uint32_t> ways_; //!< numSets x ways, each set MRU first
+    /** numSets x ways, each set MRU first; page-backed, so an LLC's
+     *  512 KiB return to the system with its core. */
+    PageVector<uint32_t> ways_;
 };
 
 /**

@@ -7,8 +7,8 @@
  * hashes across the genome corpus (with no bandwidth-ring clamp), the
  * counters derived once per interval equal their per-uop definitions,
  * the steady-state allocation budget of the replay and block loops,
- * the heap footprint of one core, and the bounded live memory of
- * streamed dual-mode recording.
+ * the footprint of one core (heap and page-backed arrays), and the
+ * bounded live memory of streamed dual-mode recording.
  */
 
 #include <gtest/gtest.h>
@@ -20,8 +20,10 @@
 #include <cstdlib>
 #include <iterator>
 #include <new>
+#include <thread>
 #include <vector>
 
+#include "common/page_alloc.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
@@ -75,11 +77,30 @@ countedFree(void *p) noexcept
     std::free(p);
 }
 
-/** Restart the high-water mark at the current live total. */
+/** Restart the high-water marks at the current live totals. */
 void
 resetPeak()
 {
     g_peak.store(g_live.load());
+    psca::resetPageBackedPeak();
+}
+
+/**
+ * Live bytes: the heap's, plus the pages PageAllocator mapped for the
+ * core's large arrays, which operator new does not see.
+ */
+int64_t
+liveBytes()
+{
+    return g_live.load() + psca::pageBackedBytes();
+}
+
+/** An upper bound on the peak of liveBytes() since resetPeak(): the
+ *  two high-water marks may fall at different times. */
+int64_t
+peakBytes()
+{
+    return g_peak.load() + psca::pageBackedPeakBytes();
 }
 
 } // namespace
@@ -552,14 +573,44 @@ TEST(TraceStream, CoreFootprintRatchet)
 {
     // Every closed-loop run of a parallel suite holds one live core,
     // so per-core state sets the suite's memory (DESIGN.md §9 lists
-    // it per structure, about 753 KiB in all).
+    // it per structure, about 753 KiB in all, 704 KiB of it in
+    // page-backed arrays).
     { ClusteredCore warm; } // one-time registry entries
-    const int64_t base = g_live.load();
+    const int64_t base = liveBytes();
+    const int64_t mapped_base = pageBackedBytes();
     auto core = std::make_unique<ClusteredCore>();
     core->reset();
-    const int64_t bytes = g_live.load() - base;
+    const int64_t bytes = liveBytes() - base;
     EXPECT_LE(bytes, int64_t{756} << 10)
         << "a default ClusteredCore now allocates " << bytes << " bytes";
+    EXPECT_GE(pageBackedBytes() - mapped_base, int64_t{704} << 10)
+        << "the LLC, L2 and port-ring arrays are no longer page-backed";
+}
+
+TEST(TraceStream, DestroyedCoreReturnsItsPages)
+{
+    // While a core is live, a dead core's large arrays go to the page
+    // pool and the next core, on any thread, reuses them instead of
+    // mapping more. Once none is live, the pool keeps one core's
+    // arrays for the next core and unmaps the rest.
+    ASSERT_EQ(pageBackedBytes(), 0);
+    auto keep = std::make_unique<ClusteredCore>();
+    { ClusteredCore first; }
+    const int64_t mapped = pageMappedBytes();
+    EXPECT_GE(mapped, int64_t{2 * 704} << 10);
+    std::thread([&] {
+        ClusteredCore core;
+        core.reset();
+        EXPECT_EQ(pageMappedBytes(), mapped);
+    }).join();
+    keep.reset();
+    EXPECT_EQ(pageBackedBytes(), 0);
+    const int64_t idle = pageMappedBytes();
+    EXPECT_LE(idle, static_cast<int64_t>(kIdlePoolBytes));
+    {
+        ClusteredCore next;
+        EXPECT_EQ(pageMappedBytes(), idle);
+    }
 }
 
 TEST(TraceStream, StreamedRecordingMemoryIndependentOfLength)
@@ -583,10 +634,10 @@ TEST(TraceStream, StreamedRecordingMemoryIndependentOfLength)
         const Workload w =
             categoryWorkload(AppCategory::HpcPerf, 53, len);
         resetPeak();
-        const int64_t base = g_live.load();
+        const int64_t base = liveBytes();
         const TraceRecord r = recordTrace(w, cfg, 0, 0);
         EXPECT_EQ(r.numIntervals(), len / cfg.intervalInstr);
-        return g_peak.load() - base;
+        return peakBytes() - base;
     };
     peak_bytes(100000); // one-time registry and phase-tree entries
     const int64_t short_peak = peak_bytes(600000);

@@ -616,4 +616,33 @@ TEST(DistFleet, WarmRerunReleasesQueuedWorkers)
               -1.0);
 }
 
+TEST(DistFleet, ChildrenInheritFleetTuningButNotRoles)
+{
+    // psca fleet sets each child's role variables itself; the caller's
+    // timeouts, retries and frame cap must reach the children.
+    const std::vector<std::string> tuning = {
+        "PSCA_DIST_IO_TIMEOUT_S=5", "PSCA_DIST_CONNECT_S=7",
+        "PSCA_DIST_HEARTBEAT_MS=100", "PSCA_DIST_RETRIES=2",
+        "PSCA_DIST_TIMEOUT_S=9", "PSCA_DIST_MAX_FRAME_MB=8"};
+    std::vector<std::string> env = {"PSCA_DIST_ROLE=worker",
+                                    "PSCA_DIST_ADDR=127.0.0.1:9",
+                                    "PSCA_DIST_WORKERS=3"};
+    env.insert(env.end(), tuning.begin(), tuning.end());
+    for (const char *s : {"PSCA_JOURNAL=1", "PSCA_REPORT_DIR=/r",
+                          "PSCA_HTTP_PORT=8080", "PSCA_THREADS=2"})
+        env.emplace_back(s);
+
+    std::vector<std::string> worker = tuning;
+    worker.emplace_back("PSCA_THREADS=2");
+    EXPECT_EQ(dist::filterEnv(env, dist::kFleetWorkerDropPrefixes),
+              worker);
+
+    std::vector<std::string> coordinator = tuning;
+    for (const char *s :
+         {"PSCA_JOURNAL=1", "PSCA_REPORT_DIR=/r", "PSCA_THREADS=2"})
+        coordinator.emplace_back(s);
+    EXPECT_EQ(dist::filterEnv(env, dist::kFleetCoordinatorDropPrefixes),
+              coordinator);
+}
+
 } // namespace

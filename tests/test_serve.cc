@@ -734,9 +734,12 @@ TEST_F(ServiceTest, StopsAndShortSegmentsSettleLikeMemoOffRun)
     // a pass on the walker's spine with owed accounting, which
     // finishRun() and the next segment must settle. So does a stop
     // requested mid-segment while the next segment is being recorded:
-    // the promotion at b=32 falls in segment 2, whose successor is
-    // inside the budget. The PPW gain at every stop must equal a run
-    // that replays every pass (memo off, in a fresh process as above).
+    // the promotion at b=39 falls in segment 2, whose successor is
+    // inside the budget. And a stop requested as segment 1 is entered
+    // (b=24) lands before its first block, with both of segment 2's
+    // mode passes in flight. The PPW gain at every stop must equal a
+    // run that replays every pass (memo off, in a fresh process as
+    // above).
     std::vector<ServeSegment> schedule = shiftSchedule();
     schedule.insert(schedule.begin() + 1, {ilpWorkload(4, 400000), 1});
     schedule.push_back({memBoundWorkload(3, 400000), 12});
@@ -749,6 +752,10 @@ TEST_F(ServiceTest, StopsAndShortSegmentsSettleLikeMemoOffRun)
                 " ";
         };
         gain(1);
+        {
+            StopOnEvent stop("SEGMENT 1");
+            gain(0);
+        }
         gain(26);
         {
             StopOnEvent stop("SHADOWING->PROMOTING");
@@ -778,10 +785,12 @@ TEST_F(ServiceTest, StopsAndShortSegmentsSettleLikeMemoOffRun)
     const std::string dir_on = freshDir("svc_settle_on");
     EXPECT_EQ(gains(dir_on), readAll(dir_off + "/gains.txt"));
     EXPECT_GE(reg.counter("replay.memo_settles").value() - settles0, 2u);
-    // The stop landed one block after the promotion, and the segment
-    // recorded beside it was entered on resume, not recorded again.
+    // Each stop landed where it was requested (the promotion's one a
+    // block after it), and the segments recorded beside the stopped
+    // runs were entered on resume, not recorded again.
     const std::string lifecycle = readAll(dir_on + "/lifecycle.txt");
-    EXPECT_NE(lifecycle.find("b=33 STOP requested"), std::string::npos);
+    EXPECT_NE(lifecycle.find("b=24 STOP requested"), std::string::npos);
+    EXPECT_NE(lifecycle.find("b=40 STOP requested"), std::string::npos);
     EXPECT_EQ(reg.counter("record.traces").value() - traces0,
               schedule.size());
 }
@@ -810,9 +819,11 @@ TEST_F(ServiceTest, RecordsOnlyTheSegmentsARunEnters)
 
 TEST_F(ServiceTest, PipelinedSegmentsMatchAcrossThreadCounts)
 {
-    // Serving a segment while the next one records must not move a
-    // byte: one thread runs the two tasks in turn, four run them side
-    // by side.
+    // Serving a segment while the next one's two mode passes record
+    // must not move a byte: one thread runs the three tasks in turn,
+    // two let the serving thread take the LowPower pass once its
+    // blocks are done (or the recorder take it after its HighPerf
+    // pass), four run them side by side.
     std::vector<ServeSegment> schedule = shiftSchedule();
     schedule.push_back({memBoundWorkload(5, 400000), 24});
     const auto serveAt = [&](int threads, const std::string &dir) {
@@ -822,18 +833,20 @@ TEST_F(ServiceTest, PipelinedSegmentsMatchAcrossThreadCounts)
         return outcomeText(service.run());
     };
     const std::string dir_1 = freshDir("svc_threads_1");
-    const std::string dir_4 = freshDir("svc_threads_4");
     const std::string out_1 = serveAt(1, dir_1);
-    const std::string out_4 = serveAt(4, dir_4);
-    ThreadPool::configure(parallelThreadCount());
-
-    EXPECT_EQ(out_1, out_4);
-    EXPECT_NE(out_1.find("SEGMENT 2"), std::string::npos);
-    EXPECT_EQ(readAll(dir_1 + "/lifecycle.txt"),
-              readAll(dir_4 + "/lifecycle.txt"));
     const auto ring = ringFiles(dir_1);
+    EXPECT_NE(out_1.find("SEGMENT 2"), std::string::npos);
     EXPECT_TRUE(ring.count("ring.manifest"));
-    EXPECT_EQ(ring, ringFiles(dir_4));
+    for (int threads : {2, 4}) {
+        const std::string dir =
+            freshDir("svc_threads_" + std::to_string(threads));
+        EXPECT_EQ(serveAt(threads, dir), out_1) << threads;
+        EXPECT_EQ(readAll(dir_1 + "/lifecycle.txt"),
+                  readAll(dir + "/lifecycle.txt"))
+            << threads;
+        EXPECT_EQ(ringFiles(dir), ring) << threads;
+    }
+    ThreadPool::configure(parallelThreadCount());
 }
 
 TEST_F(ServiceTest, SegmentHashesItsTraceOnce)

@@ -419,18 +419,9 @@ spawnSelf(const std::vector<std::string> &args,
           const std::vector<std::string> &extra_env)
 {
     std::vector<std::string> env;
-    for (char **e = environ; *e != nullptr; ++e) {
-        const std::string s(*e);
-        bool dropped = false;
-        for (const auto &p : drop_prefixes) {
-            if (s.rfind(p, 0) == 0) {
-                dropped = true;
-                break;
-            }
-        }
-        if (!dropped)
-            env.push_back(s);
-    }
+    for (char **e = environ; *e != nullptr; ++e)
+        env.emplace_back(*e);
+    env = dist::filterEnv(env, drop_prefixes);
     env.insert(env.end(), extra_env.begin(), extra_env.end());
 
     std::vector<std::string> args_copy = args;
@@ -452,11 +443,6 @@ spawnSelf(const std::vector<std::string> &args,
     return pid;
 }
 
-/** The env prefixes a fleet worker must never inherit verbatim. */
-const std::vector<std::string> kFleetDropPrefixes = {
-    "PSCA_DIST_", "PSCA_JOURNAL=", "PSCA_REPORT_DIR=",
-    "PSCA_HTTP_PORT="};
-
 /**
  * The env prefixes chaos children must never inherit: chaos sets
  * their cache directory and fault schedule itself, and they must not
@@ -474,7 +460,8 @@ const std::vector<std::string> kChaosDropPrefixes = {
  * survives coordinator restarts, which republish a fresh port. The
  * worker reports under @p dir, the run's cache directory. A
  * non-empty @p chaos_env makes it a chaos child (kChaosDropPrefixes)
- * and goes before the role env.
+ * and goes before the role env. Otherwise the worker inherits the
+ * caller's fleet tuning (dist::kFleetWorkerDropPrefixes).
  */
 pid_t
 spawnFleetWorker(int index, const std::string &addr,
@@ -492,7 +479,7 @@ spawnFleetWorker(int index, const std::string &addr,
     extra.push_back("PSCA_REPORT_DIR=" + rdir);
     return spawnSelf({"psca", "fleet", "--workers", "0", "--out",
                       out_path},
-                     chaos_env.empty() ? kFleetDropPrefixes
+                     chaos_env.empty() ? dist::kFleetWorkerDropPrefixes
                                        : kChaosDropPrefixes,
                      extra);
 }
@@ -512,14 +499,13 @@ spawnFleetCoordinator(int workers, const std::string &out_path,
     extra.push_back("PSCA_DIST_ROLE=coordinator");
     extra.push_back("PSCA_DIST_ADDR=auto");
     extra.push_back("PSCA_DIST_WORKERS=" + std::to_string(workers));
-    // Outside chaos the coordinator keeps the caller's journal and
-    // report settings: its journal is what makes the restart resume,
-    // and its fleet.json is the report of record.
-    const std::vector<std::string> fleet_drop = {"PSCA_DIST_",
-                                                 "PSCA_HTTP_PORT="};
+    // Outside chaos the coordinator keeps the caller's journal,
+    // report and fleet tuning settings
+    // (dist::kFleetCoordinatorDropPrefixes).
     return spawnSelf({"psca", "fleet", "--workers", "0", "--out",
                       out_path},
-                     chaos_env.empty() ? fleet_drop : kChaosDropPrefixes,
+                     chaos_env.empty() ? dist::kFleetCoordinatorDropPrefixes
+                                       : kChaosDropPrefixes,
                      extra);
 }
 
