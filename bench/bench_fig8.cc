@@ -18,12 +18,18 @@ void
 report(const char *name, const ExperimentContext &ctx,
        GatePredictor &p)
 {
+    // The int and fp columns fold the "all" suite's own loops, in
+    // trace order, rather than running them again.
     const SuiteResult all =
         evaluateSuite(ctx, p, allTraceIndices(ctx), 0.90);
-    const SuiteResult ints =
-        evaluateSuite(ctx, p, suiteTraceIndices(ctx, false), 0.90);
-    const SuiteResult fps =
-        evaluateSuite(ctx, p, suiteTraceIndices(ctx, true), 0.90);
+    const auto half = [&](bool fp) {
+        std::vector<ClosedLoopResult> per_trace;
+        for (size_t i : suiteTraceIndices(ctx, fp))
+            per_trace.push_back(all.perTrace[i]);
+        return summarizeSuite(std::move(per_trace));
+    };
+    const SuiteResult ints = half(false);
+    const SuiteResult fps = half(true);
     std::printf("%-14s %+8.1f%% %7.2f%% | int %+7.1f%% %6.2f%% | fp "
                 "%+7.1f%% %6.2f%% | PGOS %5.1f%% res %5.1f%%\n",
                 name, all.ppwGainPct, all.rsvPct, ints.ppwGainPct,

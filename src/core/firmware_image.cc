@@ -101,7 +101,7 @@ SealedRead
 readPackage(const std::string &path, FirmwarePackage &pkg,
             std::optional<uint64_t> expect_sum)
 {
-    return readSealedFile(
+    SealedRead read = readSealedFile(
         path, kMagic, kFwVersion,
         [&](BinaryReader &in) -> const char * {
             pkg.name = in.getString();
@@ -113,6 +113,16 @@ readPackage(const std::string &path, FirmwarePackage &pkg,
             return nullptr;
         },
         expect_sum);
+    // A sealed fixed-point image can still carry tables this build
+    // cannot score (an int8-MLP image from an older build): reject it
+    // here, so the ring walks back instead of VmPredictor aborting.
+    if (read.status == SealedStatus::Ok && pkg.fixedPoint &&
+        (!quant::unpackPayload(pkg.high.quantPayload) ||
+         !quant::unpackPayload(pkg.low.quantPayload))) {
+        read.status = SealedStatus::Corrupt;
+        read.reason = "fixed-point payload does not unpack";
+    }
+    return read;
 }
 
 /** Compile whichever supported model class the slot holds. */
@@ -184,8 +194,7 @@ FirmwarePackage::load(const std::string &path)
         read.header != HeaderCheck::Ok)
         fatal("'", path, "' is not a psca firmware image");
     if (read.status != SealedStatus::Ok)
-        fatal("firmware image '", path,
-              "' is truncated or failed checksum");
+        fatal("firmware image '", path, "' is corrupt: ", read.reason);
     return pkg;
 }
 

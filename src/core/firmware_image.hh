@@ -35,9 +35,9 @@ struct FirmwareSlot
     FeatureScaler scaler;
     float threshold = 0.5f;
     /**
-     * Int8/fixed-point model tables (quant::packPayload), present
-     * when the package was built with `fixed_point` set
-     * (packageFromDual). Empty in float-only packages.
+     * Int8 forest tables (quant::packPayload), present when a forest
+     * package was built with `fixed_point` set (packageFromDual).
+     * Empty in float-only packages.
      */
     std::string quantPayload;
     /** Ops per inference under the int8 cost model (quant.hh). */
@@ -76,7 +76,8 @@ struct FirmwarePackage
 
     /**
      * Non-fatal load: false on a missing, truncated, or corrupt
-     * image, @p out untouched on failure. With @p expect_sum the
+     * image, or a fixed-point one whose tables do not unpack, @p out
+     * untouched on failure. With @p expect_sum the
      * image must also carry that checksum (the ring manifest's). The
      * serve rollback ring uses this to walk back to the newest
      * verifiable version instead of aborting the process.
@@ -88,8 +89,10 @@ struct FirmwarePackage
 /**
  * Build a package from a trained dual predictor by compiling both
  * models (supported model classes: MLP, random forest, logistic
- * regression). With @p fixed_point the package also carries the int8
- * tables and the uc scores them under the int8 ops budget (quant.hh).
+ * regression). With @p fixed_point a forest package also carries the
+ * int8 tables and the uc scores them under the int8 ops budget
+ * (quant.hh); any other model class has no int8 form, so its package
+ * stays float, byte for byte.
  */
 FirmwarePackage packageFromDual(const DualModelPredictor &predictor,
                                 const std::vector<size_t> &columns,

@@ -455,12 +455,36 @@ ReplayTable::size() const
 }
 
 SuiteResult
+summarizeSuite(std::vector<ClosedLoopResult> per_trace)
+{
+    // Fold in per_trace order, so a subset taken in trace order sums
+    // exactly as a suite run over those traces alone.
+    SuiteResult suite;
+    double ppw = 0.0, rsv = 0.0, pgos = 0.0, perf = 0.0, res = 0.0;
+    for (const ClosedLoopResult &r : per_trace) {
+        ppw += r.ppwGainPct;
+        rsv += r.rsv * 100.0;
+        pgos += r.pgos * 100.0;
+        perf += r.perfRelativePct;
+        res += r.lowResidency * 100.0;
+    }
+    const double n =
+        std::max<double>(1.0, static_cast<double>(per_trace.size()));
+    suite.ppwGainPct = ppw / n;
+    suite.rsvPct = rsv / n;
+    suite.pgosPct = pgos / n;
+    suite.perfRelativePct = perf / n;
+    suite.lowResidencyPct = res / n;
+    suite.perTrace = std::move(per_trace);
+    return suite;
+}
+
+SuiteResult
 evaluateSuite(const ExperimentContext &ctx,
               const GatePredictor &predictor,
               const std::vector<size_t> &trace_indices, double p_sla)
 {
     obs::ScopedPhase phase("evaluate_suite");
-    SuiteResult suite;
     SlaSpec sla = ctx.sla;
     sla.pSla = p_sla;
 
@@ -468,7 +492,7 @@ evaluateSuite(const ExperimentContext &ctx,
     // predictor clone, so the runs are independent and can fan out.
     ReplayTable *table =
         PassReplayer::bypassed() ? nullptr : ctx.replays.get();
-    suite.perTrace = ThreadPool::instance().parallelMap<ClosedLoopResult>(
+    auto per_trace = ThreadPool::instance().parallelMap<ClosedLoopResult>(
         trace_indices.size(), [&](size_t i) {
             const size_t idx = trace_indices[i];
             const std::unique_ptr<GatePredictor> own = predictor.clone();
@@ -479,25 +503,10 @@ evaluateSuite(const ExperimentContext &ctx,
             return table->simulate(idx, ctx.specWorkloadsList[idx],
                                    ctx.spec[idx], *own, ctx.build, sla);
         });
-
-    // Fold and export in trace order: bit-identical at any
-    // PSCA_THREADS.
-    double ppw = 0.0, rsv = 0.0, pgos = 0.0, perf = 0.0, res = 0.0;
-    for (const ClosedLoopResult &r : suite.perTrace) {
+    SuiteResult suite = summarizeSuite(std::move(per_trace));
+    // Export in trace order: bit-identical at any PSCA_THREADS.
+    for (const ClosedLoopResult &r : suite.perTrace)
         exportClosedLoopStats(r);
-        ppw += r.ppwGainPct;
-        rsv += r.rsv * 100.0;
-        pgos += r.pgos * 100.0;
-        perf += r.perfRelativePct;
-        res += r.lowResidency * 100.0;
-    }
-    const double n =
-        std::max<double>(1.0, static_cast<double>(trace_indices.size()));
-    suite.ppwGainPct = ppw / n;
-    suite.rsvPct = rsv / n;
-    suite.pgosPct = pgos / n;
-    suite.perfRelativePct = perf / n;
-    suite.lowResidencyPct = res / n;
 
     // Headline aggregates of the most recent suite evaluation, so
     // bench run reports carry RSV/PGOS without recomputation.

@@ -208,6 +208,12 @@ struct SuiteResult
 };
 
 /**
+ * Fold per-trace closed-loop results into a suite: unweighted means
+ * summed in @p per_trace order, which the result keeps as perTrace.
+ */
+SuiteResult summarizeSuite(std::vector<ClosedLoopResult> per_trace);
+
+/**
  * Evaluate one predictor closed-loop across traces; aggregates are
  * unweighted means across traces, as in the paper's suite averages.
  * Traces run concurrently on the thread pool, each on a

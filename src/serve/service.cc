@@ -623,7 +623,11 @@ Service::run(uint64_t max_blocks)
                       std::to_string(ring_.activeVersion()) +
                       " loaded from ring");
     }
-    loadActivePredictor();
+    // Only the first run loads: a resumed run keeps the drift window
+    // and guardrail where the stop left them (promotion and rollback
+    // reload on their own).
+    if (!activeVm_)
+        loadActivePredictor();
 
     uint64_t budget = max_blocks;
     if (budget == 0)

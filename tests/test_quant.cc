@@ -1,23 +1,29 @@
 /**
  * @file
  * Tests for the int8/fixed-point inference path (quant.hh,
- * DESIGN.md §14): tree traversal must be bit-exact against the float
- * forest on dequantized inputs, MLP/linear logits must stay within
- * their provable error bounds, payloads must round-trip through the
- * v4 firmware image, and stale-version images must be rejected.
+ * DESIGN.md §14.4): tree traversal must be bit-exact against the
+ * float forest on dequantized inputs, forest payloads must round-trip
+ * through the v4 firmware image, other model classes must package
+ * float byte for byte, and stale-version images and fixed-point
+ * images whose tables do not unpack must be rejected.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "core/firmware_image.hh"
+#include "ml/linear.hh"
+#include "ml/mlp.hh"
 #include "ml/quant.hh"
 #include "ml/svm.hh"
+#include "ml/tree.hh"
 
 using namespace psca;
 
@@ -55,33 +61,6 @@ referenceLeaf(const DecisionTree &tree, const float *x)
         node = x[nd.feature] <= nd.threshold ? nd.left : nd.right;
     }
     return nodes[static_cast<size_t>(node)];
-}
-
-/** Scalar float MLP forward returning the pre-sigmoid logit. */
-double
-floatLogit(const MlpModel &m, const float *x)
-{
-    std::vector<float> act(x, x + m.numInputs());
-    std::vector<float> next;
-    const auto &sizes = m.layerSizes();
-    const size_t layers = sizes.size() - 1;
-    for (size_t l = 0; l < layers; ++l) {
-        const int fan_in = sizes[l];
-        const int fan_out = sizes[l + 1];
-        next.assign(static_cast<size_t>(fan_out), 0.0f);
-        const bool last = l + 1 == layers;
-        for (int f = 0; f < fan_out; ++f) {
-            const float *row = m.weights(l).data() +
-                static_cast<size_t>(f) * fan_in;
-            float sum = m.biases(l)[static_cast<size_t>(f)];
-            for (int i = 0; i < fan_in; ++i)
-                sum += row[i] * act[static_cast<size_t>(i)];
-            next[static_cast<size_t>(f)] =
-                last ? sum : std::max(0.0f, sum);
-        }
-        act.swap(next);
-    }
-    return static_cast<double>(act[0]);
 }
 
 } // namespace
@@ -141,66 +120,6 @@ TEST(Quant, ForestTraversalBitExact)
     }
 }
 
-TEST(Quant, MlpLogitWithinProvableBound)
-{
-    const Dataset data = syntheticDataset(12, 500, 32);
-    MlpConfig mc;
-    mc.hiddenLayers = {8, 8, 4};
-    mc.epochs = 10;
-    mc.seed = 7;
-    const auto mlp = trainMlp(data, mc);
-    const quant::QuantizedMlp qm =
-        quant::QuantizedMlp::fromMlp(*mlp);
-    const double bound = qm.logitErrorBound();
-    EXPECT_GT(bound, 0.0);
-
-    Rng rng(78);
-    std::vector<float> x(12), deq(12);
-    std::vector<int8_t> qx(12);
-    double max_err = 0.0;
-    for (int trial = 0; trial < 500; ++trial) {
-        for (auto &v : x)
-            v = static_cast<float>(rng.uniform() * 12.0 - 6.0);
-        quant::quantizeInputs(x.data(), x.size(), qx.data());
-        for (size_t j = 0; j < x.size(); ++j)
-            deq[j] = quant::dequantizeInput(qx[j]);
-        const double err = std::abs(qm.logitQuantized(qx.data()) -
-                                    floatLogit(*mlp, deq.data()));
-        max_err = std::max(max_err, err);
-        ASSERT_LE(err, bound) << "trial " << trial;
-    }
-    // The bound should be meaningful, not vacuous: the observed
-    // error must land within a few orders of magnitude of it.
-    EXPECT_GT(max_err, 0.0);
-}
-
-TEST(Quant, LinearLogitWithinProvableBound)
-{
-    const Dataset data = syntheticDataset(12, 500, 33);
-    LogRegConfig lc;
-    LogisticRegression lr(data, lc);
-    const quant::QuantizedLinear ql =
-        quant::QuantizedLinear::fromLogReg(lr);
-    const double bound = ql.logitErrorBound();
-    EXPECT_GT(bound, 0.0);
-
-    Rng rng(79);
-    std::vector<float> x(12);
-    std::vector<int8_t> qx(12);
-    for (int trial = 0; trial < 500; ++trial) {
-        for (auto &v : x)
-            v = static_cast<float>(rng.uniform() * 12.0 - 6.0);
-        quant::quantizeInputs(x.data(), x.size(), qx.data());
-        double want = lr.bias();
-        for (size_t j = 0; j < x.size(); ++j)
-            want += lr.coefficients()[j] *
-                static_cast<double>(quant::dequantizeInput(qx[j]));
-        ASSERT_LE(std::abs(ql.logitQuantized(qx.data()) - want),
-                  bound)
-            << "trial " << trial;
-    }
-}
-
 TEST(Quant, PayloadRoundTripsAllModelClasses)
 {
     const Dataset data = syntheticDataset(12, 400, 34);
@@ -208,41 +127,74 @@ TEST(Quant, PayloadRoundTripsAllModelClasses)
     fc.numTrees = 4;
     fc.maxDepth = 6;
     RandomForest forest(data, fc);
+
+    // The forest round-trips: the unpacked tables score exactly as
+    // the tables quantized straight from the float forest.
+    const std::string payload = quant::packPayload(forest);
+    ASSERT_FALSE(payload.empty());
+    const auto unpacked = quant::unpackPayload(payload);
+    ASSERT_NE(unpacked, nullptr);
+    const quant::QuantizedForest direct =
+        quant::QuantizedForest::fromForest(forest);
+    EXPECT_EQ(unpacked->opsPerInference(), direct.opsPerInference());
+    EXPECT_EQ(unpacked->opsPerInference(), quant::payloadOps(payload));
+    Rng rng(80);
+    std::vector<float> x(12);
+    for (int trial = 0; trial < 100; ++trial) {
+        for (auto &v : x)
+            v = static_cast<float>(rng.uniform() * 8.0 - 4.0);
+        ASSERT_EQ(direct.score(x.data()), unpacked->score(x.data()))
+            << "trial " << trial;
+    }
+
+    // A payload cut short or carrying a trailing byte does not unpack.
+    EXPECT_EQ(quant::unpackPayload(payload.substr(0, payload.size() - 1)),
+              nullptr);
+    EXPECT_EQ(quant::unpackPayload(payload + 'x'), nullptr);
+    // Neither does one whose first root (after the tag, the u64 input
+    // count, the i32 depth and the roots' u64 length) is past the
+    // node tables.
+    std::string bad_root = payload;
+    const int32_t past = 1 << 30;
+    std::memcpy(&bad_root[1 + 8 + 4 + 8], &past, sizeof(past));
+    EXPECT_EQ(quant::unpackPayload(bad_root), nullptr);
+
+    // MLP, logistic regression and SVM have no quantized form.
     MlpConfig mc;
     mc.epochs = 3;
     const auto mlp = trainMlp(data, mc);
-    LogisticRegression lr(data, LogRegConfig{});
-
-    Rng rng(80);
-    std::vector<float> x(12);
-    for (const Model *m :
-         {static_cast<const Model *>(&forest),
-          static_cast<const Model *>(mlp.get()),
-          static_cast<const Model *>(&lr)}) {
-        const std::string payload = quant::packPayload(*m);
-        ASSERT_FALSE(payload.empty()) << m->describe();
-        const auto unpacked = quant::unpackPayload(payload);
-        ASSERT_NE(unpacked, nullptr) << m->describe();
-        const auto direct = quant::quantize(*m);
-        ASSERT_NE(direct, nullptr) << m->describe();
-        EXPECT_EQ(unpacked->opsPerInference(),
-                  quant::payloadOps(payload));
-        for (int trial = 0; trial < 100; ++trial) {
-            for (auto &v : x)
-                v = static_cast<float>(rng.uniform() * 8.0 - 4.0);
-            ASSERT_EQ(direct->score(x.data()),
-                      unpacked->score(x.data()))
-                << m->describe() << " trial " << trial;
-        }
-    }
-
-    // Unsupported model classes have no quantized form.
+    const LogisticRegression lr(data, LogRegConfig{});
     Chi2SvmConfig sc;
     sc.maxSupportVectors = 16;
     sc.epochs = 1;
     const Chi2Svm svm(data, sc);
-    EXPECT_TRUE(quant::packPayload(svm).empty());
-    EXPECT_EQ(quant::quantize(svm), nullptr);
+    for (const Model *m :
+         {static_cast<const Model *>(mlp.get()),
+          static_cast<const Model *>(&lr),
+          static_cast<const Model *>(&svm)})
+        EXPECT_TRUE(quant::packPayload(*m).empty()) << m->describe();
+}
+
+TEST(Quant, FixedPointMlpPackageIsTheFloatPackage)
+{
+    // No deployed MLP needs int8 (each fits its granularity's float
+    // budget), so a fixed-point request for one packages float, and
+    // its image is the float image byte for byte.
+    const Dataset data = syntheticDataset(6, 300, 37);
+    MlpConfig mc;
+    mc.epochs = 3;
+    ScaledModel high{FeatureScaler::fit(data), trainMlp(data, mc)};
+    mc.seed = 2;
+    ScaledModel low{FeatureScaler::fit(data), trainMlp(data, mc)};
+    DualModelPredictor mlp_pred(high, low, {0, 1, 2, 3, 4, 5}, 20000,
+                                "quant_mlp");
+    const auto image = [&](bool fixed_point) {
+        BinaryWriter w;
+        packageFromDual(mlp_pred, {0, 1, 2, 3, 4, 5}, fixed_point)
+            .write(w);
+        return w.takeBuffer();
+    };
+    EXPECT_EQ(image(true), image(false));
 }
 
 TEST(Quant, FirmwareV4RoundTripCarriesFixedPointSlots)
@@ -316,5 +268,32 @@ TEST(Quant, StaleFirmwareVersionRejected)
                 sizeof(old_version));
     }
     EXPECT_DEATH(FirmwarePackage::load(path), "version mismatch");
+    std::filesystem::remove(path);
+}
+
+TEST(Quant, FixedPointImageWhosePayloadDoesNotUnpackRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Dataset data = syntheticDataset(6, 300, 38);
+    ForestConfig fc;
+    fc.numTrees = 2;
+    fc.maxDepth = 4;
+    ScaledModel slot{FeatureScaler::fit(data),
+                     std::make_shared<RandomForest>(data, fc)};
+    DualModelPredictor native(slot, slot, {0, 1, 2, 3, 4, 5}, 20000,
+                              "unscorable");
+    FirmwarePackage pkg =
+        packageFromDual(native, {0, 1, 2, 3, 4, 5}, true);
+    ASSERT_TRUE(pkg.fixedPoint);
+    // Tag 2 marked an int8-MLP payload, which older builds wrote: the
+    // image is sealed and checksummed, but this build cannot score it.
+    pkg.high.quantPayload[0] = 2;
+    const std::string path = "/tmp/psca_quant_fw_unscorable.bin";
+    pkg.save(path);
+
+    FirmwarePackage out;
+    EXPECT_FALSE(FirmwarePackage::tryLoad(path, out));
+    EXPECT_DEATH(FirmwarePackage::load(path),
+                 "fixed-point payload does not unpack");
     std::filesystem::remove(path);
 }

@@ -516,6 +516,33 @@ TEST_F(RingTest, CorruptActiveImageWalksBackToVerifiedVersion)
     EXPECT_FALSE(ring.verifyImage(2));
 }
 
+TEST_F(RingTest, UnscorableFixedPointImageWalksBack)
+{
+    // A fixed-point image whose tables this build cannot score (tag 2
+    // marked an int8 MLP) passes every byte check, so only the load's
+    // unpack check keeps VmPredictor from aborting the service on it.
+    const std::string dir = freshDir("ring_unscorable");
+    FirmwareRing ring(dir, 4);
+    ASSERT_EQ(ring.promote(syntheticPackage(1)), 1u);
+    FirmwarePackage bad = syntheticPackage(2);
+    bad.fixedPoint = true;
+    bad.high.quantPayload = bad.low.quantPayload = std::string(1, '\x02');
+    ASSERT_EQ(ring.promote(bad), 2u);
+
+    auto &reg = obs::StatRegistry::instance();
+    const uint64_t recoveries0 =
+        reg.counter("serve.ring_recoveries").value();
+    FirmwarePackage pkg;
+    uint32_t v = 0;
+    ASSERT_TRUE(ring.loadActive(pkg, v));
+    EXPECT_EQ(v, 1u);
+    EXPECT_EQ(pkg.name, "synthetic-v1");
+    EXPECT_EQ(ring.activeVersion(), 1u);
+    EXPECT_EQ(reg.counter("serve.ring_recoveries").value() - recoveries0,
+              1u);
+    EXPECT_FALSE(ring.verifyImage(2));
+}
+
 TEST_F(RingTest, CorruptManifestIsQuarantinedAndRingReopensEmpty)
 {
     const std::string dir = freshDir("ring_manifest");
@@ -734,7 +761,7 @@ TEST_F(ServiceTest, StopsAndShortSegmentsSettleLikeMemoOffRun)
     // a pass on the walker's spine with owed accounting, which
     // finishRun() and the next segment must settle. So does a stop
     // requested mid-segment while the next segment is being recorded:
-    // the promotion at b=39 falls in segment 2, whose successor is
+    // the promotion at b=37 falls in segment 2, whose successor is
     // inside the budget. And a stop requested as segment 1 is entered
     // (b=24) lands before its first block, with both of segment 2's
     // mode passes in flight. The PPW gain at every stop must equal a
@@ -790,9 +817,34 @@ TEST_F(ServiceTest, StopsAndShortSegmentsSettleLikeMemoOffRun)
     // runs were entered on resume, not recorded again.
     const std::string lifecycle = readAll(dir_on + "/lifecycle.txt");
     EXPECT_NE(lifecycle.find("b=24 STOP requested"), std::string::npos);
-    EXPECT_NE(lifecycle.find("b=40 STOP requested"), std::string::npos);
+    EXPECT_NE(lifecycle.find("b=38 STOP requested"), std::string::npos);
     EXPECT_EQ(reg.counter("record.traces").value() - traces0,
               schedule.size());
+}
+
+TEST_F(ServiceTest, ResumedRunsKeepTheLifecycleOfOneRun)
+{
+    // A run resumed in the same process keeps its drift window and
+    // guardrail, so where it was stopped does not move a transition:
+    // runs whose block budgets stop them at b=24 and b=32 (no STOP
+    // line) give the lifecycle and ring of one run without stops.
+    std::vector<ServeSegment> schedule = shiftSchedule();
+    schedule.insert(schedule.begin() + 1, {ilpWorkload(4, 400000), 1});
+    schedule.push_back({memBoundWorkload(3, 400000), 12});
+    const auto lifecycle = [&](const std::string &dir,
+                               std::vector<uint64_t> stops) {
+        Service service(testServeConfig(dir), testBuildConfig(), schedule);
+        stops.push_back(0);
+        for (const uint64_t stop : stops)
+            service.run(stop);
+        return readAll(dir + "/lifecycle.txt");
+    };
+    const std::string dir_once = freshDir("svc_resume_once");
+    const std::string dir_stopped = freshDir("svc_resume_stopped");
+    const std::string once = lifecycle(dir_once, {});
+    EXPECT_NE(once.find("PROMOTING"), std::string::npos);
+    EXPECT_EQ(lifecycle(dir_stopped, {24, 32}), once);
+    EXPECT_EQ(ringFiles(dir_stopped), ringFiles(dir_once));
 }
 
 TEST_F(ServiceTest, RecordsOnlyTheSegmentsARunEnters)

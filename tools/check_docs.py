@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency gate.
 
-Two checks, both cheap enough to run on every CI push:
+Three checks, all cheap enough to run on every CI push:
 
 1. Env-var coverage: every PSCA_* environment variable referenced as
    a string literal under src/, tools/, examples/ or bench/ must
@@ -13,6 +13,12 @@ Two checks, both cheap enough to run on every CI push:
 2. Link integrity: every intra-repo markdown link ([text](target)
    where target is not a URL) in the repo's *.md files must resolve
    to an existing file or directory, anchors stripped.
+
+3. Bench citations: every `bench_<name>` binary that README, DESIGN,
+   EXPERIMENTS or OPERATIONS.md cites must be a target in
+   bench/CMakeLists.txt, so a deleted bench cannot leave stale docs.
+   File names such as bench_common.hh are not binaries and are
+   skipped.
 
 Usage: check_docs.py [--root REPO_ROOT]
 
@@ -29,6 +35,11 @@ import sys
 SOURCE_VAR_RE = re.compile(r'"(PSCA_[A-Z0-9]+(?:_[A-Z0-9]+)*)"')
 DOC_VAR_RE = re.compile(r"\b(PSCA_[A-Z0-9_]+)\b")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)]+)\)")
+# A bench binary, not a file name: no ".ext" right after it.
+BENCH_CITE_RE = re.compile(r"\bbench_\w+\b(?!\.\w)")
+BENCH_TARGET_RE = re.compile(r"(?:psca_bench|add_executable)\((\w+)")
+BENCH_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md",
+              "OPERATIONS.md"]
 
 SOURCE_GLOBS = ["src/**/*.cc", "src/**/*.hh", "tools/*.cc",
                 "tools/*.py", "examples/*.cpp", "bench/*.cc"]
@@ -80,6 +91,21 @@ def check_links(root: pathlib.Path) -> list:
     return errors
 
 
+def check_bench_citations(root: pathlib.Path) -> list:
+    cmake = root / "bench" / "CMakeLists.txt"
+    targets = set(BENCH_TARGET_RE.findall(cmake.read_text()))
+    errors = []
+    for doc in BENCH_DOCS:
+        path = root / doc
+        if not path.exists():
+            continue
+        cited = set(BENCH_CITE_RE.findall(path.read_text()))
+        for name in sorted(cited - targets):
+            errors.append(f"{doc}: cites {name}, which is not a target "
+                          f"in bench/CMakeLists.txt")
+    return errors
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--root", default=".",
@@ -87,14 +113,15 @@ def main() -> int:
     args = ap.parse_args()
     root = pathlib.Path(args.root).resolve()
 
-    errors = check_env_vars(root) + check_links(root)
+    errors = (check_env_vars(root) + check_links(root) +
+              check_bench_citations(root))
     for line in errors:
         print(line)
     if errors:
         print(f"{len(errors)} docs violation(s)")
         return 1
     print(f"docs clean: {len(source_vars(root))} env vars documented, "
-          f"all intra-repo links resolve")
+          f"all intra-repo links resolve, every cited bench is built")
     return 0
 
 
