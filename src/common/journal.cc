@@ -543,20 +543,17 @@ Journal::runCheckpointed(
     const std::string &scope, uint64_t config_h, size_t n,
     const std::function<bool(size_t, BinaryReader &)> &load_unit,
     const std::function<void(size_t)> &exec_unit,
-    const std::function<void(size_t, BinaryWriter &)> &save_unit,
-    DistMode dist)
+    const std::function<void(size_t, BinaryWriter &)> &save_unit)
 {
     auto &pool = ThreadPool::instance();
-    // Top-level Distributed scopes are offered to the distribution
-    // layer first. Nested scopes never are — every process in a fleet
-    // runs the identical deterministic pipeline, so the interception
-    // decision must be a pure function of (scope nesting, DistMode)
-    // and identical everywhere.
-    const DistScopeFn hook =
-        dist == DistMode::Distributed &&
-            !ThreadPool::inParallelTask()
-        ? g_distHook.load(std::memory_order_acquire)
-        : nullptr;
+    // Top-level scopes are offered to the distribution layer first.
+    // Nested scopes never are — every process in a fleet runs the
+    // identical deterministic pipeline, so the interception decision
+    // must be a pure function of scope nesting and identical
+    // everywhere.
+    const DistScopeFn hook = ThreadPool::inParallelTask()
+        ? nullptr
+        : g_distHook.load(std::memory_order_acquire);
     if (!enabled_) {
         if (hook != nullptr) {
             // Worker side: no local journal; every index is pending

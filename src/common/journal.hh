@@ -107,26 +107,13 @@ bool stopRequested();
 /** Clear the stop flag (tests; a new guardedMain body). */
 void clearStopRequest();
 
-/**
- * Whether a checkpointed scope may be handed to the distribution
- * layer. Explicit per call site: exactly the four campaign fan-outs
- * (corpus recording, PF screen-1, crossval folds, forest fits) opt
- * in; everything else — nested scopes, tests, small utility maps —
- * stays local no matter what PSCA_DIST_ROLE says.
- */
-enum class DistMode : uint8_t
-{
-    Local = 0,
-    Distributed = 1,
-};
-
 class Journal;
 
 /**
  * Distribution hook (same function-pointer idiom as the logging
  * trace hooks: common/ cannot link the dist layer). Called by
- * runCheckpointed() for Distributed scopes with the not-yet-journaled
- * indices; returns true when the scope was fully handled — every
+ * runCheckpointed() for top-level scopes (none opened inside a pool
+ * task) with the not-yet-journaled indices; returns true when the scope was fully handled — every
  * pending slot filled (via exec or load) and, on the coordinator,
  * journaled — or false to fall back to the local parallelFor path.
  */
@@ -324,16 +311,15 @@ class Journal
      * draining in-flight units). With the journal disabled this is
      * exactly parallelFor(n, exec_unit).
      *
-     * @p dist offers the scope to the distribution hook (top-level
-     * scopes only; nested scopes always run locally so every process
-     * in a fleet makes the same interception decision).
+     * A top-level scope is offered to the distribution hook first;
+     * a scope opened inside a pool task always runs locally, so every
+     * process in a fleet makes the same interception decision.
      */
     void runCheckpointed(
         const std::string &scope, uint64_t config_h, size_t n,
         const std::function<bool(size_t, BinaryReader &)> &load_unit,
         const std::function<void(size_t)> &exec_unit,
-        const std::function<void(size_t, BinaryWriter &)> &save_unit,
-        DistMode dist = DistMode::Local);
+        const std::function<void(size_t, BinaryWriter &)> &save_unit);
 
     /**
      * Commit one externally computed unit: wrap @p payload (exactly
@@ -431,8 +417,7 @@ checkpointedMap(Journal &journal, const std::string &scope,
                 uint64_t config_hash, size_t n,
                 const std::function<void(BinaryWriter &, const T &)> &save,
                 const std::function<T(BinaryReader &)> &load,
-                const std::function<T(size_t)> &fn,
-                DistMode dist = DistMode::Local)
+                const std::function<T(size_t)> &fn)
 {
     std::vector<T> out(n);
     journal.runCheckpointed(
@@ -442,7 +427,7 @@ checkpointedMap(Journal &journal, const std::string &scope,
             return in.good();
         },
         [&](size_t i) { out[i] = fn(i); },
-        [&](size_t i, BinaryWriter &w) { save(w, out[i]); }, dist);
+        [&](size_t i, BinaryWriter &w) { save(w, out[i]); });
     return out;
 }
 
@@ -453,11 +438,10 @@ checkpointedMap(const std::string &scope, uint64_t config_hash,
                 size_t n,
                 const std::function<void(BinaryWriter &, const T &)> &save,
                 const std::function<T(BinaryReader &)> &load,
-                const std::function<T(size_t)> &fn,
-                DistMode dist = DistMode::Local)
+                const std::function<T(size_t)> &fn)
 {
     return checkpointedMap<T>(Journal::instance(), scope, config_hash,
-                              n, save, load, fn, dist);
+                              n, save, load, fn);
 }
 
 } // namespace psca

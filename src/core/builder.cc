@@ -79,6 +79,20 @@ IntervalReplay::step()
     return stats;
 }
 
+IntervalAdd
+projectInterval(const std::vector<uint64_t> &delta, const BuildConfig &cfg,
+                CoreMode mode, float *row, const std::vector<uint64_t> *view)
+{
+    if (row != nullptr) {
+        const std::vector<uint64_t> &src = view ? *view : delta;
+        for (size_t j = 0; j < cfg.counterIds.size(); ++j)
+            row[j] = static_cast<float>(src[cfg.counterIds[j]]);
+    }
+    const uint64_t cycles = delta[CounterRegistry::index(Ctr::Cycles)];
+    const PowerModel power(cfg.power, cfg.core.clockGhz);
+    return {cycles, power.intervalEnergyNj(delta, cycles, mode)};
+}
+
 uint64_t
 memoTraceHash(const Workload &workload, const BuildConfig &cfg)
 {
@@ -95,79 +109,99 @@ memoTraceHash(const Workload &workload, const BuildConfig &cfg)
                     cfg.intervalInstr);
 }
 
-std::optional<uint64_t>
-recordingTraceHash(const Workload &workload, const BuildConfig &cfg)
-{
-    // Only the memo key reads the hash, so a disabled memo skips the
-    // generator pass that computes it.
-    if (!SimMemo::instance().enabled())
-        return std::nullopt;
-    return memoTraceHash(workload, cfg);
-}
-
-TraceRecord
-newTraceRecord(const Workload &workload, const BuildConfig &cfg,
-               uint32_t app_id, uint32_t trace_id)
+TraceRecording::TraceRecording(const Workload &workload,
+                               const BuildConfig &cfg, uint32_t app_id,
+                               uint32_t trace_id)
+    : workload_(workload), cfg_(cfg),
+      // Only the memo key reads the hash, so a disabled memo skips the
+      // generator pass that computes it.
+      hash_([this]() -> std::optional<uint64_t> {
+          if (!SimMemo::instance().enabled())
+              return std::nullopt;
+          return memoTraceHash(workload_, cfg_);
+      }),
+      hashed_(hash_.get_future().share())
 {
     PSCA_ASSERT(!cfg.counterIds.empty(),
                 "recording requires a counter list");
     obs::StatRegistry::instance().counter("record.traces").add();
-    TraceRecord record;
-    record.name = workload.name;
-    record.appId = app_id;
-    record.traceId = trace_id;
-    record.numCounters = static_cast<uint16_t>(cfg.counterIds.size());
-    return record;
+    record_.name = workload.name;
+    record_.appId = app_id;
+    record_.traceId = trace_id;
+    record_.numCounters = static_cast<uint16_t>(cfg.counterIds.size());
 }
 
 void
-recordTracePass(const Workload &workload, const BuildConfig &cfg,
-                std::optional<uint64_t> trace_hash, CoreMode mode,
-                TraceRecord &record)
+TraceRecording::runTask(size_t task)
+{
+    PSCA_ASSERT(task < kTasks, "a recording has no task ", task);
+    if (task == 0)
+        hash_();
+    // Task 1 waits here for task 0's hash: the class comment says why
+    // that cannot deadlock.
+    recordPass(task == 0 ? CoreMode::HighPerf : CoreMode::LowPower,
+               hashed_.get());
+}
+
+void
+TraceRecording::run()
+{
+    // Inside a recordCorpus fan-out this region runs inline, as the
+    // serial pair.
+    obs::ScopedPhase phase("record_trace");
+    ThreadPool::instance().parallelFor(kTasks,
+                                       [&](size_t t) { runTask(t); });
+}
+
+TraceRecord
+TraceRecording::take()
+{
+    PSCA_ASSERT(record_.cyclesHigh.size() == record_.cyclesLow.size(),
+                "mode runs disagree on interval count");
+    return std::move(record_);
+}
+
+void
+TraceRecording::recordPass(CoreMode mode,
+                           std::optional<uint64_t> trace_hash)
 {
     const bool high = mode == CoreMode::HighPerf;
-    std::vector<float> &deltas = high ? record.deltaHigh : record.deltaLow;
+    std::vector<float> &rows = high ? record_.deltaHigh : record_.deltaLow;
     std::vector<float> &cycles =
-        high ? record.cyclesHigh : record.cyclesLow;
+        high ? record_.cyclesHigh : record_.cyclesLow;
     std::vector<float> &energy =
-        high ? record.energyHighNj : record.energyLowNj;
-    const size_t n_intervals = workload.lengthInstr / cfg.intervalInstr;
-    const size_t n_ctr = cfg.counterIds.size();
-    deltas.reserve(n_intervals * n_ctr);
-    cycles.reserve(n_intervals);
-    energy.reserve(n_intervals);
-
-    PowerModel power(cfg.power, cfg.core.clockGhz);
-    const uint16_t cycles_idx = CounterRegistry::index(Ctr::Cycles);
-    auto project = [&](const std::vector<uint64_t> &delta_all) {
-        for (size_t i = 0; i < n_ctr; ++i)
-            deltas.push_back(static_cast<float>(
-                delta_all[cfg.counterIds[i]]));
-        const uint64_t cyc = delta_all[cycles_idx];
-        cycles.push_back(static_cast<float>(cyc));
-        energy.push_back(static_cast<float>(
-            power.intervalEnergyNj(delta_all, cyc, mode)));
+        high ? record_.energyHighNj : record_.energyLowNj;
+    const size_t n_intervals = workload_.lengthInstr / cfg_.intervalInstr;
+    const size_t n_ctr = cfg_.counterIds.size();
+    rows.resize(n_intervals * n_ctr);
+    cycles.resize(n_intervals);
+    energy.resize(n_intervals);
+    auto project = [&](size_t t, const std::vector<uint64_t> &delta) {
+        const IntervalAdd add = projectInterval(delta, cfg_, mode,
+                                                rows.data() + t * n_ctr);
+        cycles[t] = static_cast<float>(add.cycles);
+        energy[t] = static_cast<float>(add.energyNj);
     };
 
-    const MemoKey key{trace_hash.value_or(0), coreConfigHash(cfg.core),
+    const MemoKey key{trace_hash.value_or(0), coreConfigHash(cfg_.core),
                       mode};
     auto &memo = SimMemo::instance();
     MemoIntervals intervals;
     if (memo.lookup(key, intervals) && intervals.size() == n_intervals) {
-        std::vector<uint64_t> delta_all;
+        std::vector<uint64_t> delta;
         for (size_t t = 0; t < n_intervals; ++t) {
-            intervals.expand(t, delta_all);
-            project(delta_all);
+            intervals.expand(t, delta);
+            project(t, delta);
         }
         return;
     }
 
     // Sparse deltas are kept only for the memo store.
     intervals = MemoIntervals();
-    IntervalReplay replay(workload, cfg, mode);
+    IntervalReplay replay(workload_, cfg_, mode);
     for (size_t t = 0; t < n_intervals; ++t) {
         replay.step();
-        project(replay.delta());
+        project(t, replay.delta());
         if (memo.enabled())
             intervals.append(replay.delta());
     }
@@ -176,27 +210,11 @@ recordTracePass(const Workload &workload, const BuildConfig &cfg,
 
 TraceRecord
 recordTrace(const Workload &workload, const BuildConfig &cfg,
-            uint32_t app_id, uint32_t trace_id,
-            std::optional<uint64_t> *memo_hash)
+            uint32_t app_id, uint32_t trace_id)
 {
-    obs::ScopedPhase phase("record_trace");
-    TraceRecord record = newTraceRecord(workload, cfg, app_id, trace_id);
-    const std::optional<uint64_t> hash = recordingTraceHash(workload, cfg);
-    if (memo_hash != nullptr)
-        *memo_hash = hash;
-
-    // The two fixed-mode passes are independent simulations, each
-    // with its own generator, writing disjoint vectors; run them as a
-    // two-task region. Inside a recordCorpus fan-out this degenerates
-    // to the serial pair (nested regions run inline).
-    ThreadPool::instance().parallelFor(2, [&](size_t m) {
-        recordTracePass(workload, cfg, hash,
-                        m == 0 ? CoreMode::HighPerf : CoreMode::LowPower,
-                        record);
-    });
-    PSCA_ASSERT(record.cyclesHigh.size() == record.cyclesLow.size(),
-                "mode runs disagree on interval count");
-    return record;
+    TraceRecording recording(workload, cfg, app_id, trace_id);
+    recording.run();
+    return recording.take();
 }
 
 std::string
@@ -347,8 +365,7 @@ recordCorpus(const std::vector<Workload> &workloads,
             if (done % 200 == 0)
                 inform("  ", done, "/", workloads.size(), " traces");
             return r;
-        },
-        DistMode::Distributed);
+        });
 
     if (storeCacheFile(path, kCacheMagic, kCacheVersion, hash,
                        "record.cache", [&](BinaryWriter &out) {

@@ -8,6 +8,12 @@
  * re-normalize") and labels can be recomputed for any SLA threshold
  * (the post-silicon relabeling of Sec. 7.3).
  *
+ * One TraceRecording records a trace, as two tasks (hash + HighPerf
+ * pass, LowPower pass) that recordTrace() runs as a region of their
+ * own and the serve loop runs beside its serving task. Every interval
+ * — recorded, replayed by the closed loop, or settled from the memo —
+ * is projected from its full-width counter delta by projectInterval().
+ *
  * Ground truth: y_t = 1 iff low-power-mode IPC in interval t is at
  * least pSla of high-performance-mode IPC; the training sample pairs
  * counters x_t with label y_{t+2} (Fig. 3's pipeline timing).
@@ -22,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <optional>
 #include <string>
 #include <vector>
@@ -83,8 +90,8 @@ struct TraceRecord
  * One replay of a workload on a fresh core, one telemetry interval per
  * step(): the core is reset, set to @p mode and warmed up for
  * cfg.warmupInstr before the first interval. The recorder
- * (recordTrace) and the closed-loop replayer (BlockReplayer) both run
- * on it, so a closed loop that stays in HighPerf reproduces its
+ * (TraceRecording) and the closed-loop replayer (BlockReplayer) both
+ * run on it, so a closed loop that stays in HighPerf reproduces its
  * reference record by construction.
  */
 class IntervalReplay
@@ -112,6 +119,31 @@ class IntervalReplay
 };
 
 /**
+ * One interval's accounting: with cfg.intervalInstr instructions, the
+ * arguments of one PpwAccumulator::add().
+ */
+struct IntervalAdd
+{
+    uint64_t cycles = 0;
+    double energyNj = 0.0;
+};
+
+/**
+ * Project a full-width counter delta onto one telemetry interval: the
+ * cfg.counterIds row into @p row (unless null) and the interval's add,
+ * whose cycles are the Cycles delta and whose energy is charged in
+ * @p mode. The recorder, BlockReplayer and PassReplayer's memo settle
+ * all call it, so a replayed block matches its record bit for bit.
+ *
+ * @param view Where the row is read instead of @p delta (a
+ *        fault-injected copy); the add always reads @p delta.
+ */
+IntervalAdd projectInterval(const std::vector<uint64_t> &delta,
+                            const BuildConfig &cfg, CoreMode mode,
+                            float *row,
+                            const std::vector<uint64_t> *view = nullptr);
+
+/**
  * The trace half of the workload's SimMemo keys under @p cfg: the
  * streamed content hash of its warmup and whole intervals, mixed with
  * the warmup/interval split. Costs one generator pass, no simulation;
@@ -120,49 +152,59 @@ class IntervalReplay
 uint64_t memoTraceHash(const Workload &workload, const BuildConfig &cfg);
 
 /**
- * The hash a recording keys its memo entries with: memoTraceHash()
- * while the memo is on, else empty (and no generator pass is spent).
- */
-std::optional<uint64_t> recordingTraceHash(const Workload &workload,
-                                           const BuildConfig &cfg);
-
-/**
- * The start of every recording: @p workload's record with its header
- * set and no interval yet, counted in record.traces. Two
- * recordTracePass() calls, one per mode, fill it.
- */
-TraceRecord newTraceRecord(const Workload &workload,
-                           const BuildConfig &cfg, uint32_t app_id,
-                           uint32_t trace_id);
-
-/**
- * One fixed-mode pass of a recording: simulate @p workload in @p mode
- * on a fresh core and append that mode's counter deltas, cycles and
- * energy to @p record (the High or the Low vectors). The deltas come
- * from the simulation memo when it holds them under @p trace_hash (the
- * recordingTraceHash()); otherwise the trace streams through the
- * core's bounded chunked path, so memory does not grow with its
- * length, and the memo stores them. Records are byte-identical either
- * way. The two modes' passes write disjoint fields, so they may run
- * concurrently on one record.
- */
-void recordTracePass(const Workload &workload, const BuildConfig &cfg,
-                     std::optional<uint64_t> trace_hash, CoreMode mode,
-                     TraceRecord &record);
-
-/**
- * Simulate one workload in both modes and record telemetry: the
- * recordingTraceHash(), then both recordTracePass() calls as one
- * two-task region.
+ * One trace's dual-mode recording, as two tasks the caller runs in
+ * index order in one parallel region: task 0 takes the memo's trace
+ * hash (memoTraceHash(), skipped with the memo off) and records the
+ * HighPerf pass; task 1 waits for that hash and records the LowPower
+ * pass. Each pass fills only its mode's vectors, from the simulation
+ * memo when it holds them under the hash, else by streaming the trace
+ * through a fresh core (memory does not grow with its length) and
+ * storing them in the memo; the bytes are the same either way.
  *
- * @param memo_hash When given, receives the memoTraceHash() the
- *        recording computed for its memo keys; left empty with the
- *        memo off, which skips that pass.
+ * Task 1's wait cannot deadlock while task 0 has the lower index in
+ * the region: ThreadPool claims indices in increasing order, so when
+ * task 1 starts, task 0 is running on another thread or done, and a
+ * one-thread pool or a nested region runs them in order on one thread.
+ * A failed hash rethrows in both. The workload and config must outlive
+ * the object.
  */
+class TraceRecording
+{
+  public:
+    static constexpr size_t kTasks = 2;
+
+    /** Start @p workload's record, counted in record.traces. */
+    TraceRecording(const Workload &workload, const BuildConfig &cfg,
+                   uint32_t app_id, uint32_t trace_id);
+    TraceRecording(const TraceRecording &) = delete;
+    TraceRecording &operator=(const TraceRecording &) = delete;
+
+    /** Run task @p task, 0 or 1, once each. */
+    void runTask(size_t task);
+
+    /** Both tasks as one two-task region, in a record_trace phase. */
+    void run();
+
+    /** Task 0's hash, empty with the memo off (waits for it). */
+    std::optional<uint64_t> memoHash() const { return hashed_.get(); }
+
+    /** The finished record; both tasks must have run. */
+    TraceRecord take();
+
+  private:
+    void recordPass(CoreMode mode, std::optional<uint64_t> trace_hash);
+
+    const Workload &workload_;
+    const BuildConfig &cfg_;
+    TraceRecord record_;
+    std::packaged_task<std::optional<uint64_t>()> hash_;
+    std::shared_future<std::optional<uint64_t>> hashed_;
+};
+
+/** Record one workload in both modes: one TraceRecording, run(). */
 TraceRecord recordTrace(const Workload &workload,
                         const BuildConfig &cfg, uint32_t app_id,
-                        uint32_t trace_id,
-                        std::optional<uint64_t> *memo_hash = nullptr);
+                        uint32_t trace_id);
 
 /**
  * "<cacheDirectory()>/<stem>_<key as 16 hex digits>.bin": the name of

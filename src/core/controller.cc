@@ -5,7 +5,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <mutex>
 #include <optional>
+#include <set>
+#include <tuple>
 
 #include "common/fault.hh"
 #include "obs/phase.hh"
@@ -147,7 +150,6 @@ BlockReplayer::BlockReplayer(const Workload &workload,
       faultsOn_(FaultRegistry::instance().anyEnabled()),
       traceKey_(traceKeyOf(workload)),
       replay_(workload, cfg, CoreMode::HighPerf),
-      power_(cfg.power, cfg.core.clockGhz),
       subRows_(k, std::vector<float>(cfg.counterIds.size())),
       subCycles_(k), adds_(k), carryRow_(cfg.counterIds.size(), 0.0f)
 {
@@ -165,7 +167,7 @@ BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
     const uint64_t b = block_++;
 
     for (size_t t = 0; t < k_; ++t) {
-        const IntervalStats stats = replay_.step();
+        replay_.step();
         const std::vector<uint64_t> &delta = replay_.delta();
         bool dropped = false;
         if (faultsOn_) {
@@ -173,6 +175,9 @@ BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
             dropped = applyTelemetryFaults(
                 view_, mixSeeds(traceKey_, b * k_ + t));
         }
+        const IntervalAdd &add = adds_[t] = projectInterval(
+            delta, cfg_, block_mode, dropped ? nullptr : subRows_[t].data(),
+            faultsOn_ ? &view_ : nullptr);
         if (dropped) {
             // Snapshot lost in flight: the controller reuses its
             // previous view of this lane rather than reading
@@ -181,20 +186,13 @@ BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
             subCycles_[t] = carryCycles_;
             reg.counter("controller.snapshot_carryforwards").add();
         } else {
-            const auto &src = faultsOn_ ? view_ : delta;
-            for (size_t j = 0; j < cfg_.counterIds.size(); ++j)
-                subRows_[t][j] =
-                    static_cast<float>(src[cfg_.counterIds[j]]);
-            subCycles_[t] = static_cast<float>(stats.cycles);
+            subCycles_[t] = static_cast<float>(add.cycles);
             if (faultsOn_) {
                 carryRow_ = subRows_[t];
                 carryCycles_ = subCycles_[t];
             }
         }
-        IntervalAdd &add = adds_[t];
-        add = {stats.instructions, stats.cycles,
-               power_.intervalEnergyNj(delta, stats.cycles, block_mode)};
-        acc.add(add.instructions, add.cycles, add.energyNj);
+        acc.add(cfg_.intervalInstr, add.cycles, add.energyNj);
     }
 }
 
@@ -255,7 +253,7 @@ PassReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
     if (nodes_[next].owed) {
         ++owed_;
     } else {
-        const Add *adds = addsOf(next);
+        const IntervalAdd *adds = addsOf(next);
         for (size_t t = 0; t < k_; ++t)
             acc.add(cfg_.intervalInstr, adds[t].cycles, adds[t].energyNj);
     }
@@ -295,7 +293,7 @@ PassReplayer::bytes() const
 {
     return nodes_.capacity() * sizeof(Node) +
         rows_.capacity() * sizeof(float) +
-        adds_.capacity() * sizeof(Add);
+        adds_.capacity() * sizeof(IntervalAdd);
 }
 
 void
@@ -315,7 +313,7 @@ PassReplayer::simulate(CoreMode mode, PpwAccumulator &acc)
     float *rows = rowsOf(nodes_[cursor_]);
     for (const float *row : rowPtrs_)
         rows = std::copy_n(row, cfg_.counterIds.size(), rows);
-    storeAdds(cursor_, live_->lastAdds());
+    std::copy_n(live_->lastAdds().data(), k_, addsOf(cursor_));
 }
 
 void
@@ -353,26 +351,19 @@ PassReplayer::settleFromMemo(PpwAccumulator &acc)
         return false;
     }
 
-    const PowerModel power(cfg_.power, cfg_.core.clockGhz);
-    const uint16_t cycles_idx = CounterRegistry::index(Ctr::Cycles);
     const size_t n_ctr = cfg_.counterIds.size();
     std::vector<float> rows(k_ * n_ctr), cycles(k_);
     std::vector<const float *> row_ptrs(k_);
-    std::vector<BlockReplayer::IntervalAdd> adds(k_);
+    std::vector<IntervalAdd> adds(k_);
     std::vector<uint64_t> delta;
     for (size_t b = path_.size() - owed_; b < path_.size(); ++b) {
         for (size_t t = 0; t < k_; ++t) {
             intervals.expand(b * k_ + t, delta);
-            const uint64_t cyc = delta[cycles_idx];
             row_ptrs[t] = rows.data() + t * n_ctr;
-            for (size_t j = 0; j < n_ctr; ++j)
-                rows[t * n_ctr + j] =
-                    static_cast<float>(delta[cfg_.counterIds[j]]);
-            cycles[t] = static_cast<float>(cyc);
-            adds[t] = {cfg_.intervalInstr, cyc,
-                       power.intervalEnergyNj(delta, cyc,
-                                              CoreMode::HighPerf)};
-            acc.add(adds[t].instructions, adds[t].cycles,
+            adds[t] = projectInterval(delta, cfg_, CoreMode::HighPerf,
+                                      rows.data() + t * n_ctr);
+            cycles[t] = static_cast<float>(adds[t].cycles);
+            acc.add(cfg_.intervalInstr, adds[t].cycles,
                     adds[t].energyNj);
         }
         confirm(b, path_[b], row_ptrs, cycles, adds);
@@ -386,7 +377,7 @@ void
 PassReplayer::confirm(size_t b, uint32_t node,
                       const std::vector<const float *> &rows,
                       const std::vector<float> &cycles,
-                      const std::vector<BlockReplayer::IntervalAdd> &adds)
+                      const std::vector<IntervalAdd> &adds)
 {
     // With one IntervalReplay behind the recorder and the replayer, a
     // spine block can only differ from the record if the reference was
@@ -400,8 +391,7 @@ PassReplayer::confirm(size_t b, uint32_t node,
             std::memcmp(rows[t], rowPtrs_[t],
                         cfg_.counterIds.size() * sizeof(float)) == 0 &&
             (n.owed ||
-             (adds[t].instructions == cfg_.intervalInstr &&
-              adds[t].cycles == addsOf(node)[t].cycles &&
+             (adds[t].cycles == addsOf(node)[t].cycles &&
               std::bit_cast<uint64_t>(adds[t].energyNj) ==
                   std::bit_cast<uint64_t>(addsOf(node)[t].energyNj)));
     }
@@ -412,22 +402,8 @@ PassReplayer::confirm(size_t b, uint32_t node,
                       "recorded under this BuildConfig"
                     : "");
     if (n.owed) {
-        storeAdds(node, adds);
+        std::copy_n(adds.data(), k_, addsOf(node));
         n.owed = false;
-    }
-}
-
-void
-PassReplayer::storeAdds(uint32_t node,
-                        const std::vector<BlockReplayer::IntervalAdd> &adds)
-{
-    Add *out = addsOf(node);
-    for (size_t t = 0; t < k_; ++t) {
-        PSCA_ASSERT(adds[t].instructions == cfg_.intervalInstr,
-                    "an interval of '", workload_.name, "' retired ",
-                    adds[t].instructions, " instructions, not ",
-                    cfg_.intervalInstr);
-        out[t] = {adds[t].cycles, adds[t].energyNj};
     }
 }
 
@@ -500,10 +476,17 @@ simulateClosedLoop(const Workload &workload, const TraceRecord &reference,
         .set(static_cast<double>(ops_budget));
     if (predictor.opsPerInference() > ops_budget) {
         reg.counter("controller.budget_overruns").add();
-        warn("predictor '", predictor.name(), "' needs ",
-             predictor.opsPerInference(), " ops but the ",
-             predictor.granularity(), "-instruction budget is ",
-             ops_budget);
+        // A suite runs one loop per trace: warn once per process for
+        // each (predictor, granularity, budget).
+        static std::mutex warned_mu;
+        static std::set<std::tuple<std::string, uint64_t, uint64_t>> warned;
+        const std::lock_guard<std::mutex> lock(warned_mu);
+        if (warned.emplace(predictor.name(), predictor.granularity(),
+                           ops_budget).second)
+            warn("predictor '", predictor.name(), "' needs ",
+                 predictor.opsPerInference(), " ops but the ",
+                 predictor.granularity(), "-instruction budget is ",
+                 ops_budget);
     }
 
     std::vector<uint8_t> predictions(blocks, 0); // applied config

@@ -198,14 +198,6 @@ class SrchPredictor : public GatePredictor
 class BlockReplayer
 {
   public:
-    /** The arguments of one PpwAccumulator::add(). */
-    struct IntervalAdd
-    {
-        uint64_t instructions = 0;
-        uint64_t cycles = 0;
-        double energyNj = 0.0;
-    };
-
     /**
      * @param k Sub-intervals per block (granularity / interval).
      */
@@ -247,7 +239,6 @@ class BlockReplayer
     bool faultsOn_;
     uint64_t traceKey_;
     IntervalReplay replay_;
-    PowerModel power_;
     std::vector<uint64_t> view_;
     std::vector<std::vector<float>> subRows_;
     std::vector<const float *> rowPtrs_;
@@ -366,13 +357,6 @@ class PassReplayer
         bool owed = false; //!< adds not computed yet (spine only)
     };
 
-    /** A stored add; its instructions are always cfg.intervalInstr. */
-    struct Add
-    {
-        uint64_t cycles = 0;
-        double energyNj = 0.0;
-    };
-
     void simulate(CoreMode mode, PpwAccumulator &acc);
     /** Replay the served path live, paying owed adds into @p acc. */
     void catchUp(PpwAccumulator &acc);
@@ -384,12 +368,10 @@ class PassReplayer
     void confirm(size_t b, uint32_t node,
                  const std::vector<const float *> &rows,
                  const std::vector<float> &cycles,
-                 const std::vector<BlockReplayer::IntervalAdd> &adds);
-    void storeAdds(uint32_t node,
-                   const std::vector<BlockReplayer::IntervalAdd> &adds);
+                 const std::vector<IntervalAdd> &adds);
     /** Append a child of the cursor; an off-spine one gets rows. */
     uint32_t addChild(CoreMode mode, bool spine);
-    Add *addsOf(uint32_t node)
+    IntervalAdd *addsOf(uint32_t node)
     {
         return adds_.data() + node * k_;
     }
@@ -409,7 +391,7 @@ class PassReplayer
     size_t owed_ = 0;            //!< trailing path_ blocks owing adds
     std::vector<Node> nodes_;    //!< [0] is the pass-start root
     std::vector<float> rows_;    //!< k x counters per off-spine node
-    std::vector<Add> adds_;      //!< k per node
+    std::vector<IntervalAdd> adds_; //!< k per node
     std::vector<uint32_t> path_; //!< nodes served this pass
     uint32_t cursor_ = 0;        //!< node of the last block
     std::unique_ptr<BlockReplayer> live_;

@@ -52,12 +52,12 @@ crossValConfigHash(const Dataset &data, const CrossValOptions &opts)
     uint64_t h = data.contentHash();
     auto mix = [&h](uint64_t v) { h = mixSeeds(h, v); };
     mix(static_cast<uint64_t>(opts.folds));
-    mix(static_cast<uint64_t>(opts.tuneFraction * 1e9));
+    mix(static_cast<uint64_t>(kTuneFraction * 1e9));
     mix(opts.maxTuneApps);
     mix(opts.maxTuneSamples);
     mix(opts.rsvWindow);
     mix(opts.calibrate ? 1 : 0);
-    mix(static_cast<uint64_t>(opts.targetRsv * 1e9));
+    mix(static_cast<uint64_t>(kTargetRsv * 1e9));
     mix(opts.seed);
     return h;
 }
@@ -171,7 +171,7 @@ crossValidate(const Dataset &data, const ModelFactory &factory,
             "crossval.fold",
             {{"fold", static_cast<long long>(fold)}});
         const uint64_t fold_seed = taskSeed(opts.seed, fold);
-        FoldSplit split = appLevelSplit(data, opts.tuneFraction,
+        FoldSplit split = appLevelSplit(data, kTuneFraction,
                                         fold_seed, opts.maxTuneApps);
         if (split.tuneIdx.empty() || split.validIdx.empty())
             return std::nullopt;
@@ -189,10 +189,8 @@ crossValidate(const Dataset &data, const ModelFactory &factory,
         const Dataset valid = scaler.apply(data.subset(split.validIdx));
 
         std::unique_ptr<Model> model = factory(tune, fold_seed);
-        if (opts.calibrate) {
-            calibrateThreshold(*model, tune, opts.rsvWindow,
-                               opts.targetRsv);
-        }
+        if (opts.calibrate)
+            calibrateThreshold(*model, tune, opts.rsvWindow);
 
         return evaluateModel(*model, valid, opts.rsvWindow);
     };
@@ -208,7 +206,7 @@ crossValidate(const Dataset &data, const ModelFactory &factory,
             "crossval." + opts.checkpointTag,
             crossValConfigHash(data, opts),
             static_cast<size_t>(opts.folds), writeFoldResult,
-            readFoldResult, run_fold, DistMode::Distributed);
+            readFoldResult, run_fold);
     } else {
         fold_results =
             ThreadPool::instance()

@@ -52,13 +52,20 @@ struct EvalResult
 EvalResult evaluateModel(const Model &model, const Dataset &data,
                          uint64_t rsv_window);
 
+/** The tuning-set RSV calibration holds models to (Sec. 6.3: < 1.0%). */
+constexpr double kTargetRsv = 0.01;
+
+/** Share of a fold's applications that tune; the rest validate. */
+constexpr double kTuneFraction = 0.8;
+
 /**
  * Sensitivity calibration: raise the decision threshold to the
  * smallest candidate keeping RSV on the tuning set at or below
- * target_rsv (Sec. 6.3 trains to < 1.0%).
+ * target_rsv.
  */
 void calibrateThreshold(Model &model, const Dataset &tune,
-                        uint64_t rsv_window, double target_rsv = 0.01);
+                        uint64_t rsv_window,
+                        double target_rsv = kTargetRsv);
 
 /** Builds a trained model from normalized tuning data. */
 using ModelFactory = std::function<std::unique_ptr<Model>(
@@ -68,12 +75,10 @@ using ModelFactory = std::function<std::unique_ptr<Model>(
 struct CrossValOptions
 {
     int folds = 8;
-    double tuneFraction = 0.8;
     size_t maxTuneApps = 0;    //!< 0 = all (Fig. 4 varies this)
     size_t maxTuneSamples = 0; //!< 0 = all (wall-time knob)
     uint64_t rsvWindow = 1600;
     bool calibrate = true;
-    double targetRsv = 0.01;
     uint64_t seed = 7;
     /**
      * Non-empty: checkpoint each fold under this tag, so an

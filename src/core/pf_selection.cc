@@ -122,8 +122,7 @@ pfCounterSelection(const std::vector<TraceRecord> &records,
                         flags[j] = 1;
                 }
                 return flags;
-            },
-            DistMode::Distributed);
+            });
     std::vector<uint32_t> flagged(width, 0);
     for (const auto &flags : flags_per_record)
         for (size_t j = 0; j < width; ++j)

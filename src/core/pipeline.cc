@@ -269,8 +269,7 @@ trainDual(const std::vector<TraceRecord> &records,
         }
         if (opts.calibrate) {
             obs::ScopedPhase cal_phase("threshold_calibration");
-            calibrateThreshold(*slot.model, scaled, opts.rsvWindow,
-                               opts.targetRsv);
+            calibrateThreshold(*slot.model, scaled, opts.rsvWindow);
         }
         (m == 0 ? dual.high : dual.low) = std::move(slot);
     }
@@ -572,8 +571,7 @@ makeAppSpecificRf(const ExperimentContext &ctx,
         for (auto &t : app_trees)
             trees.push_back(std::move(t));
         auto merged = std::make_shared<RandomForest>(std::move(trees));
-        calibrateThreshold(*merged, app_scaled, opts.rsvWindow,
-                           opts.targetRsv);
+        calibrateThreshold(*merged, app_scaled, opts.rsvWindow);
         slot.model = std::move(merged);
         (m == 0 ? dual.high : dual.low) = std::move(slot);
     }

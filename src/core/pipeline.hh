@@ -149,7 +149,6 @@ struct DualTrainOptions
     double pSla = 0.90;
     std::vector<size_t> columns;
     bool calibrate = true;
-    double targetRsv = 0.01;
     uint64_t rsvWindow = 1600;
     uint64_t seed = 1;
 };

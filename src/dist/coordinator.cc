@@ -15,7 +15,6 @@
 #include <fstream>
 #include <thread>
 
-#include "common/env.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
@@ -32,33 +31,6 @@ obs::Counter &
 counter(const char *name)
 {
     return obs::StatRegistry::instance().counter(name);
-}
-
-/** Parse "host:port"; false on malformed input. */
-bool
-parseHostPort(const std::string &spec, std::string &host, int &port)
-{
-    const size_t colon = spec.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= spec.size())
-        return false;
-    host = spec.substr(0, colon);
-    long long p = 0;
-    if (!env::tryParseLong(spec.c_str() + colon + 1, p) || p < 0 ||
-        p > 65535)
-        return false;
-    port = static_cast<int>(p);
-    return true;
-}
-
-void
-setSockTimeouts(int fd, double seconds)
-{
-    timeval tv = {};
-    tv.tv_sec = static_cast<time_t>(seconds);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
 // Chaos-substream lanes for coordinator-side wire faults, keyed per

@@ -39,6 +39,35 @@ recvStatusName(RecvStatus s)
 }
 
 bool
+parseHostPort(const std::string &spec, std::string &host, int &port)
+{
+    const size_t colon = spec.rfind(':');
+    if (colon == std::string::npos || colon + 1 >= spec.size())
+        return false;
+    host = spec.substr(0, colon);
+    long long p = 0;
+    if (!env::tryParseLong(spec.c_str() + colon + 1, p) || p < 0 ||
+        p > 65535)
+        return false;
+    port = static_cast<int>(p);
+    return true;
+}
+
+void
+setSockTimeouts(int fd, double seconds)
+{
+    timeval tv = {};
+    tv.tv_sec = static_cast<time_t>(seconds);
+    tv.tv_usec = static_cast<suseconds_t>(
+        (seconds - static_cast<double>(tv.tv_sec)) * 1e6);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    // Bound sends as well: a peer that stops draining (stuck on
+    // another connection, mid-restart) must surface as a send failure
+    // the caller can handle, not an indefinite block.
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+}
+
+bool
 sendAll(int fd, const void *data, size_t n)
 {
     const char *p = static_cast<const char *>(data);

@@ -90,6 +90,15 @@ const char *recvStatusName(RecvStatus s);
  */
 uint32_t maxFramePayloadCap();
 
+/**
+ * Parse "host:port" with a port in 0-65535 (0: any free port, which
+ * only a listener can use); false on malformed input.
+ */
+bool parseHostPort(const std::string &spec, std::string &host, int &port);
+
+/** Bound every recv() and send() on @p fd to @p seconds. */
+void setSockTimeouts(int fd, double seconds);
+
 /** Loop send() over the whole buffer (MSG_NOSIGNAL). */
 bool sendAll(int fd, const void *data, size_t n);
 

@@ -16,7 +16,6 @@
 #include <set>
 #include <thread>
 
-#include "common/env.hh"
 #include "common/fault.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
@@ -37,31 +36,13 @@ counter(const char *name)
     return obs::StatRegistry::instance().counter(name);
 }
 
-void
-setSockTimeouts(int fd, double seconds)
-{
-    timeval tv = {};
-    tv.tv_sec = static_cast<time_t>(seconds);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    // Bound sends as well: a coordinator that stops draining (stuck
-    // on another connection, mid-restart) must surface as a send
-    // failure the rejoin path can handle, not an indefinite block.
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 /** One connect() attempt to "host:port"; -1 on failure. */
 int
 tryConnect(const std::string &spec)
 {
-    const size_t colon = spec.rfind(':');
-    if (colon == std::string::npos)
-        return -1;
-    const std::string host = spec.substr(0, colon);
-    long long port = 0;
-    if (!env::tryParseLong(spec.c_str() + colon + 1, port) ||
-        port <= 0 || port > 65535)
+    std::string host;
+    int port = 0;
+    if (!parseHostPort(spec, host, port) || port == 0)
         return -1;
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)

@@ -283,8 +283,7 @@ RandomForest::RandomForest(const Dataset &data, const ForestConfig &cfg)
             fit_tree,
             [&](size_t t, BinaryWriter &w) {
                 trees_[t]->serialize(w);
-            },
-            DistMode::Distributed);
+            });
     } else {
         ThreadPool::instance().parallelFor(
             static_cast<size_t>(cfg.numTrees), fit_tree);

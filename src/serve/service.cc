@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <future>
 
 #include "common/fault.hh"
 #include "common/journal.hh"
@@ -225,21 +224,29 @@ Service::bootstrap()
 }
 
 std::unique_ptr<Service::SegmentRt>
-Service::segmentRt(size_t idx, TraceRecord ref,
-                   std::optional<uint64_t> memo_hash) const
+Service::segmentRt(size_t idx, TraceRecording &recording) const
 {
     auto rt = std::make_unique<SegmentRt>();
     rt->index = idx;
     rt->workload = schedule_[idx].workload;
-    rt->ref = std::move(ref);
+    rt->ref = recording.take();
     rt->labels = blockLabels(rt->ref, k_, 0.90);
     rt->passBlocks = rt->ref.numIntervals() / k_;
     PSCA_ASSERT(rt->passBlocks >= 3,
                 "serve: workload too short for the closed loop");
     // The walker's memo settles reuse the hash the recording took.
-    rt->replayer = std::make_unique<PassReplayer>(rt->workload, build_,
-                                                  k_, memo_hash);
+    rt->replayer = std::make_unique<PassReplayer>(
+        rt->workload, build_, k_, recording.memoHash());
     return rt;
+}
+
+std::unique_ptr<TraceRecording>
+Service::recording(size_t idx) const
+{
+    const Workload &w = schedule_[idx].workload;
+    return std::make_unique<TraceRecording>(
+        w, build_, static_cast<uint32_t>(idx),
+        static_cast<uint32_t>(w.traceIndex));
 }
 
 void
@@ -256,12 +263,9 @@ Service::enterSegment(size_t idx)
                     "serve: recorded segment is not the one entered");
         seg_ = std::move(next_);
     } else {
-        const Workload &w = schedule_[idx].workload;
-        std::optional<uint64_t> memo_hash;
-        TraceRecord ref = recordTrace(
-            w, build_, static_cast<uint32_t>(idx),
-            static_cast<uint32_t>(w.traceIndex), &memo_hash);
-        seg_ = segmentRt(idx, std::move(ref), memo_hash);
+        const std::unique_ptr<TraceRecording> rec = recording(idx);
+        rec->run();
+        seg_ = segmentRt(idx, *rec);
     }
     segIdx_ = idx;
     segBlocksDone_ = 0;
@@ -271,36 +275,19 @@ void
 Service::serveSegment(uint64_t budget)
 {
     const uint64_t seg_blocks = schedule_[segIdx_].blocks;
+    const size_t next = (segIdx_ + 1) % schedule_.size();
     // Record the next segment beside this one's blocks, but only if
     // this run enters it: the budget must outlast the segment.
-    const bool record_next = !next_ &&
-        outcome_.blocks + (seg_blocks - segBlocksDone_) < budget;
-    const size_t next = (segIdx_ + 1) % schedule_.size();
-    const Workload &next_w = schedule_[next].workload;
-    TraceRecord ref;
-    if (record_next)
-        ref = newTraceRecord(next_w, build_, static_cast<uint32_t>(next),
-                             static_cast<uint32_t>(next_w.traceIndex));
-    // Task 1 hashes the next trace and hands the hash to task 2
-    // through this packaged task's future (a failed hash rethrows in
-    // both).
-    std::packaged_task<std::optional<uint64_t>()> hash_next(
-        [&] { return recordingTraceHash(next_w, build_); });
-    const std::shared_future<std::optional<uint64_t>> hash_high =
-        hash_next.get_future().share();
-    const std::shared_future<std::optional<uint64_t>> hash_low =
-        hash_high;
-    // Task 0 serves the blocks; tasks 1 and 2 record the next
-    // segment's HighPerf and LowPower passes. Task 2's wait for the
-    // hash cannot deadlock: the pool claims indices in increasing
-    // order, so once task 2 starts, task 1 has been claimed and is
-    // running on another thread or done; with one thread the tasks
-    // run 0, 1, 2 in turn.
-    // At most three cores are live, the serving walker's and the two
-    // passes'; regions the tasks open (a retrain's forest fits) run
-    // inline in their task.
+    const std::unique_ptr<TraceRecording> rec =
+        !next_ && outcome_.blocks + (seg_blocks - segBlocksDone_) < budget
+        ? recording(next)
+        : nullptr;
+    // Task 0 serves the blocks; the recording's two tasks follow it in
+    // index order, as TraceRecording requires. At most three cores are
+    // live, the serving walker's and the two passes'; regions the
+    // tasks open (a retrain's forest fits) run inline in their task.
     ThreadPool::instance().parallelFor(
-        record_next ? 3 : 1, [&](size_t task) {
+        rec ? 1 + TraceRecording::kTasks : 1, [&](size_t task) {
             if (task == 0) {
                 while (outcome_.blocks < budget &&
                        segBlocksDone_ < seg_blocks && !stopRequested())
@@ -308,17 +295,10 @@ Service::serveSegment(uint64_t budget)
                 return;
             }
             obs::ScopedPhase phase("record_trace");
-            if (task == 1) {
-                hash_next();
-                recordTracePass(next_w, build_, hash_high.get(),
-                                CoreMode::HighPerf, ref);
-            } else {
-                recordTracePass(next_w, build_, hash_low.get(),
-                                CoreMode::LowPower, ref);
-            }
+            rec->runTask(task - 1);
         });
-    if (record_next)
-        next_ = segmentRt(next, std::move(ref), hash_high.get());
+    if (rec)
+        next_ = segmentRt(next, *rec);
 }
 
 void

@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -157,9 +156,11 @@ class Service
     FirmwarePackage trainCandidate(const SegmentRt &seg,
                                    const std::string &name);
     void loadActivePredictor();
-    std::unique_ptr<SegmentRt> segmentRt(
-        size_t idx, TraceRecord ref,
-        std::optional<uint64_t> memo_hash) const;
+    /** A recording of schedule entry @p idx's workload. */
+    std::unique_ptr<TraceRecording> recording(size_t idx) const;
+    /** Segment @p idx's runtime, over @p recording's finished record. */
+    std::unique_ptr<SegmentRt> segmentRt(size_t idx,
+                                         TraceRecording &recording) const;
     void enterSegment(size_t idx);
     void serveSegment(uint64_t budget);
     void stepBlock();

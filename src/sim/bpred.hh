@@ -112,9 +112,6 @@ class TournamentBpred
     uint64_t history_ = 0;
 };
 
-/** Backwards-compatible alias used by the core. */
-using GshareBpred = TournamentBpred;
-
 } // namespace psca
 
 #endif // PSCA_SIM_BPRED_HH

@@ -179,7 +179,7 @@ class ClusteredCore
     Counters counters_;
     HotCtrs hot_;
     MemoryHierarchy mem_;
-    GshareBpred bpred_;
+    TournamentBpred bpred_;
 
     // Register timestamp state.
     uint64_t regReady_[kNumArchRegs] = {};

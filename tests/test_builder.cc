@@ -13,6 +13,7 @@
 
 #include "core/builder.hh"
 #include "obs/stats.hh"
+#include "test_util.hh"
 
 using namespace psca;
 
@@ -21,34 +22,14 @@ namespace {
 BuildConfig
 smallConfig()
 {
-    BuildConfig cfg;
-    cfg.intervalInstr = 10000;
-    cfg.warmupInstr = 20000;
-    cfg.counterIds = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::L1dMiss),
-        CounterRegistry::index(Ctr::UopsStalledOnDep),
-        CounterRegistry::index(Ctr::BranchMispred),
-    };
-    return cfg;
+    return test::smallConfig({Ctr::InstRetired, Ctr::L1dMiss,
+                              Ctr::UopsStalledOnDep, Ctr::BranchMispred});
 }
 
 Workload
 kernelWorkload(KernelParams kp, uint64_t len, const char *name)
 {
-    AppGenome g;
-    g.name = name;
-    g.seed = 31;
-    PhaseSpec p;
-    p.kernel = kp;
-    p.meanLenInstr = 1e9;
-    g.phases = {p};
-    Workload w;
-    w.genome = g;
-    w.inputSeed = 1;
-    w.lengthInstr = len;
-    w.name = name;
-    return w;
+    return test::kernelWorkload(kp, len, name, 31);
 }
 
 /** Exact equality of two record lists, float bits included. */

@@ -23,24 +23,20 @@
 
 #include "common/fault.hh"
 #include "core/controller.hh"
+#include "core/pipeline.hh"
 #include "obs/stats.hh"
 #include "sim/memo.hh"
+#include "test_util.hh"
 
 using namespace psca;
+using namespace psca::test;
 
 namespace {
 
 BuildConfig
 smallConfig()
 {
-    BuildConfig cfg;
-    cfg.intervalInstr = 10000;
-    cfg.warmupInstr = 20000;
-    cfg.counterIds = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::L1dMiss),
-    };
-    return cfg;
+    return test::smallConfig({Ctr::InstRetired, Ctr::L1dMiss});
 }
 
 Workload
@@ -603,12 +599,6 @@ goldenMismatches(const std::vector<LoopRow> &rows)
     return bad;
 }
 
-uint64_t
-counterValue(const char *name)
-{
-    return obs::StatRegistry::instance().counter(name).value();
-}
-
 /** Where the sim memo keeps @p w's HighPerf intervals under @p cfg. */
 std::filesystem::path
 highPerfMemoPath(const Workload &w, const BuildConfig &cfg)
@@ -1101,4 +1091,42 @@ TEST(PassTrieDeathTest, CatchUpThatDiffersFromItsNodeStops)
             runPass(trie, gatedSchedule(5, 10));
         },
         "differs from its schedule-trie node");
+}
+
+TEST(ClosedLoop, OverBudgetSuiteWarnsOnceAndCountsPerTrace)
+{
+    ExperimentContext ctx;
+    ctx.build = smallConfig();
+    for (uint32_t i = 0; i < 3; ++i) {
+        Workload w = twoPhaseWorkload(120000);
+        w.inputSeed = i + 1;
+        w.traceIndex = i;
+        ctx.spec.push_back(recordTrace(w, ctx.build, 0, i));
+        ctx.specWorkloadsList.push_back(std::move(w));
+    }
+    // A constant predictor no microcontroller budget affords.
+    struct Hungry : ConstantPredictor
+    {
+        Hungry() : ConstantPredictor(false) {}
+        uint32_t opsPerInference() const override { return 1u << 30; }
+        std::string name() const override { return "overbudget"; }
+        std::unique_ptr<GatePredictor> clone() const override
+        {
+            return std::make_unique<Hungry>();
+        }
+    };
+    obs::Counter &overruns =
+        obs::StatRegistry::instance().counter("controller.budget_overruns");
+    const uint64_t before = overruns.value();
+    ::testing::internal::CaptureStderr();
+    for (int suite = 0; suite < 2; ++suite)
+        evaluateSuite(ctx, Hungry(), {0, 1, 2}, 0.9);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(overruns.value() - before, 6u);
+    size_t warnings = 0;
+    for (size_t at = err.find("'overbudget' needs");
+         at != std::string::npos;
+         at = err.find("'overbudget' needs", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
 }

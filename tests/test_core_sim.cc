@@ -10,6 +10,7 @@
 #include "core/builder.hh"
 #include "sim/core.hh"
 #include "trace/generator.hh"
+#include "test_util.hh"
 
 using namespace psca;
 
@@ -18,19 +19,7 @@ namespace {
 Workload
 kernelWorkload(KernelParams kp, uint64_t seed = 42)
 {
-    AppGenome g;
-    g.name = "sim_test";
-    g.seed = seed;
-    PhaseSpec p;
-    p.kernel = kp;
-    p.meanLenInstr = 1e9;
-    g.phases = {p};
-    Workload w;
-    w.genome = g;
-    w.inputSeed = 1;
-    w.lengthInstr = 400000;
-    w.name = "sim_test";
-    return w;
+    return test::kernelWorkload(kp, 400000, "sim_test", seed);
 }
 
 /** IPC of a 150k-instruction interval after a 60k warmup. */

@@ -8,36 +8,13 @@
 
 #include <set>
 
-#include "common/rng.hh"
 #include "core/crossval.hh"
 #include "ml/mlp.hh"
 #include "ml/tree.hh"
+#include "test_util.hh"
 
 using namespace psca;
-
-namespace {
-
-/** Dataset with per-app feature shifts so leakage is measurable. */
-Dataset
-groupedData(size_t apps, size_t per_app, uint64_t seed)
-{
-    Rng rng(seed);
-    Dataset d;
-    d.numFeatures = 3;
-    for (size_t a = 0; a < apps; ++a) {
-        for (size_t i = 0; i < per_app; ++i) {
-            float row[3];
-            for (auto &v : row)
-                v = static_cast<float>(rng.gaussian());
-            d.addSample(row, row[0] + row[1] > 0 ? 1 : 0,
-                        static_cast<uint32_t>(a),
-                        static_cast<uint32_t>(a * 10 + i % 3));
-        }
-    }
-    return d;
-}
-
-} // namespace
+using namespace psca::test;
 
 TEST(AppSplit, AppsNeverStraddle)
 {

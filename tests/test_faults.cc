@@ -17,17 +17,12 @@
 #include "core/pipeline.hh"
 #include "obs/stats.hh"
 #include "telemetry/counters.hh"
+#include "test_util.hh"
 
 using namespace psca;
+using namespace psca::test;
 
 namespace {
-
-uint64_t
-counterValue(const char *name)
-{
-    const auto *c = obs::StatRegistry::instance().findCounter(name);
-    return c ? c->value() : 0;
-}
 
 /** Disarm every site (and restore the seed) after each test. */
 class FaultTest : public ::testing::Test

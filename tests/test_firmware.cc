@@ -15,26 +15,19 @@
 #include "core/guardrail.hh"
 #include "core/pipeline.hh"
 #include "obs/stats.hh"
+#include "test_util.hh"
 
 using namespace psca;
+using namespace psca::test;
 
 namespace {
 
 BuildConfig
 smallConfig()
 {
-    BuildConfig cfg;
-    cfg.intervalInstr = 10000;
-    cfg.warmupInstr = 20000;
-    cfg.counterIds = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::StallCount),
-        CounterRegistry::index(Ctr::L1dMiss),
-        CounterRegistry::index(Ctr::LoadLatSum),
-        CounterRegistry::index(Ctr::MshrOccSum),
-        CounterRegistry::index(Ctr::UopsStalledOnDep),
-    };
-    return cfg;
+    return test::smallConfig({Ctr::InstRetired, Ctr::StallCount,
+                              Ctr::L1dMiss, Ctr::LoadLatSum,
+                              Ctr::MshrOccSum, Ctr::UopsStalledOnDep});
 }
 
 Workload
@@ -131,17 +124,6 @@ TEST(FirmwarePackage, VmDecisionsMatchNativeClosedLoop)
     EXPECT_NEAR(a.ppwGainPct, b.ppwGainPct, 1e-9);
     EXPECT_GT(vm.vmOpsExecuted(), 0u);
 }
-
-namespace {
-
-uint64_t
-counterValue(const char *name)
-{
-    const obs::Counter *c = obs::StatRegistry::instance().findCounter(name);
-    return c ? c->value() : 0;
-}
-
-} // namespace
 
 TEST(FirmwarePackage, VmAndNativeSanitizeAlike)
 {

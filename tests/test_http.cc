@@ -8,11 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstring>
 #include <string>
 
@@ -20,47 +15,11 @@
 #include "obs/http.hh"
 #include "obs/phase.hh"
 #include "obs/stats.hh"
+#include "test_util.hh"
 
 using namespace psca;
+using namespace psca::test;
 using obs::HttpServer;
-
-namespace {
-
-/** One blocking HTTP exchange against 127.0.0.1:port. */
-std::string
-httpRequest(int port, const std::string &request_head)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return "";
-    sockaddr_in addr = {};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0)
-    {
-        ::close(fd);
-        return "";
-    }
-    ::send(fd, request_head.data(), request_head.size(), 0);
-    std::string resp;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        resp.append(buf, static_cast<size_t>(n));
-    ::close(fd);
-    return resp;
-}
-
-std::string
-httpGet(int port, const std::string &path)
-{
-    return httpRequest(port,
-                       "GET " + path + " HTTP/1.0\r\n\r\n");
-}
-
-} // namespace
 
 TEST(HttpEndpoint, ServesLiveTelemetry)
 {

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <random>
+#include <thread>
 
 #include "common/parallel.hh"
 #include "common/serialize.hh"
@@ -21,6 +23,7 @@
 #include "sim/memo.hh"
 #include "telemetry/counters.hh"
 #include "trace/genome.hh"
+#include "test_util.hh"
 
 using namespace psca;
 
@@ -51,16 +54,8 @@ const auto *const g_env =
 BuildConfig
 smallConfig()
 {
-    BuildConfig cfg;
-    cfg.intervalInstr = 10000;
-    cfg.warmupInstr = 20000;
-    cfg.counterIds = {
-        CounterRegistry::index(Ctr::InstRetired),
-        CounterRegistry::index(Ctr::L1dMiss),
-        CounterRegistry::index(Ctr::UopsStalledOnDep),
-        CounterRegistry::index(Ctr::BranchMispred),
-    };
-    return cfg;
+    return test::smallConfig({Ctr::InstRetired, Ctr::L1dMiss,
+                              Ctr::UopsStalledOnDep, Ctr::BranchMispred});
 }
 
 Workload
@@ -75,11 +70,9 @@ genomeWorkload(uint64_t seed, uint64_t len, const char *name)
 }
 
 /** Exact float-bit equality between two records. */
-void
-expectRecordsIdentical(const TraceRecord &a, const TraceRecord &b)
+bool
+recordsIdentical(const TraceRecord &a, const TraceRecord &b)
 {
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.numCounters, b.numCounters);
     auto bits_eq = [](const std::vector<float> &x,
                       const std::vector<float> &y) {
         return x.size() == y.size() &&
@@ -87,12 +80,68 @@ expectRecordsIdentical(const TraceRecord &a, const TraceRecord &b)
              std::memcmp(x.data(), y.data(),
                          x.size() * sizeof(float)) == 0);
     };
-    EXPECT_TRUE(bits_eq(a.deltaHigh, b.deltaHigh));
-    EXPECT_TRUE(bits_eq(a.deltaLow, b.deltaLow));
-    EXPECT_TRUE(bits_eq(a.cyclesHigh, b.cyclesHigh));
-    EXPECT_TRUE(bits_eq(a.cyclesLow, b.cyclesLow));
-    EXPECT_TRUE(bits_eq(a.energyHighNj, b.energyHighNj));
-    EXPECT_TRUE(bits_eq(a.energyLowNj, b.energyLowNj));
+    return a.name == b.name && a.numCounters == b.numCounters &&
+        bits_eq(a.deltaHigh, b.deltaHigh) &&
+        bits_eq(a.deltaLow, b.deltaLow) &&
+        bits_eq(a.cyclesHigh, b.cyclesHigh) &&
+        bits_eq(a.cyclesLow, b.cyclesLow) &&
+        bits_eq(a.energyHighNj, b.energyHighNj) &&
+        bits_eq(a.energyLowNj, b.energyLowNj);
+}
+
+/**
+ * Record @p w the way the serve loop does: the recording's two tasks
+ * follow a serving task 0 in one three-task region.
+ */
+TraceRecord
+recordServeShaped(const Workload &w, const BuildConfig &cfg)
+{
+    TraceRecording recording(w, cfg, 0, 0);
+    ThreadPool::instance().parallelFor(
+        1 + TraceRecording::kTasks, [&](size_t task) {
+            if (task == 0)
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            else
+                recording.runTask(task - 1);
+        });
+    return recording.take();
+}
+
+/**
+ * Recordings that break the serve/batch contract: at pool sizes 4,
+ * then 1, a serve-shaped recording and a recordTrace() of each of two
+ * traces must match the first recording of that trace bit for bit,
+ * and each must take one trace-hash pass with the memo on, none with
+ * it off. With the memo on the 4-thread serve-shaped ones run cold.
+ */
+size_t
+serveShapedMismatches()
+{
+    const BuildConfig cfg = smallConfig();
+    auto &passes =
+        obs::StatRegistry::instance().counter("record.trace_hash_passes");
+    const uint64_t want_passes = SimMemo::instance().enabled() ? 1 : 0;
+    std::vector<TraceRecord> firsts;
+    size_t bad = 0;
+    for (int threads : {4, 1}) {
+        ThreadPool::configure(threads);
+        for (size_t i = 0; i < 2; ++i) {
+            Workload w = genomeWorkload(71, 60000, "rec_serve");
+            w.inputSeed = i + 1;
+            for (bool serve : {true, false}) {
+                const uint64_t passes0 = passes.value();
+                TraceRecord r = serve ? recordServeShaped(w, cfg)
+                                      : recordTrace(w, cfg, 0, 0);
+                bad += passes.value() - passes0 != want_passes;
+                if (firsts.size() == i)
+                    firsts.push_back(std::move(r));
+                else
+                    bad += !recordsIdentical(r, firsts[i]);
+            }
+        }
+    }
+    ThreadPool::configure(parallelThreadCount());
+    return bad;
 }
 
 } // namespace
@@ -296,7 +345,7 @@ TEST(Memo, ColdVsWarmRecordsByteIdentical)
     // fixed-mode replays.
     const TraceRecord warm = recordTrace(w, cfg, 0, 0);
     ASSERT_EQ(cold.numIntervals(), 8u);
-    expectRecordsIdentical(cold, warm);
+    EXPECT_TRUE(recordsIdentical(cold, warm));
 }
 
 TEST(Memo, ByteIdenticalAcrossThreadCounts)
@@ -320,8 +369,8 @@ TEST(Memo, ByteIdenticalAcrossThreadCounts)
     ThreadPool::configure(1);
     const TraceRecord serial2 = recordTrace(w2, cfg, 0, 0);
 
-    expectRecordsIdentical(serial, warm4);
-    expectRecordsIdentical(cold4, serial2);
+    EXPECT_TRUE(recordsIdentical(serial, warm4));
+    EXPECT_TRUE(recordsIdentical(cold4, serial2));
 }
 
 TEST(Memo, ProjectionIndependentOfCounterList)
@@ -379,5 +428,25 @@ TEST(Memo, CorpusRebuildFromMemoReplaysNothing)
     EXPECT_EQ(reg.counter("sim.intervals").value() - intervals0, 0u);
     ASSERT_EQ(cold.size(), warm.size());
     for (size_t i = 0; i < cold.size(); ++i)
-        expectRecordsIdentical(cold[i], warm[i]);
+        EXPECT_TRUE(recordsIdentical(cold[i], warm[i]));
+}
+
+TEST(Memo, ServeShapedRecordingMatchesRecordTrace)
+{
+    EXPECT_EQ(serveShapedMismatches(), 0u);
+}
+
+TEST(Memo, ServeShapedRecordingMatchesRecordTraceMemoOff)
+{
+    // The memo latches PSCA_SIM_MEMO at first use: a fresh process.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            setenv("PSCA_SIM_MEMO", "0", 1);
+            std::exit(!SimMemo::instance().enabled() &&
+                              serveShapedMismatches() == 0
+                          ? 0
+                          : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }

@@ -11,8 +11,10 @@
 #include "common/rng.hh"
 #include "ml/linear.hh"
 #include "ml/svm.hh"
+#include "test_util.hh"
 
 using namespace psca;
+using namespace psca::test;
 
 namespace {
 
@@ -32,16 +34,6 @@ linearData(size_t n, uint64_t seed, double noise = 0.0)
                     0);
     }
     return d;
-}
-
-double
-accuracy(const Model &m, const Dataset &d)
-{
-    size_t correct = 0;
-    for (size_t i = 0; i < d.numSamples(); ++i)
-        correct += m.predict(d.row(i)) == (d.y[i] != 0) ? 1 : 0;
-    return static_cast<double>(correct) /
-        static_cast<double>(d.numSamples());
 }
 
 } // namespace

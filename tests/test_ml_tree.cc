@@ -9,8 +9,10 @@
 
 #include "common/rng.hh"
 #include "ml/tree.hh"
+#include "test_util.hh"
 
 using namespace psca;
+using namespace psca::test;
 
 namespace {
 
@@ -29,16 +31,6 @@ axisData(size_t n, uint64_t seed)
         d.addSample(row, y ? 1 : 0, static_cast<uint32_t>(i % 5), 0);
     }
     return d;
-}
-
-double
-accuracy(const Model &m, const Dataset &d)
-{
-    size_t correct = 0;
-    for (size_t i = 0; i < d.numSamples(); ++i)
-        correct += m.predict(d.row(i)) == (d.y[i] != 0) ? 1 : 0;
-    return static_cast<double>(correct) /
-        static_cast<double>(d.numSamples());
 }
 
 } // namespace

@@ -28,30 +28,13 @@
 #include "core/pipeline.hh"
 #include "ml/tree.hh"
 #include "obs/stats.hh"
+#include "test_util.hh"
 
 using namespace psca;
+using namespace psca::test;
+using namespace psca::test;
 
 namespace {
-
-/** groupedData twin of test_crossval: per-app shifted features. */
-Dataset
-groupedData(size_t apps, size_t per_app, uint64_t seed)
-{
-    Rng rng(seed);
-    Dataset d;
-    d.numFeatures = 3;
-    for (size_t a = 0; a < apps; ++a) {
-        for (size_t i = 0; i < per_app; ++i) {
-            float row[3];
-            for (auto &v : row)
-                v = static_cast<float>(rng.gaussian());
-            d.addSample(row, row[0] + row[1] > 0 ? 1 : 0,
-                        static_cast<uint32_t>(a),
-                        static_cast<uint32_t>(a * 10 + i % 3));
-        }
-    }
-    return d;
-}
 
 /** Flatten a forest's node storage into comparable bytes. */
 std::vector<uint8_t>
@@ -476,12 +459,6 @@ suiteSrch(const ExperimentContext &ctx)
             2, LogRegConfig{});
     }
     return SrchPredictor(srch[0], srch[1], columns, 20000, "srch");
-}
-
-uint64_t
-counterValue(const char *name)
-{
-    return obs::StatRegistry::instance().counter(name).value();
 }
 
 } // namespace

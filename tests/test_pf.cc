@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <set>
 
 #include "common/fault.hh"
@@ -17,8 +16,10 @@
 #include "core/pf_selection.hh"
 #include "core/pipeline.hh"
 #include "obs/stats.hh"
+#include "test_util.hh"
 
 using namespace psca;
+using namespace psca::test;
 
 namespace {
 
@@ -191,12 +192,6 @@ tinyScale()
     scale.pfApps = 4;
     scale.pfTraceLen = 60000;
     return scale;
-}
-
-uint64_t
-counterValue(const char *name)
-{
-    return obs::StatRegistry::instance().counter(name).value();
 }
 
 std::vector<std::string>

@@ -8,6 +8,7 @@
 
 #include "core/builder.hh"
 #include "power/power_model.hh"
+#include "test_util.hh"
 
 using namespace psca;
 
@@ -16,19 +17,7 @@ namespace {
 Workload
 kernelWorkload(KernelParams kp)
 {
-    AppGenome g;
-    g.name = "pw";
-    g.seed = 7;
-    PhaseSpec p;
-    p.kernel = kp;
-    p.meanLenInstr = 1e9;
-    g.phases = {p};
-    Workload w;
-    w.genome = g;
-    w.inputSeed = 1;
-    w.lengthInstr = 300000;
-    w.name = "pw";
-    return w;
+    return test::kernelWorkload(kp, 300000, "pw", 7);
 }
 
 double

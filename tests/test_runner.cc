@@ -39,8 +39,10 @@
 #include "obs/report.hh"
 #include "telemetry/counters.hh"
 #include "trace/genome.hh"
+#include "test_util.hh"
 
 using namespace psca;
+using namespace psca::test;
 namespace fs = std::filesystem;
 
 namespace {
@@ -54,14 +56,6 @@ scratchDir(const std::string &name)
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;
-}
-
-std::vector<char>
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<char>(std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>());
 }
 
 /** The child's pipeline: corpus record -> dataset -> forest fit. */
@@ -169,33 +163,6 @@ runToCompletion()
     int status = 0;
     waitpid(pid, &status, 0);
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-/** Pull one "name": value number out of a run-report JSON file. */
-double
-reportValue(const std::string &path, const std::string &name)
-{
-    std::ifstream in(path);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    const std::string key = "\"" + name + "\":";
-    const size_t at = text.find(key);
-    if (at == std::string::npos)
-        return -1.0;
-    return std::strtod(text.c_str() + at + key.size(), nullptr);
-}
-
-/** All files in @p dir whose names contain @p needle, sorted. */
-std::vector<std::string>
-filesContaining(const std::string &dir, const std::string &needle)
-{
-    std::vector<std::string> names;
-    for (const auto &e : fs::directory_iterator(dir))
-        if (e.path().filename().string().find(needle) !=
-            std::string::npos)
-            names.push_back(e.path().filename().string());
-    std::sort(names.begin(), names.end());
-    return names;
 }
 
 /**

@@ -18,9 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -49,8 +46,10 @@
 #include "serve/service.hh"
 #include "sim/memo.hh"
 #include "trace/genome.hh"
+#include "test_util.hh"
 
 using namespace psca;
+using namespace psca::test;
 using namespace psca::serve;
 
 namespace {
@@ -315,34 +314,6 @@ class ServeFixture : public ::testing::Test
 using RingTest = ServeFixture;
 using DriftTest = ServeFixture;
 using ServiceTest = ServeFixture;
-
-/** One blocking HTTP GET against 127.0.0.1:port. */
-std::string
-httpGet(int port, const std::string &path)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return "";
-    sockaddr_in addr = {};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0)
-    {
-        ::close(fd);
-        return "";
-    }
-    const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
-    ::send(fd, req.data(), req.size(), 0);
-    std::string resp;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        resp.append(buf, static_cast<size_t>(n));
-    ::close(fd);
-    return resp;
-}
 
 } // namespace
 

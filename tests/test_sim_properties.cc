@@ -11,6 +11,7 @@
 #include "core/builder.hh"
 #include "sim/core.hh"
 #include "trace/generator.hh"
+#include "test_util.hh"
 
 using namespace psca;
 
@@ -19,19 +20,7 @@ namespace {
 Workload
 kernelWorkload(KernelParams kp)
 {
-    AppGenome g;
-    g.name = "prop";
-    g.seed = 77;
-    PhaseSpec p;
-    p.kernel = kp;
-    p.meanLenInstr = 1e9;
-    g.phases = {p};
-    Workload w;
-    w.genome = g;
-    w.inputSeed = 1;
-    w.lengthInstr = 300000;
-    w.name = "prop";
-    return w;
+    return test::kernelWorkload(kp, 300000, "prop", 77);
 }
 
 double

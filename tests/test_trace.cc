@@ -10,6 +10,7 @@
 
 #include "trace/corpus.hh"
 #include "trace/generator.hh"
+#include "test_util.hh"
 
 using namespace psca;
 
@@ -18,19 +19,7 @@ namespace {
 Workload
 kernelWorkload(KernelParams kp, uint64_t len = 20000)
 {
-    AppGenome g;
-    g.name = "test";
-    g.seed = 99;
-    PhaseSpec p;
-    p.kernel = kp;
-    p.meanLenInstr = 1e9;
-    g.phases = {p};
-    Workload w;
-    w.genome = g;
-    w.inputSeed = 1;
-    w.lengthInstr = len;
-    w.name = "test";
-    return w;
+    return test::kernelWorkload(kp, len, "test", 99);
 }
 
 } // namespace

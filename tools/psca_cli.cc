@@ -242,8 +242,8 @@ cmdRun(int argc, char **argv)
     for (uint64_t t = 0; t < w.lengthInstr / cfg.intervalInstr; ++t) {
         const IntervalStats stats = replay.step();
         const std::vector<uint64_t> &delta = replay.delta();
-        acc.add(stats.instructions, stats.cycles,
-                power.intervalEnergyNj(delta, stats.cycles, mode));
+        const IntervalAdd add = projectInterval(delta, cfg, mode, nullptr);
+        acc.add(cfg.intervalInstr, add.cycles, add.energyNj);
         if (t % 4 == 0) {
             std::printf(
                 "%-8d %-8.2f %-8.2f %-10.2f %-10.3f\n",
